@@ -18,7 +18,7 @@ from .errors import NumericalError, PreconditionError
 from .geometry import cosh2_half_distance
 from .hermitian import ModelPoint
 from .lattice import LatticeSpec, lattice_covolume
-from .logreal import LogReal, log_sum
+from .logreal import LogReal, log_cosh, log_sinh, log_sum
 from .transforms import Isometry, apply
 
 __all__ = [
@@ -95,17 +95,17 @@ def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundRepor
     if r_x <= 0:
         raise PreconditionError("injectivity radius must be positive")
     log_c = cm.log_value(k).log()
-    log_sh = math.log(math.sinh(r_x / 4.0))
+    log_sh = log_sinh(r_x / 4.0)
     identity = LogReal.from_log(log_c)
     middle = LogReal.from_log(
         log_c
-        + 2 * n * (math.log(math.cosh(r_x / 4.0)) - log_sh)
+        + 2 * n * (log_cosh(r_x / 4.0) - log_sh)
         - math.log(k - 2 * n - 1)
     )
     ring = LogReal.from_log(
         log_c
-        + 2 * n * (math.log(math.sinh(5 * r_x / 8.0)) - log_sh)
-        - k * math.log(math.cosh(3 * r_x / 8.0))
+        + 2 * n * (log_sinh(5 * r_x / 8.0) - log_sh)
+        - k * log_cosh(3 * r_x / 8.0)
     )
     terms = {"identity_term": identity, "middle_term": middle, "ring_term": ring}
     total = log_sum(terms.values())
@@ -135,17 +135,10 @@ def _beta_line_constant(k: int) -> float:
     )
 
 
-def _box_sum(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float):
+def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
     a0 = k / (2 * math.pi)
-    m_max, n_max = spec.index_bounds(r_alpha)
-    m = np.arange(-m_max, m_max + 1)
-    n = np.arange(-n_max, n_max + 1)
-    alpha = m[:, None] * spec.a1 + n[None, :] * spec.a2
-    keep = np.abs(alpha) <= r_alpha
-    mm, nn = np.meshgrid(m, n, indexing="ij")
-    mm, nn = mm[keep], nn[keep]
-    a = a0 + np.abs(alpha[keep]) ** 2 / 2.0
-    offs = np.array([spec.offset(int(mi), int(ni)) for mi, ni in zip(mm, nn)])
+    a = a0 + np.abs(disc.alpha) ** 2 / 2.0
+    offs = disc.offset
     step = spec.beta_step
     off_max = float(np.abs(offs).max()) if offs.size else 0.0
     l_max = int(math.floor((r_beta + off_max) / step)) + 1
@@ -166,9 +159,10 @@ def _box_sum(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float):
     return total, count
 
 
-def _tail_logs(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float):
+def _tail_logs(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float, n_alpha: int):
     """Log-domain majorants for the sum outside the (r_alpha, r_beta) box,
-    by monotone comparison of lattice cells with integrals."""
+    by monotone comparison of lattice cells with integrals; n_alpha is the
+    number of columns with |alpha| <= r_alpha."""
     a0 = k / (2 * math.pi)
     area = spec.cell_area
     step = spec.beta_step
@@ -203,9 +197,6 @@ def _tail_logs(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float):
     if b_eff <= 0:
         log_tail_beta = math.inf
     else:
-        n_alpha = sum(
-            1 for _ in _alpha_iter(spec, r_alpha)
-        )
         log_tail_beta = (
             math.log(max(n_alpha, 1))
             + math.log(2.0 / step)
@@ -214,14 +205,6 @@ def _tail_logs(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float):
             - math.log(k - 1)
         )
     return log_tail_alpha, log_tail_beta
-
-
-def _alpha_iter(spec: LatticeSpec, r_alpha: float):
-    m_max, n_max = spec.index_bounds(r_alpha)
-    for m in range(-m_max, m_max + 1):
-        for n in range(-n_max, n_max + 1):
-            if abs(spec.alpha(m, n)) <= r_alpha:
-                yield (m, n)
 
 
 def cusp_lattice_sum(
@@ -241,8 +224,9 @@ def cusp_lattice_sum(
     r_alpha = 2.0 + spec.alpha_cell_diameter
     r_beta = max(2.0 * a0, 4.0 * spec.beta_step)
     for _ in range(60):
-        partial, count = _box_sum(spec, k, r_alpha, r_beta)
-        log_ta, log_tb = _tail_logs(spec, k, r_alpha, r_beta)
+        disc = spec.disc(r_alpha)
+        partial, count = _box_sum(spec, disc, k, r_beta)
+        log_ta, log_tb = _tail_logs(spec, k, r_alpha, r_beta, disc.m.size)
         tail = math.exp(min(np.logaddexp(log_ta, log_tb), 700.0))
         if tail <= rel_tol * partial:
             return CuspSumResult(

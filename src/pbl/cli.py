@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -262,27 +261,6 @@ def cmd_verify(ns, file_cfg):
 # -- bound -------------------------------------------------------------------
 
 
-def _bound_row(args):
-    which, n, k, rx, c_gamma, c_exponent, lattice, tol = args
-    cm = ConstantModel(c_gamma, c_exponent)
-    if which == "cocompact":
-        rep = cocompact_bound(n, k, rx, cm)
-    else:
-        rep = cusp_bound(k, rx, cm, _lattice_spec(lattice), tol)
-    row = rep.row()
-    if which == "cusp":
-        row["log_cusp_sum_scaled"] = rep.extras["cusp_sum_scaled"].log()
-        row["cusp_dominates_sum"] = rep.extras["cusp_dominates_sum"]
-    return row
-
-
-def _map_jobs(fn, items, jobs):
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def cmd_bound(ns, file_cfg):
     defaults = {
         "n": 2,
@@ -303,16 +281,19 @@ def cmd_bound(ns, file_cfg):
         raise PreconditionError(f"--k: cocompact bound requires k >= 2n+2 = {2 * cfg['n'] + 2}")
     if cfg["rx"] <= 0:
         raise PreconditionError("--rx: injectivity radius must be positive")
-    lattice = {key: cfg[key] for key in _LATTICE_DEFAULTS}
-    jobs = ns.jobs or os.cpu_count() or 1
-    log.info("bound sweep over %d weights with %d jobs", len(ks), jobs)
-    work = [
-        (ns.which, cfg["n"], k, cfg["rx"], cfg["c_gamma"], cfg["c_exponent"], lattice, cfg["tol"])
-        for k in ks
-    ]
-    rows = _map_jobs(_bound_row, work, jobs)
+    log.info("bound sweep over %d weights", len(ks))
+    cm = ConstantModel(cfg["c_gamma"], cfg["c_exponent"])
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
-    for row in rows:
+    rows = []
+    for k in ks:
+        if ns.which == "cocompact":
+            row = cocompact_bound(cfg["n"], k, cfg["rx"], cm).row()
+        else:
+            rep = cusp_bound(k, cfg["rx"], cm, _lattice_spec(cfg), cfg["tol"])
+            row = rep.row()
+            row["log_cusp_sum_scaled"] = rep.extras["cusp_sum_scaled"].log()
+            row["cusp_dominates_sum"] = rep.extras["cusp_dominates_sum"]
+        rows.append(row)
         writer.row(row)
     if cfg["fit"]:
         fit = scaling_fit(ks, lambda k: LogReal.from_log(rows[ks.index(k)]["log_total"]))
@@ -360,31 +341,27 @@ def cmd_lattice_sum(ns, file_cfg):
     return 0
 
 
-def _gamma_row(k):
-    gc = gamma_integral_chain(k)
-    return {
-        "k": gc.k,
-        "beta_closed": gc.beta_closed,
-        "beta_quad": gc.beta_quad,
-        "beta_ratio": gc.beta_ratio,
-        "log_r_closed": gc.r_closed.log(),
-        "log_r_quad": gc.r_quad.log(),
-        "r_ratio": gc.r_ratio,
-        "log_chained": gc.chained.log(),
-    }
-
-
 def cmd_gamma_chain(ns, file_cfg):
     defaults = {"k": "6"}
     cfg = _resolve(ns, file_cfg, defaults)
     ks = _parse_krange(cfg["k"])
     if min(ks) < 6:
         raise PreconditionError("--k: gamma chain requires k >= 6")
-    jobs = ns.jobs or os.cpu_count() or 1
-    rows = _map_jobs(_gamma_row, ks, jobs)
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
-    for row in rows:
-        writer.row(row)
+    for k in ks:
+        gc = gamma_integral_chain(k)
+        writer.row(
+            {
+                "k": gc.k,
+                "beta_closed": gc.beta_closed,
+                "beta_quad": gc.beta_quad,
+                "beta_ratio": gc.beta_ratio,
+                "log_r_closed": gc.r_closed.log(),
+                "log_r_quad": gc.r_quad.log(),
+                "r_ratio": gc.r_ratio,
+                "log_chained": gc.chained.log(),
+            }
+        )
     writer.close()
     return 0
 
@@ -465,7 +442,11 @@ def cmd_fit(ns, file_cfg):
     if not ns.input:
         raise PreconditionError("--in: an input report path is required")
     cfg["in"] = ns.input
-    rows = [r for r in _read_rows(ns.input) if cfg["x"] in r and cfg["y"] in r]
+    try:
+        rows = _read_rows(ns.input)
+    except OSError as exc:
+        raise PblError(f"--in: {exc}") from None
+    rows = [r for r in rows if cfg["x"] in r and cfg["y"] in r]
     if len(rows) < 5:
         raise PreconditionError("--in: need at least 5 rows with the given columns")
     ks = [int(float(r[cfg["x"]])) for r in rows]
@@ -488,8 +469,6 @@ def cmd_fit(ns, file_cfg):
 
 
 def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("jsonl", "csv"), default=None)
     sp.add_argument("--config", default=None)
@@ -513,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--perturb-gamma3", dest="perturb_gamma3", action="store_const", const=True,
         default=None, help="negative control: corrupt a Cayley matrix"
     )
+    p.add_argument("--seed", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("bound", help="bound sweeps over the weight")

@@ -6,6 +6,7 @@ decreasing function over an orbit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -17,7 +18,8 @@ from scipy.special import gammaln
 from .errors import DomainError, NumericalError, PreconditionError
 from .geometry import _acosh_stable, distance
 from .hermitian import Model, ModelPoint, model_indicator
-from .lattice import HeisenbergParam, LatticeSpec, enumerate_indices, stabilizer_matrix
+from .lattice import LatticeSpec
+from .logreal import exp_or_raise, log_cosh, log_sinh
 from .transforms import Isometry, apply
 
 __all__ = [
@@ -30,22 +32,6 @@ __all__ = [
     "min_displacement",
     "stabilizer_injectivity_radius",
 ]
-
-_MAX_ENUM = 5_000_000
-
-
-def _log_sinh(u: float) -> float:
-    # stable for u from 1e-8 up to 1e300
-    if u > 20.0:
-        return u - math.log(2.0) + math.log1p(-math.exp(-2.0 * u))
-    return math.log(math.sinh(u))
-
-
-def _log_cosh(u: float) -> float:
-    if u > 20.0:
-        return u - math.log(2.0) + math.log1p(math.exp(-2.0 * u))
-    return math.log(math.cosh(u))
-
 
 @dataclass(frozen=True)
 class OrbitSource:
@@ -89,29 +75,11 @@ def _certified_radii(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: flo
     return r_alpha, r_beta
 
 
-def _lattice_orbit_distances(
-    spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float
-):
-    """Distances d(z, gamma w) for every stabilizer gamma that can possibly
-    be within delta, computed vectorized over the certified index box."""
+def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
+    """Distances d(z, gamma w) for the model-3 stabilizer elements with the
+    given (alpha, beta) arrays, vectorized."""
     if z.model is not Model.M3 or w.model is not Model.M3:
         raise DomainError("lattice orbit sources act on model-3 points")
-    r_alpha, r_beta = _certified_radii(spec, z, w, delta)
-    m_max, n_max = spec.index_bounds(r_alpha)
-    est = (2 * m_max + 1) * (2 * n_max + 1) * (2 * r_beta / spec.beta_step + 1)
-    if est > _MAX_ENUM:
-        raise NumericalError(
-            f"certified enumeration needs ~{est:.3g} points (> {_MAX_ENUM}); "
-            f"radii r_alpha={r_alpha:.3g}, r_beta={r_beta:.3g}"
-        )
-    idx = list(enumerate_indices(spec, r_alpha, r_beta))
-    if not idx:
-        return np.zeros(0), []
-    arr = np.array(idx)
-    alpha = arr[:, 0] * spec.a1 + arr[:, 1] * spec.a2
-    off = np.array([spec.offset(m, n) for m, n, _ in idx])
-    beta = off + arr[:, 2] * spec.beta_step
-
     z1, z2 = z.coords
     w1, w2 = w.coords
     qz, qw = -model_indicator(z), -model_indicator(w)
@@ -125,8 +93,26 @@ def _lattice_orbit_distances(
     cosh2 = np.abs(s) ** 2 / (qz * qw)
     y = np.sqrt(np.maximum(cosh2, 1.0))
     dy = np.maximum(y - 1.0, 0.0)
-    d = 2.0 * np.log1p(dy + np.sqrt(dy * (y + 1.0)))
-    return d, idx
+    return 2.0 * np.log1p(dy + np.sqrt(dy * (y + 1.0)))
+
+
+def _lattice_orbit_distances(
+    spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float
+):
+    """Distances d(z, gamma w) over the certified lattice ball holding every
+    stabilizer gamma that can possibly be within delta, with its points."""
+    if z.model is not Model.M3 or w.model is not Model.M3:
+        raise DomainError("lattice orbit sources act on model-3 points")
+    pts = spec.points(*_certified_radii(spec, z, w, delta))
+    return _stabilizer_distances(pts.alpha, pts.beta, z, w), pts
+
+
+def _seed_box(spec: LatticeSpec):
+    """(alpha, beta) arrays of the nontrivial lattice points with m, n, l
+    in {-1, 0, 1}, whose minima seed the certified searches."""
+    seed = [spec.param(*i) for i in itertools.product((-1, 0, 1), repeat=3)]
+    seed = [p for p in seed if not p.is_origin]
+    return np.array([p.alpha for p in seed]), np.array([p.beta for p in seed])
 
 
 def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: float):
@@ -160,10 +146,10 @@ def counting_upper_bound(n: int, r_x: float, delta: float) -> float:
     log_val = (
         math.log(4 * math.pi)
         - gammaln(n + 1)
-        + 2 * n * math.log(math.sinh((2 * delta + r_x) / 4.0))
-        - 2 * n * math.log(math.sinh(r_x / 4.0))
+        + 2 * n * log_sinh((2 * delta + r_x) / 4.0)
+        - 2 * n * log_sinh(r_x / 4.0)
     )
-    return math.exp(log_val)
+    return exp_or_raise(log_val, "counting bound")
 
 
 def _check_decreasing(f: Callable[[float], float], lo: float, hi: float):
@@ -221,12 +207,12 @@ def tail_bound_terms(
     middle = f(delta) * counting_upper_bound(n, r_x, delta)
 
     log_coeff = (
-        math.log(4 * math.pi) - gammaln(n) - 2 * n * math.log(math.sinh(r_x / 4.0))
+        math.log(4 * math.pi) - gammaln(n) - 2 * n * log_sinh(r_x / 4.0)
     )
 
     def log_geom(rho):
         u = (2 * rho + r_x) / 4.0
-        return (2 * n - 1) * _log_sinh(u) + _log_cosh(u)
+        return (2 * n - 1) * log_sinh(u) + log_cosh(u)
 
     def log_integrand(rho):
         try:
@@ -288,23 +274,9 @@ def min_displacement(src: OrbitSource, z: ModelPoint) -> float:
     enumeration for that candidate radius then rules out everything outside.
     """
     if src.lattice is not None:
-        spec = src.lattice
-        seed = [
-            p
-            for p in (
-                spec.param(m, n, l)
-                for m in (-1, 0, 1)
-                for n in (-1, 0, 1)
-                for l in (-1, 0, 1)
-            )
-            if not p.is_origin
-        ]
-        cand = min(
-            distance(z, apply(stabilizer_matrix(p, Model.M3), z)) for p in seed
-        )
-        d, idx = _lattice_orbit_distances(spec, z, z, cand)
-        nz = np.array([not spec.param(m, n, l).is_origin for m, n, l in idx])
-        vals = d[nz]
+        cand = float(_stabilizer_distances(*_seed_box(src.lattice), z, z).min())
+        d, pts = _lattice_orbit_distances(src.lattice, z, z, cand)
+        vals = d[(pts.alpha != 0) | (pts.beta != 0)]
         return float(vals.min()) if vals.size else cand
     best = math.inf
     eye = np.eye(src.elements[0].form.dim)
@@ -330,26 +302,17 @@ def stabilizer_injectivity_radius(
     if q_max <= 0 or p_max < 0:
         raise PreconditionError("need q_max > 0 and p_max >= 0")
 
-    def slice_cosh2(p: HeisenbergParam) -> float:
-        a, b = abs(p.alpha), abs(p.beta)
+    def slice_cosh2(alpha, beta):
+        a, b = np.hypot(alpha.real, alpha.imag), np.abs(beta)
         return (1 + a * a / (2 * q_max)) ** 2 + (
-            max(0.0, b - 2 * a * p_max) / q_max
+            np.maximum(0.0, b - 2 * a * p_max) / q_max
         ) ** 2
 
-    seed = [
-        spec.param(m, n, l)
-        for m in (-1, 0, 1)
-        for n in (-1, 0, 1)
-        for l in (-1, 0, 1)
-    ]
-    cand = min(slice_cosh2(p) for p in seed if not p.is_origin)
+    cand = float(slice_cosh2(*_seed_box(spec)).min())
     # enumeration radii outside which the slice minimum already exceeds cand
     r_alpha = math.sqrt(max(2 * q_max * (math.sqrt(cand) - 1), 0.0)) + spec.alpha_cell_diameter
     r_beta = q_max * math.sqrt(cand) + 2 * r_alpha * p_max + spec.beta_step
-    best = cand
-    for m, n, l in enumerate_indices(spec, r_alpha, r_beta):
-        p = spec.param(m, n, l)
-        if p.is_origin:
-            continue
-        best = min(best, slice_cosh2(p))
+    pts = spec.points(r_alpha, r_beta)
+    nontrivial = (pts.alpha != 0) | (pts.beta != 0)
+    best = float(slice_cosh2(pts.alpha, pts.beta)[nontrivial].min(initial=cand))
     return 2.0 * _acosh_stable(math.sqrt(best))

@@ -12,7 +12,7 @@ from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError, PreconditionError
 from .hermitian import Model, ModelPoint, inner_product, lift, model_indicator
-from .logreal import LogReal
+from .logreal import LogReal, exp_or_raise, log_sinh
 
 __all__ = [
     "cosh2_half_distance",
@@ -70,7 +70,7 @@ def ball_volume(n: int, r: float, c_n: float | None = None) -> float:
         return 0.0
     if c_n is None:
         c_n = ball_volume_constant(n)
-    return c_n * math.exp(2 * n * math.log(math.sinh(r / 2.0)))
+    return c_n * exp_or_raise(2 * n * log_sinh(r / 2.0), "ball volume")
 
 
 def petersson_norm_factor(p: ModelPoint, k: int) -> LogReal:

@@ -9,6 +9,7 @@ for the model's form: |z|^2 < 1 on the ball, 2 Im(z1) > |z2|^2 in model 2,
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,20 +80,23 @@ class HermitianForm:
         )
 
 
+@functools.cache
 def ball_form(n: int) -> HermitianForm:
-    """diag(Id_n, -1), the form of the unit ball model of B^n."""
+    """diag(Id_n, -1), the form of the unit ball model of B^n; built once per n."""
     if n < 2:
         raise DimensionError("ball model needs n >= 2")
     return HermitianForm(np.diag([1.0] * n + [-1.0]).astype(complex))
 
 
+@functools.cache
 def model2_form() -> HermitianForm:
-    """The 3x3 form [[0,0,-i],[0,1,0],[i,0,0]] of model 2."""
+    """The 3x3 form [[0,0,-i],[0,1,0],[i,0,0]] of model 2; built once."""
     return HermitianForm(np.array([[0, 0, -1j], [0, 1, 0], [1j, 0, 0]], dtype=complex))
 
 
+@functools.cache
 def model3_form() -> HermitianForm:
-    """The 3x3 form [[0,0,1],[0,1,0],[1,0,0]] of model 3."""
+    """The 3x3 form [[0,0,1],[0,1,0],[1,0,0]] of model 3; built once."""
     return HermitianForm(np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex))
 
 

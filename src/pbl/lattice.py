@@ -6,12 +6,13 @@ enumeration of the discrete lattice L in C x R that indexes them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, NumericalError, PreconditionError
 from .hermitian import Model, model2_form, model3_form
 from .transforms import Isometry
 
@@ -24,6 +25,22 @@ __all__ = [
     "enumerate_ball",
     "lattice_covolume",
 ]
+
+
+# largest index box or point set one enumeration may allocate
+_MAX_ENUM = 5_000_000
+
+
+def _check_budget(cells: float, what: str):
+    if not cells <= _MAX_ENUM:
+        raise NumericalError(f"{what} needs ~{cells:.3g} points (> {_MAX_ENUM})")
+
+
+# columns (m, n) of an alpha disc with alpha = m a1 + n a2 and their beta
+# offsets, and lattice points (m, n, l) with their (alpha, beta); both
+# lexicographic in the indices
+AlphaDisc = namedtuple("AlphaDisc", "m n alpha offset")
+LatticePoints = namedtuple("LatticePoints", "m n l alpha beta")
 
 
 @dataclass(frozen=True)
@@ -107,16 +124,52 @@ class LatticeSpec:
     def param(self, m: int, n: int, l: int) -> HeisenbergParam:
         return HeisenbergParam(self.alpha(m, n), self.offset(m, n) + l * self.beta_step)
 
-    def index_bounds(self, r_alpha: float):
-        """Box |m| <= m_max, |n| <= n_max guaranteed to contain |alpha| <= r_alpha,
-        from the dual basis row norms."""
+    def disc(self, r_alpha: float) -> AlphaDisc:
+        """Every column (m, n) with |alpha| <= r_alpha, lexicographic.
+
+        The index box |m| <= m_max, |n| <= n_max around the disc comes from
+        the dual basis row norms; NumericalError if it exceeds the budget.
+        """
+        if not r_alpha >= 0:
+            raise PreconditionError("radii must be nonnegative")
         basis = np.array(
             [[self.a1.real, self.a2.real], [self.a1.imag, self.a2.imag]], dtype=float
         )
         dual = np.linalg.inv(basis)
-        m_max = int(math.floor(r_alpha * np.linalg.norm(dual[0]) + 1e-9))
-        n_max = int(math.floor(r_alpha * np.linalg.norm(dual[1]) + 1e-9))
-        return m_max, n_max
+        m_max = np.floor(r_alpha * np.linalg.norm(dual[0]) + 1e-9)
+        n_max = np.floor(r_alpha * np.linalg.norm(dual[1]) + 1e-9)
+        _check_budget(
+            (2 * m_max + 1) * (2 * n_max + 1), f"the alpha disc of radius {r_alpha:.3g}"
+        )
+        m_max, n_max = int(m_max), int(n_max)
+        m = np.repeat(np.arange(-m_max, m_max + 1), 2 * n_max + 1)
+        n = np.tile(np.arange(-n_max, n_max + 1), 2 * m_max + 1)
+        alpha = m * self.a1 + n * self.a2
+        # hypot, not np.abs: it rounds like Python's abs(complex)
+        keep = np.hypot(alpha.real, alpha.imag) <= r_alpha
+        m, n, alpha = m[keep], n[keep], alpha[keep]
+        offset = np.array([self.offset(int(i), int(j)) for i, j in zip(m, n)], dtype=float)
+        return AlphaDisc(m, n, alpha, offset)
+
+    def points(self, r_alpha: float, r_beta: float) -> LatticePoints:
+        """Every lattice point with |alpha| <= r_alpha and |beta| <= r_beta,
+        lexicographic in (m, n, l), each exactly once."""
+        if not r_beta >= 0:
+            raise PreconditionError("radii must be nonnegative")
+        disc = self.disc(r_alpha)
+        step = self.beta_step
+        l_lo = np.ceil((-r_beta - disc.offset) / step - 1e-12)
+        l_hi = np.floor((r_beta - disc.offset) / step + 1e-12)
+        counts = np.maximum(l_hi - l_lo + 1, 0)
+        _check_budget(
+            counts.sum(), f"the lattice ball r_alpha={r_alpha:.3g}, r_beta={r_beta:.3g}"
+        )
+        counts = counts.astype(np.int64)
+        col = np.repeat(np.arange(disc.m.size), counts)
+        first = np.cumsum(counts) - counts
+        l = np.arange(col.size) + (l_lo.astype(np.int64) - first)[col]
+        beta = disc.offset[col] + l * step
+        return LatticePoints(disc.m[col], disc.n[col], l, disc.alpha[col], beta)
 
 
 GAUSSIAN_SPEC = LatticeSpec()
@@ -127,21 +180,9 @@ def enumerate_indices(
 ) -> Iterator[tuple[int, int, int]]:
     """Indices (m, n, l) of all lattice points with |alpha| <= r_alpha and
     |beta| <= r_beta, in lexicographic order, each exactly once."""
-    if r_alpha < 0 or r_beta < 0:
-        raise PreconditionError("radii must be nonnegative")
-    m_max, n_max = spec.index_bounds(r_alpha)
-    step = spec.beta_step
-    for m in range(-m_max, m_max + 1):
-        for n in range(-n_max, n_max + 1):
-            if abs(spec.alpha(m, n)) > r_alpha:
-                continue
-            off = spec.offset(m, n)
-            l_lo = math.ceil((-r_beta - off) / step - 1e-12)
-            l_hi = math.floor((r_beta - off) / step + 1e-12)
-            for l in range(l_lo, l_hi + 1):
-                if exclude_origin and m == 0 and n == 0 and off + l * step == 0.0:
-                    continue
-                yield (m, n, l)
+    pts = spec.points(r_alpha, r_beta)
+    keep = (pts.alpha != 0) | (pts.beta != 0) if exclude_origin else slice(None)
+    return zip(pts.m[keep].tolist(), pts.n[keep].tolist(), pts.l[keep].tolist())
 
 
 def enumerate_ball(

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
-__all__ = ["LogReal", "log_sum"]
+__all__ = ["LogReal", "log_sum", "log_sinh", "log_cosh", "exp_or_raise"]
 
 
 @dataclass(frozen=True)
@@ -196,3 +196,25 @@ def log_sum(items) -> LogReal:
     if p is None:
         return LogReal(-1, n)
     return LogReal(1, p) + LogReal(-1, n)
+
+
+def log_sinh(u: float) -> float:
+    """log sinh(u) for u > 0, without overflow up to u = 1e300."""
+    if u > 20.0:
+        return u - math.log(2.0) + math.log1p(-math.exp(-2.0 * u))
+    return math.log(math.sinh(u))
+
+
+def log_cosh(u: float) -> float:
+    """log cosh(u) for u >= 0, without overflow up to u = 1e300."""
+    if u > 20.0:
+        return u - math.log(2.0) + math.log1p(math.exp(-2.0 * u))
+    return math.log(math.cosh(u))
+
+
+def exp_or_raise(log_value: float, what: str) -> float:
+    """exp(log_value) as a double; NumericalError where it would overflow."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise NumericalError(f"{what} overflows a double (log {log_value:.6g})") from None

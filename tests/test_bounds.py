@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pbl import (
     LogReal,
     Model,
     ModelPoint,
+    NumericalError,
     PreconditionError,
     cocompact_bound,
     cusp_bound,
@@ -139,6 +141,12 @@ class TestCuspLatticeSum:
         spec = LatticeSpec(a1=1.0, a2=complex(0.5, math.sqrt(3) / 2))
         res = cusp_lattice_sum(8, spec, 1e-6)
         assert res.value.to_float() > 1.0
+
+    def test_enumeration_budget(self):
+        t0 = time.perf_counter()
+        with pytest.raises(NumericalError):
+            cusp_lattice_sum(6, LatticeSpec(a2=1e-6j))
+        assert time.perf_counter() - t0 < 1.0
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

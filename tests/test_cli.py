@@ -78,6 +78,13 @@ class TestBound:
         assert code == 2
         assert "--rx" in err
 
+    @pytest.mark.parametrize("which", ["cocompact", "cusp"])
+    def test_huge_rx_stays_finite(self, capsys, which):
+        code, out, err = run(capsys, "bound", which, "--k", "60", "--rx", "3000")
+        assert code == 0 and "Traceback" not in err
+        (row,) = rows_of(out)
+        assert math.isfinite(row["log_total"])
+
 
 class TestLatticeSumCmd:
     def test_fields(self, capsys):
@@ -90,6 +97,11 @@ class TestLatticeSumCmd:
     def test_k_precondition(self, capsys):
         code, _, err = run(capsys, "lattice-sum", "--k", "4")
         assert code == 2 and "--k" in err
+
+    def test_enumeration_budget_exits_3(self, capsys):
+        code, out, err = run(capsys, "lattice-sum", "--k", "6", "--a2-re", "0", "--a2-im", "1e-6")
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "numerical failure" in err
 
 
 class TestGammaChainCmd:
@@ -109,6 +121,12 @@ class TestCountCmd:
         assert len(rows) == 9
         for r in rows:
             assert r["counted"] <= r["bound"]
+
+    def test_huge_rx_stays_finite(self, capsys):
+        code, out, err = run(capsys, "count", "--delta", "0", "--rx", "3000")
+        assert code == 0 and "Traceback" not in err
+        (row,) = rows_of(out)
+        assert math.isfinite(row["bound"])
 
     def test_explicit_rx(self, capsys):
         code, out, _ = run(capsys, "count", "--delta", "2.0", "--rx", "1.5")
@@ -148,6 +166,11 @@ class TestFitCmd:
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "fit")
         assert code == 2 and "--in" in err
+
+    def test_unreadable_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "fit", "--in", str(tmp_path / "absent.jsonl"))
+        assert code == 2 and out == ""
+        assert err.startswith("pbl: --in: ") and len(err.strip().splitlines()) == 1
 
 
 class TestOutputDiscipline:
@@ -209,10 +232,3 @@ class TestConfigFile:
         (row,) = rows_of(out)
         # sparser lattice, smaller sum
         assert row["sum"] < 1.9435
-
-
-class TestJobs:
-    def test_parallel_matches_serial(self, capsys):
-        _, out1, _ = run(capsys, "gamma-chain", "--k", "6..12", "--jobs", "1")
-        _, out2, _ = run(capsys, "gamma-chain", "--k", "6..12", "--jobs", "2")
-        assert out1 == out2

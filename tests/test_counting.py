@@ -107,6 +107,11 @@ class TestCountingUpperBound:
         assert counting_upper_bound(2, 1.0, 2.0) > counting_upper_bound(2, 1.0, 1.0)
         assert counting_upper_bound(2, 2.0, 1.0) < counting_upper_bound(2, 1.0, 1.0)
 
+    def test_large_arguments(self):
+        assert counting_upper_bound(2, 3000.0, 0.0) == pytest.approx(2 * math.pi, rel=1e-12)
+        with pytest.raises(NumericalError):
+            counting_upper_bound(2, 1.0, 3000.0)
+
     def test_rejects_bad_radius(self):
         with pytest.raises(PreconditionError):
             counting_upper_bound(2, 0.0, 1.0)

@@ -8,6 +8,7 @@ from pbl import (
     HeisenbergParam,
     Model,
     ModelPoint,
+    NumericalError,
     apply,
     ball_form,
     ball_volume,
@@ -115,6 +116,12 @@ class TestBallVolume:
         rs = np.linspace(0.1, 6.0, 40)
         vols = [ball_volume(3, r) for r in rs]
         assert all(b > a for a, b in zip(vols, vols[1:]))
+
+    def test_overflow_raises(self):
+        # the volume leaves double range near r = 355, sinh itself near r = 1420
+        for r in (400.0, 3000.0):
+            with pytest.raises(NumericalError):
+                ball_volume(2, r)
 
     def test_constant_swap(self):
         assert ball_volume(2, 1.0, c_n=1.0) == pytest.approx(math.sinh(0.5) ** 4)

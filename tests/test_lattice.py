@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -81,6 +82,15 @@ class TestStabilizerMatrix:
             stabilizer_matrix(HeisenbergParam(1.0, 0.0), Model.BALL)
 
 
+# Eisenstein alpha lattice with a half-step beta offset where m n is odd
+EISENSTEIN_OFFSET_SPEC = LatticeSpec(
+    a1=1.0,
+    a2=cmath.exp(1j * math.pi / 3),
+    beta_step=0.5,
+    beta_offset_rule=lambda m, n: 0.25 * ((m * n) % 2),
+)
+
+
 def brute_indices(spec, r_alpha, r_beta, box=25):
     out = set()
     for m in range(-box, box + 1):
@@ -110,13 +120,15 @@ class TestEnumeration:
         assert set(idx) == brute_indices(GAUSSIAN_SPEC, 10.0, 0.0, box=12)
 
     def test_matches_brute_force_oblique(self):
-        spec = LatticeSpec(a1=1.0, a2=complex(0.5, math.sqrt(3) / 2), beta_step=0.5)
-        got = set(enumerate_indices(spec, 4.0, 2.0))
-        assert got == brute_indices(spec, 4.0, 2.0, box=12)
+        oblique = LatticeSpec(a1=1.0, a2=complex(0.5, math.sqrt(3) / 2), beta_step=0.5)
+        for spec in (oblique, EISENSTEIN_OFFSET_SPEC):
+            got = set(enumerate_indices(spec, 4.0, 2.0))
+            assert got == brute_indices(spec, 4.0, 2.0, box=12)
 
     def test_lexicographic_order(self):
-        idx = list(enumerate_indices(GAUSSIAN_SPEC, 3.0, 2.0))
-        assert idx == sorted(idx)
+        for spec in (GAUSSIAN_SPEC, EISENSTEIN_OFFSET_SPEC):
+            idx = list(enumerate_indices(spec, 3.0, 2.0))
+            assert idx == sorted(idx)
 
     def test_each_once(self):
         idx = list(enumerate_indices(GAUSSIAN_SPEC, 6.0, 3.0))
