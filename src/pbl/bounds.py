@@ -15,11 +15,11 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import NumericalError, PreconditionError
-from .geometry import cosh2_half_distance
+from .geometry import _cosh2
 from .hermitian import ModelPoint
-from .lattice import LatticeSpec, lattice_covolume
+from .lattice import LatticeSpec, _check_budget, lattice_covolume
 from .logreal import LogReal, log_cosh, log_sinh, log_sum
-from .transforms import Isometry, apply
+from .transforms import Isometry, _isometry_stack
 
 __all__ = [
     "ConstantModel",
@@ -48,8 +48,8 @@ class ConstantModel:
     exponent: int = 0
 
     def __post_init__(self):
-        if self.c_gamma <= 0:
-            raise PreconditionError("c_gamma must be positive")
+        if not 0 < self.c_gamma < math.inf:
+            raise PreconditionError("c_gamma must be positive and finite")
 
     def __call__(self, k: int) -> float:
         return self.c_gamma * float(k) ** self.exponent
@@ -92,8 +92,8 @@ def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundRepor
         raise PreconditionError("n >= 2 required")
     if k < 2 * n + 2:
         raise PreconditionError(f"k must be >= 2n+2 = {2 * n + 2}, got {k}")
-    if r_x <= 0:
-        raise PreconditionError("injectivity radius must be positive")
+    if not 0 < r_x < math.inf:
+        raise PreconditionError("injectivity radius must be positive and finite")
     log_c = cm.log_value(k).log()
     log_sh = log_sinh(r_x / 4.0)
     identity = LogReal.from_log(log_c)
@@ -102,11 +102,11 @@ def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundRepor
         + 2 * n * (log_cosh(r_x / 4.0) - log_sh)
         - math.log(k - 2 * n - 1)
     )
-    ring = LogReal.from_log(
-        log_c
-        + 2 * n * (log_sinh(5 * r_x / 8.0) - log_sh)
-        - k * log_cosh(3 * r_x / 8.0)
-    )
+    # r_x / 8 first keeps 5 r_x / 8 finite; the two products overflow together
+    # only for r_x near the double range, where k >= 2n+2 sends the term to 0
+    r8 = r_x / 8.0
+    log_ring = log_c + 2 * n * (log_sinh(5 * r8) - log_sh) - k * log_cosh(3 * r8)
+    ring = LogReal.from_log(-math.inf if math.isnan(log_ring) else log_ring)
     terms = {"identity_term": identity, "middle_term": middle, "ring_term": ring}
     total = log_sum(terms.values())
     return BoundReport(n, k, r_x, terms, total, total / cm.log_value(k))
@@ -141,7 +141,9 @@ def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
     offs = disc.offset
     step = spec.beta_step
     off_max = float(np.abs(offs).max()) if offs.size else 0.0
-    l_max = int(math.floor((r_beta + off_max) / step)) + 1
+    half_line = (r_beta + off_max) / step
+    _check_budget(2 * half_line + 3, f"the beta line of radius {r_beta:.3g}")
+    l_max = int(math.floor(half_line)) + 1
     l = np.arange(-l_max, l_max + 1)
     total = 0.0
     count = 0
@@ -218,8 +220,9 @@ def cusp_lattice_sum(
     """
     if k < 6:
         raise PreconditionError("k must be >= 6 for the sum to have margin")
-    if not (0 < rel_tol <= 1e-3):
-        raise PreconditionError("rel_tol must lie in (0, 1e-3]")
+    # below the double epsilon the tail could not change the computed sum
+    if not (np.finfo(float).eps <= rel_tol <= 1e-3):
+        raise PreconditionError("rel_tol must lie in [2.2e-16, 1e-3]")
     a0 = k / (2 * math.pi)
     r_alpha = 2.0 + spec.alpha_cell_diameter
     r_beta = max(2.0 * a0, 4.0 * spec.beta_step)
@@ -491,8 +494,6 @@ def scaling_fit(ks: Sequence[int], bound: Callable[[int], LogReal]) -> ScalingFi
 def orbit_cosh_power_sum(elements: Sequence[Isometry], z: ModelPoint, k: int) -> LogReal:
     """Truncated series sum_gamma cosh^{-k}(d(z, gamma z)/2) over an explicit
     list of group elements, in the log domain with order-independent reduction."""
-    terms = []
-    for g in elements:
-        c2 = cosh2_half_distance(z, apply(g, z))
-        terms.append(LogReal.from_log(-(k / 2.0) * math.log(max(c2, 1.0))))
-    return log_sum(terms)
+    c2 = _cosh2(z, z, _isometry_stack(elements, z))
+    logs = -(k / 2.0) * np.log(np.maximum(c2, 1.0))
+    return log_sum([LogReal.from_log(v) for v in logs])

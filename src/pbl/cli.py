@@ -14,6 +14,7 @@ diagnostics on standard error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -90,8 +91,11 @@ class Writer:
             self._emit_header()
         text = "\n".join(self.lines) + "\n"
         if self.out_path:
-            with open(self.out_path, "w") as fh:
-                fh.write(text)
+            try:
+                with open(self.out_path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise PblError(f"--out: {exc}") from None
         else:
             sys.stdout.write(text)
 
@@ -109,15 +113,19 @@ _LATTICE_DEFAULTS = {
 
 def _read_config_file(path: str) -> dict:
     cfg = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PreconditionError(f"--config: malformed line {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:
+        raise PblError(f"--config: {exc}") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PreconditionError(f"--config: malformed line {raw.strip()!r}")
+        key, val = line.split("=", 1)
+        cfg[key.strip()] = val.strip()
     return cfg
 
 
@@ -132,8 +140,11 @@ def _resolve(ns, file_cfg: dict, defaults: dict) -> dict:
             raw = file_cfg[key]
             if isinstance(default, bool):
                 out[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, (int, float)) and not isinstance(default, bool):
-                out[key] = type(default)(float(raw)) if isinstance(default, int) else float(raw)
+            elif isinstance(default, (int, float)):
+                val = _number(f"--config: {key}", raw)
+                if isinstance(default, int) and not val.is_integer():
+                    raise PreconditionError(f"--config: {key}={raw!r} is not an integer")
+                out[key] = type(default)(val)
             else:
                 out[key] = raw
         else:
@@ -149,35 +160,32 @@ def _lattice_spec(cfg: dict) -> LatticeSpec:
     )
 
 
-def _parse_krange(spec: str):
-    """'6' -> [6]; '6..60' -> 6,...,60; '50..400:25' -> 50,75,...,400."""
-    step = 1
-    body = spec
-    if ":" in spec:
-        body, step_s = spec.split(":", 1)
-        step = int(step_s)
-    if ".." in body:
-        lo_s, hi_s = body.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(body)
-    if step <= 0 or hi < lo:
-        raise PreconditionError(f"--k: malformed range {spec!r}")
-    return list(range(lo, hi + 1, step))
+# most values one --k or --delta range may hold
+_MAX_SWEEP = 100_000
 
 
-def _parse_frange(spec: str):
-    """'2.0' -> [2.0]; '0..4:0.5' -> 0.0, 0.5, ..., 4.0."""
-    if ".." not in spec:
-        return [float(spec)]
+def _number(flag: str, raw) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise PreconditionError(f"{flag}: {raw!r} is not a number") from None
+
+
+def _parse_range(flag: str, spec: str, kind: type):
+    """Weights (kind int) '6' -> [6]; '6..60' -> 6,...,60; '50..400:25' ->
+    50,75,...,400.  Distances (kind float) '0..4:0.5' -> 0.0, 0.5, ..., 4.0."""
     body, _, step_s = spec.partition(":")
-    lo_s, hi_s = body.split("..", 1)
-    lo, hi = float(lo_s), float(hi_s)
-    step = float(step_s) if step_s else 1.0
-    if step <= 0 or hi < lo:
-        raise PreconditionError(f"--delta: malformed range {spec!r}")
-    count = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(count)]
+    lo_s, dots, hi_s = body.partition("..")
+    try:
+        lo = kind(lo_s)
+        hi = kind(hi_s) if dots else lo
+        step = kind(step_s) if step_s else kind(1)
+    except ValueError:
+        raise PreconditionError(f"{flag}: malformed range {spec!r}") from None
+    if not (step > 0 and lo <= hi and hi - lo < _MAX_SWEEP * step):
+        raise PreconditionError(f"{flag}: malformed range {spec!r} (at most {_MAX_SWEEP} values)")
+    count = (hi - lo) // step if kind is int else int(round((hi - lo) / step))
+    return [lo + i * step for i in range(count + 1)]
 
 
 # -- verify ------------------------------------------------------------------
@@ -208,22 +216,21 @@ def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
         worst = max(worst, float(np.abs(g23 @ m2 @ g23_inv - m3).max()))
     yield ("stabilizer_conjugation", worst, 1e-12)
 
-    mismatches = 0
-    for _ in range(10_000):
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        zt = np.append(z, 1.0)
-        ind_ball = float((zt.conj() @ h_ball.entries @ zt).real)
-        if (ind_ball < 0) != (abs(z[0]) ** 2 + abs(z[1]) ** 2 < 1):
-            mismatches += 1
-        ind2 = float((zt.conj() @ h2.entries @ zt).real)
-        if (ind2 < 0) != (2 * z[0].imag - abs(z[1]) ** 2 > 0):
-            mismatches += 1
-        ind3 = float((zt.conj() @ h3.entries @ zt).real)
-        if (ind3 < 0) != (2 * z[0].real + abs(z[1]) ** 2 < 0):
-            mismatches += 1
+    s = rng.normal(size=(10_000, 2, 2))
+    z0, z1 = (s[:, 0] + 1j * s[:, 1]).T
+    zt = np.stack([z0, z1, np.ones_like(z0)], axis=1)
+
+    def negative(h):
+        return ((zt.conj() @ h.entries) * zt).sum(axis=1).real < 0
+
+    mismatches = (
+        np.count_nonzero(negative(h_ball) != (np.abs(z0) ** 2 + np.abs(z1) ** 2 < 1))
+        + np.count_nonzero(negative(h2) != (2 * z0.imag - np.abs(z1) ** 2 > 0))
+        + np.count_nonzero(negative(h3) != (2 * z0.real + np.abs(z1) ** 2 < 0))
+    )
     yield ("membership_equivalence", float(mismatches), 0.0)
 
-    curv_tol = max(1e-4, 10.0 * curvature_step**2)
+    curv_tol = max(1e-4, 10.0 * curvature_step * curvature_step)
     for n in (2, 3):
         target = (4 * math.pi) ** -n
         worst = 0.0
@@ -244,6 +251,8 @@ def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
 def cmd_verify(ns, file_cfg):
     defaults = {"curvature_step": 1e-4, "perturb_gamma3": False, "seed": 0}
     cfg = _resolve(ns, file_cfg, defaults)
+    if cfg["seed"] < 0:
+        raise PreconditionError("--seed: must be nonnegative")
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
     ok = True
     for name, residual, tol in _verify_checks(
@@ -274,13 +283,15 @@ def cmd_bound(ns, file_cfg):
     }
     cfg = _resolve(ns, file_cfg, defaults)
     cfg["which"] = ns.which
-    ks = _parse_krange(cfg["k"])
+    ks = _parse_range("--k", cfg["k"], int)
     if ns.which == "cusp" and min(ks) < 6:
         raise PreconditionError("--k: cusp bound requires k >= 6")
     if ns.which == "cocompact" and min(ks) < 2 * cfg["n"] + 2:
         raise PreconditionError(f"--k: cocompact bound requires k >= 2n+2 = {2 * cfg['n'] + 2}")
-    if cfg["rx"] <= 0:
-        raise PreconditionError("--rx: injectivity radius must be positive")
+    if not 0 < cfg["rx"] < math.inf:
+        raise PreconditionError("--rx: injectivity radius must be positive and finite")
+    if not 0 < cfg["c_gamma"] < math.inf:
+        raise PreconditionError("--c-gamma: the constant must be positive and finite")
     log.info("bound sweep over %d weights", len(ks))
     cm = ConstantModel(cfg["c_gamma"], cfg["c_exponent"])
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
@@ -322,8 +333,8 @@ def cmd_lattice_sum(ns, file_cfg):
     cfg = _resolve(ns, file_cfg, defaults)
     if cfg["k"] < 6:
         raise PreconditionError("--k: lattice sum requires k >= 6")
-    if not (0 < cfg["tol"] <= 1e-3):
-        raise PreconditionError("--tol: certified tolerance must lie in (0, 1e-3]")
+    if not (sys.float_info.epsilon <= cfg["tol"] <= 1e-3):
+        raise PreconditionError("--tol: certified tolerance must lie in [2.2e-16, 1e-3]")
     res = cusp_lattice_sum(cfg["k"], _lattice_spec(cfg), cfg["tol"])
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
     writer.row(
@@ -344,7 +355,7 @@ def cmd_lattice_sum(ns, file_cfg):
 def cmd_gamma_chain(ns, file_cfg):
     defaults = {"k": "6"}
     cfg = _resolve(ns, file_cfg, defaults)
-    ks = _parse_krange(cfg["k"])
+    ks = _parse_range("--k", cfg["k"], int)
     if min(ks) < 6:
         raise PreconditionError("--k: gamma chain requires k >= 6")
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
@@ -375,10 +386,10 @@ def cmd_count(ns, file_cfg):
     if str(cfg["rx"]).strip() == "auto":
         rx = min_displacement(src, z)
     else:
-        rx = float(cfg["rx"])
-        if rx <= 0:
-            raise PreconditionError("--rx: injectivity radius must be positive")
-    deltas = _parse_frange(str(cfg["delta"]))
+        rx = _number("--rx", cfg["rx"])
+        if not 0 < rx < math.inf:
+            raise PreconditionError("--rx: injectivity radius must be positive and finite")
+    deltas = _parse_range("--delta", str(cfg["delta"]), float)
     writer = Writer(ns.format or "jsonl", ns.out, {**cfg, "rx_effective": rx})
     for delta in deltas:
         counted = counting_function(src, z, z, delta)
@@ -393,7 +404,7 @@ def cmd_maxima(ns, file_cfg):
     cfg = _resolve(ns, file_cfg, defaults)
     if cfg["k"] < 1:
         raise PreconditionError("--k: weight must be >= 1")
-    if cfg["tol"] <= 0:
+    if not cfg["tol"] > 0:
         raise PreconditionError("--tol: tolerance must be positive")
     p = maxima_locate(cfg["k"], cfg["tol"])
     x_star = cfg["k"] / (4 * math.pi)
@@ -413,27 +424,12 @@ def cmd_maxima(ns, file_cfg):
 
 
 def _read_rows(path: str):
-    rows = []
     with open(path) as fh:
-        first = fh.readline()
-        fh.seek(0)
-        if first.lstrip().startswith("{"):
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if "config" in obj and len(obj) == 1:
-                    continue
-                rows.append(obj)
-        else:
-            import csv as _csv
-
-            lines = [l for l in fh if not l.startswith("#")]
-            reader = _csv.DictReader(lines)
-            for rec in reader:
-                rows.append({k: v for k, v in rec.items()})
-    return rows
+        lines = fh.readlines()
+    if lines and lines[0].lstrip().startswith("{"):
+        rows = [json.loads(line) for line in lines if line.strip()]
+        return [r for r in rows if isinstance(r, dict) and set(r) != {"config"}]
+    return list(csv.DictReader(line for line in lines if not line.startswith("#")))
 
 
 def cmd_fit(ns, file_cfg):
@@ -444,13 +440,16 @@ def cmd_fit(ns, file_cfg):
     cfg["in"] = ns.input
     try:
         rows = _read_rows(ns.input)
-    except OSError as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise PblError(f"--in: {exc}") from None
     rows = [r for r in rows if cfg["x"] in r and cfg["y"] in r]
     if len(rows) < 5:
         raise PreconditionError("--in: need at least 5 rows with the given columns")
-    ks = [int(float(r[cfg["x"]])) for r in rows]
-    ys = {k: float(r[cfg["y"]]) for k, r in zip(ks, rows)}
+    try:
+        ks = [int(float(r[cfg["x"]])) for r in rows]
+        ys = {k: float(r[cfg["y"]]) for k, r in zip(ks, rows)}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"--in: {exc}") from None
     fit = scaling_fit(ks, lambda k: LogReal.from_log(ys[k]))
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
     writer.row(
@@ -556,14 +555,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="pbl: %(message)s")
     ap = build_parser()
     ns = ap.parse_args(argv)
-    file_cfg = {}
-    if ns.config:
-        try:
-            file_cfg = _read_config_file(ns.config)
-        except OSError as exc:
-            print(f"pbl: --config: {exc}", file=sys.stderr)
-            return 2
     try:
+        file_cfg = _read_config_file(ns.config) if ns.config else {}
         return _COMMANDS[ns.command](ns, file_cfg)
     except (PreconditionError,) as exc:
         print(f"pbl: precondition violated: {exc}", file=sys.stderr)

@@ -16,11 +16,11 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import DomainError, NumericalError, PreconditionError
-from .geometry import _acosh_stable, distance
+from .geometry import _cosh2, _distance_from_cosh2
 from .hermitian import Model, ModelPoint, model_indicator
 from .lattice import LatticeSpec
 from .logreal import exp_or_raise, log_cosh, log_sinh
-from .transforms import Isometry, apply
+from .transforms import Isometry, _isometry_stack
 
 __all__ = [
     "OrbitSource",
@@ -57,19 +57,27 @@ class OrbitSource:
         return OrbitSource(lattice=spec)
 
 
-def _certified_radii(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float):
+def _m3_pair(z: ModelPoint, w: ModelPoint):
+    """(w1 + conj(z1) + w2 conj(z2), z2, w2, qz qw): the constants of the
+    pairing <gamma w, z> over the model-3 stabilizers gamma."""
+    if z.model is not Model.M3 or w.model is not Model.M3:
+        raise DomainError("lattice orbit sources act on model-3 points")
+    z1, z2 = z.coords
+    w1, w2 = w.coords
+    return w1 + np.conj(z1) + w2 * np.conj(z2), z2, w2, model_indicator(z) * model_indicator(w)
+
+
+def _certified_radii(z: ModelPoint, w: ModelPoint, delta: float):
     """Radii (r_alpha, r_beta) such that every stabilizer element moving w
     within distance delta of z has |alpha| <= r_alpha and |beta| <= r_beta.
 
     Uses |<gamma w, z>| >= sqrt(|alpha|^4/4 + beta^2) - c0 - c1 |alpha| and
     cosh(d/2) = |<gamma w, z>| / sqrt(qz qw).
     """
-    z1, z2 = z.coords
-    w1, w2 = w.coords
-    qz, qw = -model_indicator(z), -model_indicator(w)
-    c0 = abs(w1 + np.conj(z1) + w2 * np.conj(z2))
+    s0, z2, w2, qzw = _m3_pair(z, w)
+    c0 = abs(s0)
     c1 = abs(z2) + abs(w2)
-    t = math.sqrt(qz * qw) * math.cosh(delta / 2.0)
+    t = exp_or_raise(0.5 * math.log(qzw) + log_cosh(delta / 2.0), "the orbit radius")
     r_alpha = c1 + math.sqrt(c1 * c1 + 2.0 * (c0 + t))
     r_beta = t + c0 + c1 * r_alpha
     return r_alpha, r_beta
@@ -78,33 +86,9 @@ def _certified_radii(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: flo
 def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
     """Distances d(z, gamma w) for the model-3 stabilizer elements with the
     given (alpha, beta) arrays, vectorized."""
-    if z.model is not Model.M3 or w.model is not Model.M3:
-        raise DomainError("lattice orbit sources act on model-3 points")
-    z1, z2 = z.coords
-    w1, w2 = w.coords
-    qz, qw = -model_indicator(z), -model_indicator(w)
-    s = (
-        (w1 + np.conj(z1) + w2 * np.conj(z2))
-        + alpha * np.conj(z2)
-        - np.conj(alpha) * w2
-        - np.abs(alpha) ** 2 / 2.0
-        + 1j * beta
-    )
-    cosh2 = np.abs(s) ** 2 / (qz * qw)
-    y = np.sqrt(np.maximum(cosh2, 1.0))
-    dy = np.maximum(y - 1.0, 0.0)
-    return 2.0 * np.log1p(dy + np.sqrt(dy * (y + 1.0)))
-
-
-def _lattice_orbit_distances(
-    spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float
-):
-    """Distances d(z, gamma w) over the certified lattice ball holding every
-    stabilizer gamma that can possibly be within delta, with its points."""
-    if z.model is not Model.M3 or w.model is not Model.M3:
-        raise DomainError("lattice orbit sources act on model-3 points")
-    pts = spec.points(*_certified_radii(spec, z, w, delta))
-    return _stabilizer_distances(pts.alpha, pts.beta, z, w), pts
+    s0, z2, w2, qzw = _m3_pair(z, w)
+    s = s0 + alpha * np.conj(z2) - np.conj(alpha) * w2 - np.abs(alpha) ** 2 / 2.0 + 1j * beta
+    return _distance_from_cosh2(np.abs(s) ** 2 / qzw)
 
 
 def _seed_box(spec: LatticeSpec):
@@ -116,10 +100,16 @@ def _seed_box(spec: LatticeSpec):
 
 
 def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: float):
+    """(d(z, gamma w), gamma nontrivial) over the certified lattice ball that
+    holds every gamma within delta, or over all elements of a list, where
+    gamma is trivial when |gamma - I|max < 1e-12."""
     if src.lattice is not None:
-        d, _ = _lattice_orbit_distances(src.lattice, z, w, delta)
-        return d
-    return np.array([distance(z, apply(g, w)) for g in src.elements])
+        pts = src.lattice.points(*_certified_radii(z, w, delta))
+        d = _stabilizer_distances(pts.alpha, pts.beta, z, w)
+        return d, (pts.alpha != 0) | (pts.beta != 0)
+    mats = _isometry_stack(src.elements, w)
+    d = _distance_from_cosh2(_cosh2(z, w, mats))
+    return d, np.abs(mats - np.eye(z.n + 1)).max(axis=(1, 2)) >= 1e-12
 
 
 def counting_function(
@@ -130,18 +120,18 @@ def counting_function(
     For lattice sources the enumeration box is certified to contain every
     contributing element, so the count is exact.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise PreconditionError("delta must be nonnegative")
-    d = _orbit_distances(src, z, w, delta)
+    d, _ = _orbit_distances(src, z, w, delta)
     return int(np.count_nonzero(d <= delta))
 
 
 def counting_upper_bound(n: int, r_x: float, delta: float) -> float:
     """4 pi sinh^{2n}((2 delta + r_x)/4) / (n! sinh^{2n}(r_x/4)): the number
     of disjoint radius-r_x/2 balls fitting in a ball of radius delta + r_x/2."""
-    if r_x <= 0:
-        raise PreconditionError("injectivity radius must be positive")
-    if delta < 0:
+    if not 0 < r_x < math.inf:
+        raise PreconditionError("injectivity radius must be positive and finite")
+    if not delta >= 0:
         raise PreconditionError("delta must be nonnegative")
     log_val = (
         math.log(4 * math.pi)
@@ -201,7 +191,7 @@ def tail_bound_terms(
         raise PreconditionError("delta must exceed r_x / 2")
     _check_decreasing(f, min(delta, r_x) * 1e-6 + 1e-12, 2 * delta + 5.0)
 
-    d = _orbit_distances(src, z, w, delta)
+    d, _ = _orbit_distances(src, z, w, delta)
     head = float(np.sum([f(x) for x in d[d <= delta]])) if d.size else 0.0
 
     middle = f(delta) * counting_upper_bound(n, r_x, delta)
@@ -273,17 +263,11 @@ def min_displacement(src: OrbitSource, z: ModelPoint) -> float:
     For lattice sources a seed box provides a candidate, and the certified
     enumeration for that candidate radius then rules out everything outside.
     """
+    cand = math.inf
     if src.lattice is not None:
         cand = float(_stabilizer_distances(*_seed_box(src.lattice), z, z).min())
-        d, pts = _lattice_orbit_distances(src.lattice, z, z, cand)
-        vals = d[(pts.alpha != 0) | (pts.beta != 0)]
-        return float(vals.min()) if vals.size else cand
-    best = math.inf
-    eye = np.eye(src.elements[0].form.dim)
-    for g in src.elements:
-        if np.abs(g.mat - eye).max() < 1e-12:
-            continue
-        best = min(best, distance(z, apply(g, z)))
+    d, nontrivial = _orbit_distances(src, z, z, cand)
+    best = float(d[nontrivial].min(initial=cand))
     if not math.isfinite(best):
         raise DomainError("source has no nontrivial elements")
     return best
@@ -315,4 +299,4 @@ def stabilizer_injectivity_radius(
     pts = spec.points(r_alpha, r_beta)
     nontrivial = (pts.alpha != 0) | (pts.beta != 0)
     best = float(slice_cosh2(pts.alpha, pts.beta)[nontrivial].min(initial=cand))
-    return 2.0 * _acosh_stable(math.sqrt(best))
+    return float(_distance_from_cosh2(best))

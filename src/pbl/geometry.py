@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError, PreconditionError
-from .hermitian import Model, ModelPoint, inner_product, lift, model_indicator
+from .hermitian import Model, ModelPoint, lift, model_indicator
 from .logreal import LogReal, exp_or_raise, log_sinh
 
 __all__ = [
@@ -25,30 +25,38 @@ __all__ = [
 ]
 
 
+def _cosh2(z: ModelPoint, w: ModelPoint, mats=None):
+    """cosh^2(d(z, g w)/2) = |<g w, z>|^2 / (<z,z><g w,g w>) over a stack of
+    form-preserving matrices g (..., n+1, n+1), or g = I when mats is None.
+    The ratio is projective, so the images g lift(w) need no normalising."""
+    if z.model is not w.model or z.n != w.n:
+        raise DomainError("points must lie in the same model")
+    h = z.form().entries
+    zt = lift(z)
+    wt = lift(w) if mats is None else mats @ lift(w)
+    wh = wt.conj() @ h
+    return np.abs(wh @ zt) ** 2 / ((zt.conj() @ h @ zt).real * (wh * wt).sum(axis=-1).real)
+
+
 def cosh2_half_distance(z: ModelPoint, w: ModelPoint) -> float:
     """cosh^2(d(z,w)/2) = <z,w><w,z> / (<z,z><w,w>) on lifted vectors.
 
     At least 1, with equality exactly on the diagonal.
     """
-    if z.model is not w.model or z.n != w.n:
-        raise DomainError("points must lie in the same model")
-    form = z.form()
-    zt, wt = lift(z), lift(w)
-    num = abs(inner_product(form, zt, wt)) ** 2
-    den = inner_product(form, zt, zt).real * inner_product(form, wt, wt).real
-    return num / den
+    return float(_cosh2(z, w))
 
 
-def _acosh_stable(y: float) -> float:
-    # log1p form keeps full precision for y near 1
-    dy = max(y - 1.0, 0.0)
-    return math.log1p(dy + math.sqrt(dy * (y + 1.0)))
+def _distance_from_cosh2(c2):
+    """2 arccosh(sqrt(max(c2, 1))), the distance whose cosh^2(d/2) is c2, for
+    floats and arrays alike; the log1p form keeps full precision near c2 = 1."""
+    y = np.sqrt(np.maximum(c2, 1.0))
+    dy = y - 1.0
+    return 2.0 * np.log1p(dy + np.sqrt(dy * (y + 1.0)))
 
 
 def distance(z: ModelPoint, w: ModelPoint) -> float:
     """Hyperbolic distance 2 arccosh(sqrt(cosh2_half_distance))."""
-    c = cosh2_half_distance(z, w)
-    return 2.0 * _acosh_stable(math.sqrt(max(c, 1.0)))
+    return float(_distance_from_cosh2(cosh2_half_distance(z, w)))
 
 
 def ball_volume_constant(n: int) -> float:
@@ -165,8 +173,10 @@ def curvature_determinant(z: ModelPoint, n: int | None = None, h: float = 1e-4) 
         n = coords.shape[0]
     elif n != coords.shape[0]:
         raise DimensionError("n does not match the point's dimension")
+    if not (h > 0 and h * h > 0):
+        raise PreconditionError("stencil step h must be positive, with h^2 > 0")
     radius = float(np.linalg.norm(coords))
-    if (radius + 2 * h) ** 2 >= 1.0:
+    if radius + 2 * h >= 1.0:
         raise DomainError("point too close to the boundary for the stencil")
     full = _curvature_det_once(coords, n, h)
     half = _curvature_det_once(coords, n, h / 2)

@@ -101,9 +101,10 @@ class LatticeSpec:
     beta_offset_rule: Optional[Callable[[int, int], float]] = None
 
     def __post_init__(self):
-        if self.beta_step <= 0:
-            raise DomainError("beta_step must be positive")
-        if abs(self.cell_area) < 1e-14 * max(abs(self.a1), abs(self.a2)) ** 2:
+        if not (np.isfinite(self.a1) and np.isfinite(self.a2) and 0 < self.beta_step < math.inf):
+            raise DomainError("lattice parameters must be finite, with beta_step > 0")
+        scale = max(abs(self.a1), abs(self.a2))
+        if not self.cell_area > 1e-14 * scale * scale:
             raise DomainError("alpha basis is degenerate over R")
 
     @property

@@ -144,14 +144,23 @@ def cayley_gamma2() -> CayleyMap:
     return CayleyMap(_GAMMA3 @ _GAMMA23, ball_form(2), model2_form(), Model.M2, Model.BALL)
 
 
+def _check_preserves(form: HermitianForm, p: ModelPoint):
+    if form != standard_form_for(p.model, p.n):
+        raise DomainError(f"isometry preserves a different form than the {p.model.value} model's")
+
+
+def _isometry_stack(elements, p: ModelPoint) -> np.ndarray:
+    """The matrices of the isometries as one (N, n+1, n+1) array; DomainError
+    unless each preserves the form of p's model, as apply requires."""
+    for form in {id(g.form): g.form for g in elements}.values():
+        _check_preserves(form, p)
+    return np.array([g.mat for g in elements], dtype=complex).reshape(-1, p.n + 1, p.n + 1)
+
+
 def apply(g, p: ModelPoint) -> ModelPoint:
     """Fractional-linear action (A z + B) / (C z + D) on a model point."""
     if isinstance(g, Isometry):
-        expected = standard_form_for(p.model, p.n)
-        if g.form != expected:
-            raise DomainError(
-                f"isometry preserves a different form than the {p.model.value} model's"
-            )
+        _check_preserves(g.form, p)
         out_model = p.model
         mat = g.mat
     elif isinstance(g, CayleyMap):

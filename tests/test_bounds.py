@@ -88,6 +88,12 @@ class TestCocompactBound:
     def test_precondition_rx(self):
         with pytest.raises(PreconditionError):
             cocompact_bound(2, 6, 0.0, ConstantModel())
+        for r_x in (math.inf, math.nan):
+            with pytest.raises(PreconditionError):
+                cocompact_bound(2, 6, r_x, ConstantModel())
+        for c_gamma in (0.0, math.inf, math.nan):
+            with pytest.raises(PreconditionError):
+                ConstantModel(c_gamma)
 
 
 class TestCuspLatticeSum:

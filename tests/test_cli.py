@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pbl.cli import main
 
@@ -77,6 +79,19 @@ class TestBound:
         code, _, err = run(capsys, "bound", "cocompact", "--k", "8", "--rx", "-1")
         assert code == 2
         assert "--rx" in err
+        for argv, flag in [
+            (("bound", "cocompact", "--rx", "inf"), "--rx"),
+            (("bound", "cocompact", "--rx", "nan"), "--rx"),
+            (("bound", "cusp", "--rx", "inf"), "--rx"),
+            (("bound", "cusp", "--rx", "nan"), "--rx"),
+            (("bound", "cocompact", "--c-gamma", "inf"), "--c-gamma"),
+            (("bound", "cusp", "--c-gamma", "inf"), "--c-gamma"),
+            (("count", "--delta", "2", "--rx", "inf"), "--rx"),
+            (("count", "--delta", "2", "--rx", "nan"), "--rx"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert flag in err and len(err.strip().splitlines()) == 1, argv
 
     @pytest.mark.parametrize("which", ["cocompact", "cusp"])
     def test_huge_rx_stays_finite(self, capsys, which):
@@ -128,6 +143,11 @@ class TestCountCmd:
         (row,) = rows_of(out)
         assert math.isfinite(row["bound"])
 
+    def test_huge_delta_exits_3(self, capsys):
+        code, out, err = run(capsys, "count", "--delta", "1500", "--rx", "1")
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "numerical failure" in err
+
     def test_explicit_rx(self, capsys):
         code, out, _ = run(capsys, "count", "--delta", "2.0", "--rx", "1.5")
         assert code == 0
@@ -172,6 +192,15 @@ class TestFitCmd:
         assert code == 2 and out == ""
         assert err.startswith("pbl: --in: ") and len(err.strip().splitlines()) == 1
 
+    def test_truncated_input(self, capsys, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        code, _, _ = run(capsys, "bound", "cocompact", "--k", "50..400:50", "--out", str(path))
+        assert code == 0
+        path.write_text(path.read_text()[:-20])
+        code, out, err = run(capsys, "fit", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("pbl: --in: ") and len(err.strip().splitlines()) == 1
+
 
 class TestOutputDiscipline:
     def test_byte_identical_reruns(self, capsys):
@@ -195,6 +224,11 @@ class TestOutputDiscipline:
         assert code == 0
         assert out == ""
         assert path.read_text().count("\n") >= 2
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "maxima", "--k", "6", "--out", str(tmp_path / "no" / "x.jsonl"))
+        assert code == 2 and out == ""
+        assert err.startswith("pbl: --out: ") and len(err.strip().splitlines()) == 1
 
     def test_config_header_first_line(self, capsys):
         _, out, _ = run(capsys, "maxima", "--k", "6")
@@ -224,6 +258,18 @@ class TestConfigFile:
         (row,) = rows_of(out)
         assert row["k"] == 10
 
+    def test_int_options_take_integral_values_only(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for raw in ("6", "6.0"):
+            cfg.write_text(f"k={raw}\n")
+            code, out, _ = run(capsys, "maxima", "--config", str(cfg))
+            assert code == 0 and "k=6," in out.splitlines()[0]
+        for raw in ("6.7", "inf", "nan", "abc"):
+            cfg.write_text(f"k={raw}\n")
+            code, out, err = run(capsys, "maxima", "--config", str(cfg))
+            assert (code, out) == (2, ""), raw
+            assert "--config: k" in err and len(err.strip().splitlines()) == 1, raw
+
     def test_lattice_fields_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("a1_re=2.0\na1_im=0.0\na2_re=0.0\na2_im=2.0\nbeta_step=1.0\n")
@@ -232,3 +278,59 @@ class TestConfigFile:
         (row,) = rows_of(out)
         # sparser lattice, smaller sum
         assert row["sum"] < 1.9435
+
+
+# -- fuzz ----------------------------------------------------------------------
+
+VOCAB = ("0", "-1", "1e-300", "6", "1500", "3000", "1e308", "inf", "nan", "abc")
+# sweeps of at most 5 values, and malformed ones
+RANGES = VOCAB + (
+    "6..10", "6..3000:1000", "0..2:0.5", "-1..3", "10..6", "6..abc", "nan..6", "0..inf",
+    "0..1e308", "6..10:0",
+)
+LATTICE = {flag: VOCAB for flag in ("--a1-re", "--a1-im", "--a2-re", "--a2-im", "--beta-step")}
+BOUND = {
+    "--n": VOCAB, "--k": RANGES, "--rx": VOCAB, "--c-gamma": VOCAB, "--c-exponent": VOCAB,
+    "--tol": VOCAB, "--fit": None, **LATTICE,
+}
+FLAGS = {
+    "verify": {"--curvature-step": VOCAB, "--perturb-gamma3": None, "--seed": VOCAB},
+    "bound cocompact": BOUND,
+    "bound cusp": BOUND,
+    "lattice-sum": {"--k": VOCAB, "--tol": VOCAB, **LATTICE},
+    "gamma-chain": {"--k": RANGES},
+    "count": {"--k": VOCAB, "--delta": RANGES, "--rx": VOCAB + ("auto",), **LATTICE},
+    "maxima": {"--k": VOCAB, "--tol": VOCAB},
+    "fit": {"--in": VOCAB, "--x": VOCAB + ("k",), "--y": VOCAB + ("log_total",)},
+}
+# file flags name files in the test's working directory; --out writes what --in reads
+COMMON = {"--out": VOCAB, "--format": VOCAB + ("jsonl", "csv"), "--config": VOCAB}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = {**FLAGS[command], **COMMON}
+    argv = command.split()
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(st.sampled_from(flags[flag])))
+    return argv
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=argvs())
+def test_fuzzed_argv_exits_cleanly(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

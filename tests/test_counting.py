@@ -5,6 +5,7 @@ import pytest
 
 from pbl import (
     GAUSSIAN_SPEC,
+    DomainError,
     Model,
     ModelPoint,
     NumericalError,
@@ -14,6 +15,7 @@ from pbl import (
     counting_function,
     counting_upper_bound,
     min_displacement,
+    orbit_cosh_power_sum,
     random_isometry,
     stabilizer_injectivity_radius,
     stabilizer_matrix,
@@ -89,6 +91,37 @@ class TestCountingFunction:
         src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
         with pytest.raises(NumericalError):
             counting_function(src, ridge_point(6), ridge_point(6), 60.0)
+        # cosh(delta / 2) itself leaves double range here
+        with pytest.raises(NumericalError):
+            counting_function(src, ridge_point(6), ridge_point(6), 1500.0)
+
+
+class TestElementSources:
+    """Element-list orbits keep the checks apply and cosh2_half_distance make."""
+
+    def test_isometry_of_another_form_rejected(self):
+        g = stabilizer_matrix(GAUSSIAN_SPEC.param(1, 0, 0), Model.M3)
+        z = ModelPoint.ball([0.1, 0.2])
+        src = OrbitSource.from_elements([g])
+        with pytest.raises(DomainError):
+            counting_function(src, z, z, 1.0)
+        with pytest.raises(DomainError):
+            min_displacement(src, z)
+        with pytest.raises(DomainError):
+            orbit_cosh_power_sum([g], z, 6)
+
+    def test_points_of_different_models_rejected(self):
+        g = stabilizer_matrix(GAUSSIAN_SPEC.param(1, 0, 0), Model.M3)
+        z = ModelPoint.m2(2j, 0.0)
+        w = ModelPoint.m3(-1.0, 0.0)
+        with pytest.raises(DomainError):
+            counting_function(OrbitSource.from_elements([g]), z, w, 1.0)
+
+    def test_no_nontrivial_element(self):
+        z = ModelPoint.ball([0.1, 0.2])
+        for elements in ([], [Isometry(np.eye(3), ball_form(2))]):
+            with pytest.raises(DomainError):
+                min_displacement(OrbitSource.from_elements(elements), z)
 
 
 class TestCountingUpperBound:
@@ -113,8 +146,9 @@ class TestCountingUpperBound:
             counting_upper_bound(2, 1.0, 3000.0)
 
     def test_rejects_bad_radius(self):
-        with pytest.raises(PreconditionError):
-            counting_upper_bound(2, 0.0, 1.0)
+        for r_x in (0.0, math.inf, math.nan):
+            with pytest.raises(PreconditionError):
+                counting_upper_bound(2, r_x, 1.0)
 
     def test_dominates_lattice_counts(self):
         z = ridge_point(6)
