@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .errors import NumericalError, PreconditionError
 from .geometry import _cosh2
@@ -52,7 +50,13 @@ class ConstantModel:
             raise PreconditionError("c_gamma must be positive and finite")
 
     def __call__(self, k: int) -> float:
-        return self.c_gamma * float(k) ** self.exponent
+        try:
+            value = self.c_gamma * float(k) ** self.exponent
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise NumericalError(f"C({k}) overflows a double; use log_value")
+        return value
 
     def log_value(self, k: int) -> LogReal:
         return LogReal.from_log(math.log(self.c_gamma) + self.exponent * math.log(k))
@@ -128,11 +132,24 @@ class CuspSumResult:
     n_terms: int
 
 
-def _beta_line_constant(k: int) -> float:
-    # int_0^inf (1+t^2)^{-k/2} dt
-    return math.exp(
-        0.5 * math.log(math.pi) - math.log(2.0) + gammaln((k - 1) / 2.0) - gammaln(k / 2.0)
-    )
+_HALF_LOG_PI = 0.5 * math.log(math.pi)
+
+
+def _log_gamma_ratio(j: int) -> float:
+    """log Gamma((j-1)/2) / Gamma(j/2) for an integer j >= 3: from a central
+    binomial C(2m, m) / 4^m (one rounding) up to j = 1000, lgamma beyond."""
+    if j > 1000:
+        return math.lgamma((j - 1) / 2.0) - math.lgamma(j / 2.0)
+    m = (j - 1) // 2
+    if j % 2:  # Gamma(m) / Gamma(m + 1/2) = 4^m / (m C(2m, m) sqrt(pi))
+        return math.log(4**m / (m * math.comb(2 * m, m))) - _HALF_LOG_PI
+    # Gamma(m + 1/2) / Gamma(m + 1) = C(2m, m) sqrt(pi) / 4^m
+    return math.log(math.comb(2 * m, m) / 4**m) + _HALF_LOG_PI
+
+
+def _beta_integral(k: int) -> float:
+    """int_R (1+t^2)^{-k/2} dt = sqrt(pi) Gamma((k-1)/2) / Gamma(k/2)."""
+    return math.exp(_HALF_LOG_PI + _log_gamma_ratio(k))
 
 
 def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
@@ -164,48 +181,34 @@ def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
 def _tail_logs(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float, n_alpha: int):
     """Log-domain majorants for the sum outside the (r_alpha, r_beta) box,
     by monotone comparison of lattice cells with integrals; n_alpha is the
-    number of columns with |alpha| <= r_alpha."""
+    number of columns with |alpha| <= r_alpha; r_alpha >= 2 + diam and
+    r_beta >= 4 step, as cusp_lattice_sum starts them.
+
+    The alpha tail is (2 pi / area) int_{u0}^inf (a0/a)^k (2 + c a) (u + diam/2) du
+    with a = a0 + u^2/2 and c = beta integral / step.  As u >= u0 >= 2,
+    u + diam/2 <= (1 + diam/(2 u0)) u, and u du = da integrates in closed form.
+    """
     a0 = k / (2 * math.pi)
-    area = spec.cell_area
-    step = spec.beta_step
     diam = spec.alpha_cell_diameter
-    j_beta = _beta_line_constant(k)
-
-    u0 = max(r_alpha - diam, 0.0)
-    a_u0 = a0 + u0 * u0 / 2.0
-    log_s0 = k * (math.log(a0) - math.log(a_u0)) + math.log(
-        2.0 + (2.0 * j_beta / step) * a_u0
-    )
-
-    def log_s(u):
-        au = a0 + u * u / 2.0
-        return k * (math.log(a0) - math.log(au)) + math.log(
-            2.0 + (2.0 * j_beta / step) * au
-        )
-
-    val, _ = quad(
-        lambda u: math.exp(log_s(u) - log_s0) * (u + diam / 2.0),
-        u0,
-        np.inf,
-        epsrel=1e-10,
-        limit=200,
-    )
+    step = spec.beta_step
+    c = _beta_integral(k) / step
+    u0 = r_alpha - diam
+    a = a0 + u0 * u0 / 2.0
     log_tail_alpha = (
-        math.log(2 * math.pi) - math.log(area) + log_s0 + math.log(max(val, 1e-300))
+        math.log(2 * math.pi / spec.cell_area)
+        + math.log1p(diam / (2.0 * u0))
+        + k * (math.log(a0) - math.log(a))
+        + math.log(a * (2.0 / (k - 1) + c * a / (k - 2)))
     )
 
     # terms with |alpha| <= r_alpha but |beta| > r_beta, via (A^2+b^2)^{k/2} >= b^k
-    b_eff = r_beta - step
-    if b_eff <= 0:
-        log_tail_beta = math.inf
-    else:
-        log_tail_beta = (
-            math.log(max(n_alpha, 1))
-            + math.log(2.0 / step)
-            + k * math.log(a0)
-            + (1 - k) * math.log(b_eff)
-            - math.log(k - 1)
-        )
+    log_tail_beta = (
+        math.log(max(n_alpha, 1))
+        + math.log(2.0 / step)
+        + k * math.log(a0)
+        + (1 - k) * math.log(r_beta - step)
+        - math.log(k - 1)
+    )
     return log_tail_alpha, log_tail_beta
 
 
@@ -278,39 +281,26 @@ def gamma_integral_chain(k: int) -> GammaChain:
     """
     if k < 6:
         raise PreconditionError("k must be >= 6")
+    from scipy.integrate import quad
+
     a0 = k / (2 * math.pi)
 
-    beta_closed = math.exp(
-        0.5 * math.log(math.pi) + gammaln(k / 2.0 - 0.5) - gammaln(k / 2.0)
-    )
-    val, err = quad(
-        lambda b: (1.0 + (b / a0) ** 2) ** (-k / 2.0),
-        -np.inf,
-        np.inf,
-        epsrel=1e-13,
-        limit=200,
-    )
-    if not math.isfinite(val) or err > 1e-6 * val:
-        raise NumericalError(f"beta-integral quadrature did not converge (err {err:.3g})")
+    def integral(f, lo, what):
+        val, err = quad(f, lo, np.inf, epsrel=1e-13, limit=200)
+        if not math.isfinite(val) or err > 1e-6 * val:
+            raise NumericalError(f"{what} quadrature did not converge (err {err:.3g})")
+        return val
+
+    beta_closed = _beta_integral(k)
+    val = integral(lambda b: (1.0 + (b / a0) ** 2) ** (-k / 2.0), -np.inf, "beta-integral")
     beta_quad = val / a0  # exact peak-shift by A^{k-1} A^{-k} = 1/A
 
     log_r_closed = (
-        (k - 1) * math.log(2 * math.pi)
-        + gammaln(k - 1.5)
-        - (k - 1.5) * math.log(k)
-        - gammaln(k - 1)
+        (k - 1) * math.log(2 * math.pi) + _log_gamma_ratio(2 * k - 2) - (k - 1.5) * math.log(k)
     )
     # exact substitution r = sqrt(2 a0) s keeps the quadrature problem
     # uniformly conditioned in k
-    rv, rerr = quad(
-        lambda s: (1.0 + s * s) ** (1.0 - k),
-        0,
-        np.inf,
-        epsrel=1e-13,
-        limit=200,
-    )
-    if not math.isfinite(rv) or rerr > 1e-6 * rv:
-        raise NumericalError(f"r-integral quadrature did not converge (err {rerr:.3g})")
+    rv = integral(lambda s: (1.0 + s * s) ** (1.0 - k), 0, "r-integral")
     log_r_quad = 0.5 * math.log(2 * a0) + (1.0 - k) * math.log(a0) + math.log(rv)
 
     chained = LogReal.from_log(
@@ -341,12 +331,10 @@ def cusp_term_log(k: int, cm: ConstantModel, covolume: float = 1.0) -> float:
     return (
         cm.log_value(k).log()
         + 1.5 * math.log(k)
-        + 0.5 * math.log(math.pi)
+        + _HALF_LOG_PI
         - math.log(2.0)
-        + gammaln(k / 2.0 - 0.5)
-        + gammaln(k - 1.5)
-        - gammaln(k / 2.0)
-        - gammaln(k - 1.0)
+        + _log_gamma_ratio(k)
+        + _log_gamma_ratio(2 * k - 2)
         - math.log(covolume)
     )
 
@@ -479,12 +467,16 @@ def scaling_fit(ks: Sequence[int], bound: Callable[[int], LogReal]) -> ScalingFi
     ks = list(ks)
     if len(set(ks)) < 5:
         raise PreconditionError("at least 5 distinct k values are required")
+    if min(ks) <= 0:
+        raise PreconditionError("k values must be positive")
     xs = np.log(np.array(ks, dtype=float))
     ys = []
     for k in ks:
         v = bound(k)
         ys.append(v.log() if isinstance(v, LogReal) else math.log(float(v)))
     ys = np.array(ys)
+    if not np.all(np.isfinite(ys)):
+        raise PreconditionError("the bound's log must be finite at every k")
     a = np.vstack([xs, np.ones_like(xs)]).T
     (slope, intercept), *_ = np.linalg.lstsq(a, ys, rcond=None)
     resid = ys - a @ np.array([slope, intercept])

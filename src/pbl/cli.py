@@ -446,11 +446,15 @@ def cmd_fit(ns, file_cfg):
     if len(rows) < 5:
         raise PreconditionError("--in: need at least 5 rows with the given columns")
     try:
-        ks = [int(float(r[cfg["x"]])) for r in rows]
-        ys = {k: float(r[cfg["y"]]) for k, r in zip(ks, rows)}
-    except (TypeError, ValueError, OverflowError) as exc:
+        xs, ys = ([float(r[cfg[col]]) for r in rows] for col in ("x", "y"))
+    except (TypeError, ValueError) as exc:
         raise PreconditionError(f"--in: {exc}") from None
-    fit = scaling_fit(ks, lambda k: LogReal.from_log(ys[k]))
+    ks = [int(x) for x in xs if x.is_integer()]
+    if len(set(ks)) < len(xs):
+        raise PreconditionError(f"--in: {cfg['x']} values must be distinct integers")
+    if not all(map(math.isfinite, ys)):
+        raise PreconditionError(f"--in: {cfg['y']} values must be finite")
+    fit = scaling_fit(ks, lambda k: LogReal.from_log(ys[ks.index(k)]))
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
     writer.row(
         {

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .errors import DomainError, NumericalError, PreconditionError
-from .geometry import _cosh2, _distance_from_cosh2
+from .geometry import _cosh2, _distance_from_cosh2, ball_volume_constant
 from .hermitian import Model, ModelPoint, model_indicator
 from .lattice import LatticeSpec
 from .logreal import exp_or_raise, log_cosh, log_sinh
@@ -134,8 +132,7 @@ def counting_upper_bound(n: int, r_x: float, delta: float) -> float:
     if not delta >= 0:
         raise PreconditionError("delta must be nonnegative")
     log_val = (
-        math.log(4 * math.pi)
-        - gammaln(n + 1)
+        math.log(ball_volume_constant(n))
         + 2 * n * log_sinh((2 * delta + r_x) / 4.0)
         - 2 * n * log_sinh(r_x / 4.0)
     )
@@ -185,8 +182,8 @@ def tail_bound_terms(
     tail integrand does not decay (f slower than the sinh^{2n} growth), in
     which case the estimate does not exist.
     """
-    if r_x <= 0:
-        raise PreconditionError("injectivity radius must be positive")
+    if n < 1 or r_x <= 0:
+        raise PreconditionError("need n >= 1 and a positive injectivity radius")
     if not delta > r_x / 2:
         raise PreconditionError("delta must exceed r_x / 2")
     _check_decreasing(f, min(delta, r_x) * 1e-6 + 1e-12, 2 * delta + 5.0)
@@ -196,13 +193,8 @@ def tail_bound_terms(
 
     middle = f(delta) * counting_upper_bound(n, r_x, delta)
 
-    log_coeff = (
-        math.log(4 * math.pi) - gammaln(n) - 2 * n * log_sinh(r_x / 4.0)
-    )
-
-    def log_geom(rho):
-        u = (2 * rho + r_x) / 4.0
-        return (2 * n - 1) * log_sinh(u) + log_cosh(u)
+    # 4 pi / (n-1)! = n * 4 pi / n!
+    log_coeff = math.log(n * ball_volume_constant(n)) - 2 * n * log_sinh(r_x / 4.0)
 
     def log_integrand(rho):
         try:
@@ -212,7 +204,8 @@ def tail_bound_terms(
             return -math.inf
         if fv <= 0 or not math.isfinite(fv):
             return -math.inf
-        return math.log(fv) + log_geom(rho)
+        u = (2 * rho + r_x) / 4.0
+        return math.log(fv) + ((2 * n - 1) * log_sinh(u) + log_cosh(u))
 
     # peak-shift: factor out the integrand's scale so quad sees O(1) values
     probe = np.linspace(delta, delta + 10.0, 32)
@@ -236,6 +229,8 @@ def tail_bound_terms(
         if v > 700.0:
             raise NumericalError("tail integrand grows: f does not decay fast enough")
         return math.exp(v) if v > -745.0 else 0.0
+
+    from scipy.integrate import quad
 
     val, err = quad(scaled, delta, np.inf, epsrel=1e-10, limit=200)
     if not math.isfinite(val) or (val != 0 and err > 1e-6 * abs(val)):

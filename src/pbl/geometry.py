@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError, PreconditionError
 from .hermitian import Model, ModelPoint, lift, model_indicator
@@ -60,8 +59,10 @@ def distance(z: ModelPoint, w: ModelPoint) -> float:
 
 
 def ball_volume_constant(n: int) -> float:
-    """The constant 4 pi / n! multiplying sinh^{2n}(r/2) in the ball volume."""
-    return math.exp(math.log(4 * math.pi) - gammaln(n + 1))
+    """The constant 4 pi / n! of the ball volume, for 0 <= n <= 170."""
+    if not 0 <= n <= 170:
+        raise PreconditionError("4 pi / n! needs 0 <= n <= 170")
+    return 4 * math.pi / math.factorial(n)
 
 
 def ball_volume(n: int, r: float, c_n: float | None = None) -> float:

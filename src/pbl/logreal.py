@@ -124,6 +124,10 @@ class LogReal:
         if other.sign == 0:
             return self
         a, b = self, other
+        if a.log_abs == b.log_abs == math.inf:
+            if a.sign != b.sign:
+                raise NumericalError("inf - inf in the log domain")
+            return a
         if a.sign == b.sign:
             hi, lo = (a, b) if a.log_abs >= b.log_abs else (b, a)
             return LogReal(a.sign, hi.log_abs + math.log1p(math.exp(lo.log_abs - hi.log_abs)))
@@ -183,6 +187,8 @@ def log_sum(items) -> LogReal:
     def lse(sorted_logs):
         if not sorted_logs:
             return None
+        if sorted_logs[-1] == math.inf:
+            return math.inf
         return reduce(
             lambda acc, l: max(acc, l) + math.log1p(math.exp(min(acc, l) - max(acc, l))),
             sorted_logs,

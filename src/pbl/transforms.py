@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError, DomainError, NumericalError
 from .hermitian import (
@@ -188,6 +187,8 @@ def random_isometry(form: HermitianForm, seed: int, scale: float = 0.5) -> Isome
     form residual is re-checked afterwards, so the exponential's accuracy
     is verified rather than assumed.  scale = 0 gives the identity.
     """
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(seed)
     d = form.dim
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

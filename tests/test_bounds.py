@@ -95,6 +95,14 @@ class TestCocompactBound:
             with pytest.raises(PreconditionError):
                 ConstantModel(c_gamma)
 
+    def test_constant_model_overflow(self):
+        assert ConstantModel(1.5, 2)(6) == 1.5 * 6.0**2
+        with pytest.raises(NumericalError):
+            ConstantModel(1.0, 3000)(6)
+        with pytest.raises(NumericalError):
+            ConstantModel(1e300, 100)(6)
+        assert ConstantModel(1.0, 3000).log_value(6).log() == pytest.approx(3000 * math.log(6))
+
 
 class TestCuspLatticeSum:
     def test_origin_term_is_one(self):
@@ -347,6 +355,17 @@ class TestScalingFit:
             scaling_fit([10, 20, 30, 40], lambda k: LogReal.one())
         with pytest.raises(PreconditionError):
             scaling_fit([10, 10, 10, 10, 10], lambda k: LogReal.one())
+
+    def test_rejects_nonpositive_k(self):
+        with pytest.raises(PreconditionError):
+            scaling_fit([0, 10, 20, 30, 40], lambda k: LogReal.one())
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_log(self, bad):
+        with pytest.raises(PreconditionError):
+            scaling_fit([10, 20, 30, 40, 50], lambda k: bad if k == 30 else float(k))
+        with pytest.raises(PreconditionError):
+            scaling_fit([10, 20, 30, 40, 50], lambda k: LogReal(1, math.inf))
 
 
 class TestCoversStability:

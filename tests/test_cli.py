@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pbl
 from pbl.cli import main
 
 
@@ -22,6 +26,17 @@ def rows_of(out):
             continue
         rows.append(obj)
     return rows
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only inside the three functions that compute with it
+    src = os.path.dirname(os.path.dirname(pbl.__file__))
+    code = "import sys, pbl, pbl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestVerify:
@@ -200,6 +215,18 @@ class TestFitCmd:
         code, out, err = run(capsys, "fit", "--in", str(path))
         assert code == 2 and out == ""
         assert err.startswith("pbl: --in: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["9,nan", "9,inf", "6.7,1.0", "8,1.0"],
+        ids=["nan_y", "inf_y", "non_integral_x", "duplicate_x"],
+    )
+    def test_rejects_bad_values(self, capsys, tmp_path, bad_row):
+        path = tmp_path / "rows.csv"
+        path.write_text("k,log_total\n" + "\n".join(["6,1.0", "7,1.1", "8,1.2", bad_row, "10,1.4"]) + "\n")
+        code, out, err = run(capsys, "fit", "--in", str(path))
+        assert code == 2 and out == ""
+        assert "--in: " in err and len(err.strip().splitlines()) == 1
 
 
 class TestOutputDiscipline:

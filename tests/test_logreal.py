@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pbl import DomainError, LogReal, log_sum
+from pbl import DomainError, LogReal, NumericalError, log_sum
 
 finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False).filter(
     lambda x: x == 0.0 or abs(x) > 1e-8
@@ -71,6 +71,15 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             LogReal.zero().log()
 
+    def test_infinite_magnitudes(self):
+        inf, one = LogReal(1, math.inf), LogReal.one()
+        assert inf + inf == inf and (-inf) + (-inf) == -inf
+        assert inf + one == inf and one - inf == -inf
+        with pytest.raises(NumericalError):
+            inf - inf
+        with pytest.raises(NumericalError):
+            (-inf) + inf
+
 
 class TestOrdering:
     @given(finite, finite)
@@ -102,3 +111,9 @@ class TestLogSum:
 
     def test_empty(self):
         assert log_sum([]).is_zero
+
+    def test_infinite_magnitudes(self):
+        inf = LogReal(1, math.inf)
+        assert log_sum([inf, inf, LogReal.one()]) == inf
+        with pytest.raises(NumericalError):
+            log_sum([inf, -inf])
