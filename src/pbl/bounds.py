@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NumericalError, PreconditionError
 from .geometry import _cosh2
 from .hermitian import ModelPoint
-from .lattice import LatticeSpec, _check_budget, lattice_covolume
+from .lattice import LatticeSpec, _check_budget, _check_terms, lattice_covolume
 from .logreal import LogReal, log_cosh, log_sinh, log_sum
 from .transforms import Isometry, _isometry_stack
 
@@ -153,13 +153,24 @@ def _beta_integral(k: int) -> float:
 
 
 def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
+    """The terms with |beta| <= r_beta over the columns of disc, and the
+    number of lattice points they cover.
+
+    A column's beta line depends only on its exact (a, offset) pair, so each
+    distinct pair is summed once and weighted by its column count.
+    """
     a0 = k / (2 * math.pi)
-    a = a0 + np.abs(disc.alpha) ** 2 / 2.0
-    offs = disc.offset
+    alpha = disc.alpha
+    # a + i offset as a 1-D key; re^2 + im^2 is exact on integer alphas
+    key, weight = np.unique(
+        a0 + (alpha.real**2 + alpha.imag**2) / 2.0 + 1j * disc.offset, return_counts=True
+    )
+    a, offs = key.real, key.imag
     step = spec.beta_step
     off_max = float(np.abs(offs).max()) if offs.size else 0.0
     half_line = (r_beta + off_max) / step
     _check_budget(2 * half_line + 3, f"the beta line of radius {r_beta:.3g}")
+    _check_terms(a.size * (2 * half_line + 3), f"the lattice sum box ({a.size} beta lines)")
     l_max = int(math.floor(half_line)) + 1
     l = np.arange(-l_max, l_max + 1)
     total = 0.0
@@ -169,47 +180,91 @@ def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
     for i in range(0, a.size, chunk):
         beta = offs[i : i + chunk, None] + l[None, :] * step
         mask = np.abs(beta) <= r_beta
-        logs = log_a0k - (k / 2.0) * np.log(
-            a[i : i + chunk, None] ** 2 + beta**2
-        )
+        logs = log_a0k - (k / 2.0) * np.log(a[i : i + chunk, None] ** 2 + beta**2)
         vals = np.exp(np.minimum(logs, 0.0)) * mask
-        total += float(vals.sum())
-        count += int(mask.sum())
+        w = weight[i : i + chunk]
+        total += float(w @ vals.sum(axis=1))
+        count += int(w @ mask.sum(axis=1))
     return total, count
 
 
-def _tail_logs(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float, n_alpha: int):
-    """Log-domain majorants for the sum outside the (r_alpha, r_beta) box,
-    by monotone comparison of lattice cells with integrals; n_alpha is the
-    number of columns with |alpha| <= r_alpha; r_alpha >= 2 + diam and
-    r_beta >= 4 step, as cusp_lattice_sum starts them.
+def _alpha_tail(spec: LatticeSpec, k: int) -> Callable[[float], float]:
+    """r_alpha -> log majorant of the terms with |alpha| > r_alpha, for
+    r_alpha >= 2 + diam.
 
-    The alpha tail is (2 pi / area) int_{u0}^inf (a0/a)^k (2 + c a) (u + diam/2) du
-    with a = a0 + u^2/2 and c = beta integral / step.  As u >= u0 >= 2,
+    It is (2 pi / area) int_{u0}^inf (a0/a)^k (2 + c a) (u + diam/2) du with
+    a = a0 + u^2/2 and c = beta integral / step.  As u >= u0 >= 2,
     u + diam/2 <= (1 + diam/(2 u0)) u, and u du = da integrates in closed form.
     """
     a0 = k / (2 * math.pi)
     diam = spec.alpha_cell_diameter
-    step = spec.beta_step
-    c = _beta_integral(k) / step
-    u0 = r_alpha - diam
-    a = a0 + u0 * u0 / 2.0
-    log_tail_alpha = (
-        math.log(2 * math.pi / spec.cell_area)
-        + math.log1p(diam / (2.0 * u0))
-        + k * (math.log(a0) - math.log(a))
-        + math.log(a * (2.0 / (k - 1) + c * a / (k - 2)))
-    )
+    c = _beta_integral(k) / spec.beta_step
+    log_a0 = math.log(a0)
+    log_density = math.log(2 * math.pi / spec.cell_area)
 
-    # terms with |alpha| <= r_alpha but |beta| > r_beta, via (A^2+b^2)^{k/2} >= b^k
-    log_tail_beta = (
-        math.log(max(n_alpha, 1))
-        + math.log(2.0 / step)
-        + k * math.log(a0)
-        + (1 - k) * math.log(r_beta - step)
-        - math.log(k - 1)
-    )
-    return log_tail_alpha, log_tail_beta
+    def log_tail(r_alpha: float) -> float:
+        u0 = r_alpha - diam
+        a = a0 + u0 * u0 / 2.0
+        return (
+            log_density
+            + math.log1p(diam / (2.0 * u0))
+            + k * (log_a0 - math.log(a))
+            + math.log(a * (2.0 / (k - 1) + c * a / (k - 2)))
+        )
+
+    return log_tail
+
+
+def _beta_tail(spec: LatticeSpec, k: int, n_alpha: int) -> Callable[[float], float]:
+    """r_beta -> log majorant of the terms in the n_alpha columns with
+    |alpha| <= r_alpha and |beta| > r_beta, for r_beta >= 4 step.
+
+    Every such term is at most f(beta) = (1 + beta^2/a0^2)^{-k/2}, as a >= a0,
+    and f decreases in |beta|, so each side of a line sums to at most
+    (1/step) int_T^inf f with T = r_beta - step.  Two bounds on that integral
+    hold, and the smaller is taken: a0^k b^{-k} >= f gives a0^k T^{1-k}/(k-1),
+    and b/T >= 1 gives the exact (a0^2/T) (1 + T^2/a0^2)^{1-k/2} / (k-2).
+    """
+    a0 = k / (2 * math.pi)
+    step = spec.beta_step
+    log_lines = math.log(max(n_alpha, 1) * 2.0 / step)
+    log_power = k * math.log(a0) - math.log(k - 1)
+    log_gauss = 2 * math.log(a0) - math.log(k - 2)
+
+    def log_tail(r_beta: float) -> float:
+        t = r_beta - step
+        x = t / a0
+        log_t = math.log(t)
+        return log_lines + min(
+            log_power + (1 - k) * log_t,
+            log_gauss - log_t + (1 - k / 2.0) * math.log1p(x * x),
+        )
+
+    return log_tail
+
+
+def _tail_logs(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float, n_alpha: int):
+    """Log-domain majorants (alpha tail, beta tail) for the sum outside the
+    (r_alpha, r_beta) box, by monotone comparison of lattice cells with
+    integrals; n_alpha is the number of columns with |alpha| <= r_alpha."""
+    return _alpha_tail(spec, k)(r_alpha), _beta_tail(spec, k, n_alpha)(r_beta)
+
+
+def _solve_radius(log_tail: Callable[[float], float], lo: float, target: float) -> float:
+    """The smallest r >= lo, to 1e-3 relative, with log_tail(r) <= target,
+    for a log_tail that decreases to -inf."""
+    if log_tail(lo) <= target:
+        return lo
+    hi = 2.0 * lo
+    while log_tail(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        if log_tail(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def cusp_lattice_sum(
@@ -217,9 +272,11 @@ def cusp_lattice_sum(
 ) -> CuspSumResult:
     """The lattice sum with certified relative truncation error <= rel_tol.
 
-    Enumeration radii grow geometrically until the analytic exterior-integral
-    majorant of the tail drops below rel_tol times the partial sum.  The
-    (0,0) term contributes exactly 1.
+    Each radius is solved as the smallest whose closed-form tail majorant
+    meets rel_tol * goal / 2, where goal starts at a lower estimate of the
+    sum; a box that does not certify itself lowers goal to the partial sum,
+    or to half of goal if that is smaller.  Radii never shrink, and the disc
+    is rebuilt only when r_alpha grows.
     """
     if k < 6:
         raise PreconditionError("k must be >= 6 for the sum to have margin")
@@ -227,13 +284,21 @@ def cusp_lattice_sum(
     if not (np.finfo(float).eps <= rel_tol <= 1e-3):
         raise PreconditionError("rel_tol must lie in [2.2e-16, 1e-3]")
     a0 = k / (2 * math.pi)
+    # the alpha = 0 line alone sums to within 1 of a0 * beta integral / step
+    goal = max(1.0, a0 * _beta_integral(k) / spec.beta_step - 1.0)
+    alpha_tail = _alpha_tail(spec, k)
     r_alpha = 2.0 + spec.alpha_cell_diameter
-    r_beta = max(2.0 * a0, 4.0 * spec.beta_step)
+    r_beta = 4.0 * spec.beta_step
+    disc_radius = None
     for _ in range(60):
-        disc = spec.disc(r_alpha)
+        target = math.log(rel_tol * goal / 2.0)
+        r_alpha = _solve_radius(alpha_tail, r_alpha, target)
+        if r_alpha != disc_radius:
+            disc, disc_radius = spec.disc(r_alpha), r_alpha
+            beta_tail = _beta_tail(spec, k, disc.m.size)
+        r_beta = _solve_radius(beta_tail, r_beta, target)
         partial, count = _box_sum(spec, disc, k, r_beta)
-        log_ta, log_tb = _tail_logs(spec, k, r_alpha, r_beta, disc.m.size)
-        tail = math.exp(min(np.logaddexp(log_ta, log_tb), 700.0))
+        tail = math.exp(min(np.logaddexp(alpha_tail(r_alpha), beta_tail(r_beta)), 700.0))
         if tail <= rel_tol * partial:
             return CuspSumResult(
                 LogReal.from_log(math.log(partial)),
@@ -243,11 +308,7 @@ def cusp_lattice_sum(
                 tail,
                 count,
             )
-        target = math.log(rel_tol * partial / 2.0)
-        if log_ta > target:
-            r_alpha *= 1.5
-        if log_tb > target:
-            r_beta *= 1.5
+        goal = min(partial, goal / 2.0)
     raise NumericalError("lattice-sum truncation could not be certified")
 
 
@@ -374,6 +435,7 @@ def cusp_bound(
 # -- ridge locator ---------------------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_RIDGE_RESOLUTION = 1e-14
 
 
 def _golden_max(fun, lo, hi, iters=60):
@@ -393,17 +455,44 @@ def _golden_max(fun, lo, hi, iters=60):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
+def _newton_finish(k: int, x1: float, x2: float, y2: float):
+    """Newton steps on phi = k log q + 4 pi x1, q = -2 x1 - x2^2 - y2^2, with
+    its analytic gradient and Hessian, halved while they would leave q > 0.
+
+    Golden section resolves the ridge only to about sqrt(eps) relative,
+    where phi is flat to rounding; the gradient has no such floor, and the
+    Hessian is negative definite wherever q > 0.
+    """
+    v = np.array([x1, x2, y2])
+    for _ in range(8):
+        q = -2.0 * v[0] - v[1] * v[1] - v[2] * v[2]
+        dq = np.array([-2.0, -2.0 * v[1], -2.0 * v[2]])
+        grad = k * dq / q + np.array([4 * math.pi, 0.0, 0.0])
+        hess = k * (np.diag([0.0, -2.0, -2.0]) / q - np.outer(dq, dq) / (q * q))
+        step = np.linalg.solve(hess, -grad)
+        while -2.0 * (v[0] + step[0]) - (v[1] + step[1]) ** 2 - (v[2] + step[2]) ** 2 <= 0:
+            step = step / 2.0
+        v = v + step
+    return tuple(float(t) for t in v)
+
+
 def maxima_locate(k: int, tol: float = 1e-6) -> ModelPoint:
     """Maximizes (-2 x1 - x2^2 - y2^2)^k exp(4 pi x1) over model 3 by
     coordinate descent with golden-section line searches from five spread
-    starting points; the maximum lies on Re z1 = -k/(4 pi), z2 = 0.
+    starting points, the best one finished by Newton steps; the maximum lies
+    on Re z1 = -k/(4 pi), z2 = 0.
 
-    Raises if no start lands within tol (relative in x1, absolute in z2).
+    Raises if the result is not within tol (relative in x1, absolute in z2),
+    or if tol is below the 1e-14 the check can resolve.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if tol <= 0:
         raise PreconditionError("tol must be positive")
+    # the check below compares two rounded values, each a few eps from the
+    # ridge, so a smaller tol would pass or fail by rounding
+    if tol < _RIDGE_RESOLUTION:
+        raise NumericalError(f"tol {tol:.3g} is below the ridge resolution {_RIDGE_RESOLUTION:g}")
 
     def phi(x1, x2, y2):
         q = -2.0 * x1 - x2 * x2 - y2 * y2
@@ -443,6 +532,7 @@ def maxima_locate(k: int, tol: float = 1e-6) -> ModelPoint:
             best = cand
 
     _, x1, x2, y2 = best
+    x1, x2, y2 = _newton_finish(k, x1, x2, y2)
     if abs(x1 + x_star) > tol * x_star or math.hypot(x2, y2) > tol:
         raise NumericalError(
             f"optimizer did not reach the ridge: x1={x1!r}, |z2|={math.hypot(x2, y2):.3g}"

@@ -86,7 +86,8 @@ def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
     given (alpha, beta) arrays, vectorized."""
     s0, z2, w2, qzw = _m3_pair(z, w)
     s = s0 + alpha * np.conj(z2) - np.conj(alpha) * w2 - np.abs(alpha) ** 2 / 2.0 + 1j * beta
-    return _distance_from_cosh2(np.abs(s) ** 2 / qzw)
+    with np.errstate(over="ignore"):  # a cosh^2 past the double range is an infinite distance
+        return _distance_from_cosh2(np.abs(s) ** 2 / qzw)
 
 
 def _seed_box(spec: LatticeSpec):

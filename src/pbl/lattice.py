@@ -27,13 +27,21 @@ __all__ = [
 ]
 
 
-# largest index box or point set one enumeration may allocate
+# largest index box or point set one enumeration may allocate, and most
+# terms one lattice sum box may evaluate (its distinct beta lines times
+# their length)
 _MAX_ENUM = 5_000_000
+_MAX_TERMS = 10 * _MAX_ENUM
 
 
 def _check_budget(cells: float, what: str):
     if not cells <= _MAX_ENUM:
         raise NumericalError(f"{what} needs ~{cells:.3g} points (> {_MAX_ENUM})")
+
+
+def _check_terms(terms: float, what: str):
+    if not terms <= _MAX_TERMS:
+        raise NumericalError(f"{what} needs ~{terms:.3g} terms (> {_MAX_TERMS})")
 
 
 # columns (m, n) of an alpha disc with alpha = m a1 + n a2 and their beta
@@ -82,6 +90,13 @@ def stabilizer_matrix(p: HeisenbergParam, model: Model) -> Isometry:
     raise DomainError("stabilizer matrices exist in models 2 and 3 only")
 
 
+def _cross(u: complex, v: complex) -> float:
+    """|Im(conj(u) v)|, the area of the parallelogram on u and v, in Python
+    floats (an overflow gives inf, not a numpy warning)."""
+    u, v = complex(u), complex(v)
+    return abs(u.real * v.imag - u.imag * v.real)
+
+
 def _default_offset(m: int, n: int) -> float:
     return 0.0
 
@@ -103,13 +118,16 @@ class LatticeSpec:
     def __post_init__(self):
         if not (np.isfinite(self.a1) and np.isfinite(self.a2) and 0 < self.beta_step < math.inf):
             raise DomainError("lattice parameters must be finite, with beta_step > 0")
+        # the basis scaled to max(|a1|, |a2|) = 1 cannot overflow the test
         scale = max(abs(self.a1), abs(self.a2))
-        if not self.cell_area > 1e-14 * scale * scale:
+        if not (scale > 0 and _cross(self.a1 / scale, self.a2 / scale) > 1e-14):
             raise DomainError("alpha basis is degenerate over R")
+        if not 0 < self.cell_area < math.inf:
+            raise DomainError("the alpha cell area leaves the double range")
 
     @property
     def cell_area(self) -> float:
-        return abs((np.conj(self.a1) * self.a2).imag)
+        return _cross(self.a1, self.a2)
 
     @property
     def alpha_cell_diameter(self) -> float:
@@ -136,9 +154,9 @@ class LatticeSpec:
         basis = np.array(
             [[self.a1.real, self.a2.real], [self.a1.imag, self.a2.imag]], dtype=float
         )
-        dual = np.linalg.inv(basis)
-        m_max = np.floor(r_alpha * np.linalg.norm(dual[0]) + 1e-9)
-        n_max = np.floor(r_alpha * np.linalg.norm(dual[1]) + 1e-9)
+        dual_norms = np.linalg.norm(np.linalg.inv(basis), axis=1)
+        # Python floats: a box past the double range is inf, not a warning
+        m_max, n_max = np.floor(r_alpha * dual_norms + 1e-9).tolist()
         _check_budget(
             (2 * m_max + 1) * (2 * n_max + 1), f"the alpha disc of radius {r_alpha:.3g}"
         )
@@ -149,7 +167,10 @@ class LatticeSpec:
         # hypot, not np.abs: it rounds like Python's abs(complex)
         keep = np.hypot(alpha.real, alpha.imag) <= r_alpha
         m, n, alpha = m[keep], n[keep], alpha[keep]
-        offset = np.array([self.offset(int(i), int(j)) for i, j in zip(m, n)], dtype=float)
+        if self.beta_offset_rule is None:
+            offset = np.zeros(m.size)
+        else:
+            offset = np.array([self.offset(int(i), int(j)) for i, j in zip(m, n)], dtype=float)
         return AlphaDisc(m, n, alpha, offset)
 
     def points(self, r_alpha: float, r_beta: float) -> LatticePoints:

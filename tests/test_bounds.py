@@ -24,7 +24,17 @@ from pbl import (
     scaling_fit,
     stabilizer_matrix,
 )
+from pbl.bounds import _box_sum
 from pbl.counting import tail_bound_terms, OrbitSource
+
+EISENSTEIN_OFFSET = LatticeSpec(
+    a2=complex(0.5, math.sqrt(3) / 2),
+    beta_step=0.5,
+    beta_offset_rule=lambda m, n: 0.25 * ((m * n) % 2),
+)
+# offsets 0, 0.1, 0.2 by m mod 3: the columns (m, n) and (-m, -n) carry
+# different offsets, and 2 * 0.1 is not a multiple of the step
+SKEW_SPEC = LatticeSpec(beta_offset_rule=lambda m, n: 0.1 * (m % 3))
 
 
 def brute_lattice_sum(k, m_box, l_box):
@@ -42,6 +52,36 @@ def brute_lattice_sum(k, m_box, l_box):
         wi = w[i : i + 1024][:, None]
         total += float((wi * np.exp(k * math.log(a0) - (k / 2.0) * np.log(ai**2 + l[None, :] ** 2))).sum())
     return total
+
+
+def direct_box_sum(spec, k, r_alpha, r_beta):
+    """The box sum term by term, one beta line per column, and its count."""
+    a0 = k / (2 * math.pi)
+    disc = spec.disc(r_alpha)
+    a = a0 + np.abs(disc.alpha) ** 2 / 2.0
+    l_max = int((r_beta + np.abs(disc.offset).max()) / spec.beta_step) + 1
+    beta = disc.offset[:, None] + np.arange(-l_max, l_max + 1) * spec.beta_step
+    mask = np.abs(beta) <= r_beta
+    terms = np.exp(k * math.log(a0) - (k / 2.0) * np.log(a[:, None] ** 2 + beta**2))
+    return float((terms * mask).sum()), int(mask.sum())
+
+
+def bincount_lattice_sum(k, quad, step, odd_offset, m_box, l_box):
+    """Brute-force sum over |m|, |n| <= m_box, |l| <= l_box of a lattice with
+    |alpha|^2 = qa m^2 + qb m n + qc n^2 and beta = l step, plus odd_offset
+    where m n is odd, grouped by (norm, parity) with bincount."""
+    a0 = k / (2 * math.pi)
+    i = np.arange(-m_box, m_box + 1)
+    m, n = i[:, None], i[None, :]
+    norm = (quad[0] * m * m + quad[1] * m * n + quad[2] * n * n).ravel()
+    odd = ((m * n) % 2).ravel()
+    counts = np.bincount(2 * norm + odd)
+    keys = np.nonzero(counts)[0]
+    a = a0 + (keys // 2) / 2.0
+    off = odd_offset * (keys % 2)
+    beta = off[:, None] + np.arange(-l_box, l_box + 1)[None, :] * step
+    terms = np.exp(k * math.log(a0) - (k / 2.0) * np.log(a[:, None] ** 2 + beta**2))
+    return float(counts[keys] @ terms.sum(axis=1))
 
 
 class TestCocompactBound:
@@ -161,6 +201,55 @@ class TestCuspLatticeSum:
         with pytest.raises(NumericalError):
             cusp_lattice_sum(6, LatticeSpec(a2=1e-6j))
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize(
+        "spec", [GAUSSIAN_SPEC, EISENSTEIN_OFFSET, SKEW_SPEC], ids=["gaussian", "eisenstein", "skew"]
+    )
+    @pytest.mark.parametrize("k", [6, 60, 1000])
+    def test_grouped_box_equals_direct_sum(self, spec, k):
+        res = cusp_lattice_sum(k, spec, 1e-8)
+        got, count = _box_sum(spec, spec.disc(res.r_alpha), k, res.r_beta)
+        want, want_count = direct_box_sum(spec, k, res.r_alpha, res.r_beta)
+        assert got == pytest.approx(want, rel=1e-13)
+        assert count == want_count == res.n_terms
+        assert res.value.to_float() == pytest.approx(got, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "k, tol, lattice",
+        [
+            *((k, 1e-8, "gaussian") for k in (8, 20, 200, 5000, 20000)),
+            *((k, 1e-6, "gaussian") for k in (50, 225, 400)),
+            *((k, 1e-8, "eisenstein") for k in (60, 1000)),
+        ],
+    )
+    def test_certified_against_bincount_oracle(self, k, tol, lattice):
+        spec, quad, odd_offset = {
+            "gaussian": (GAUSSIAN_SPEC, (1, 0, 1), 0.0),
+            "eisenstein": (EISENSTEIN_OFFSET, (1, 1, 1), 0.25),
+        }[lattice]
+        res = cusp_lattice_sum(k, spec, tol)
+        got = res.value.to_float()
+        # boxes far past the certified radii: the oracle's own truncation
+        # is below 1e-15 relative at these k
+        l_box = int(1000 / spec.beta_step)
+        brute = bincount_lattice_sum(k, quad, spec.beta_step, odd_offset, 30 if k <= 20 else 10, l_box)
+        assert res.tail_majorant <= tol * got
+        assert -1e-13 * brute <= brute - got <= res.tail_majorant + 1e-13 * brute
+
+    def test_large_k_sums_o_sqrt_k_terms(self):
+        # the beta window is ~sqrt(k) wide, not ~k/pi
+        res = cusp_lattice_sum(20000, GAUSSIAN_SPEC, 1e-8)
+        assert res.n_terms < 50_000
+
+    def test_work_budget(self):
+        t0 = time.perf_counter()
+        for spec in (GAUSSIAN_SPEC, EISENSTEIN_OFFSET):
+            with pytest.raises(NumericalError, match="terms"):
+                cusp_lattice_sum(6, spec, float(np.finfo(float).eps))
+        assert time.perf_counter() - t0 < 1.0
+        for spec in (GAUSSIAN_SPEC, EISENSTEIN_OFFSET):
+            res = cusp_lattice_sum(6, spec, 1e-12)
+            assert res.tail_majorant <= 1e-12 * res.value.to_float()
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -326,6 +415,18 @@ class TestMaximaLocate:
                 ) / (4 * h * h)
         eigs = np.linalg.eigvalsh(0.5 * (hess + hess.T))
         assert np.all(eigs <= 1e-6)
+
+    @pytest.mark.parametrize("k", [5000, 10_000])
+    def test_ridge_location_large_k(self, k):
+        # golden section alone stops at |z2| ~ 1e-6 here; Newton steps finish it
+        p = maxima_locate(k, 1e-6)
+        assert p.coords[0].real == pytest.approx(-k / (4 * math.pi), rel=1e-6)
+        assert abs(p.coords[1]) <= 1e-6
+
+    def test_tolerance_below_resolution(self):
+        with pytest.raises(NumericalError, match="resolution"):
+            maxima_locate(6, 1e-15)
+        assert maxima_locate(6, 1e-14).coords[0].real == pytest.approx(-6 / (4 * math.pi), rel=1e-14)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

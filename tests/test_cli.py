@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -116,6 +118,14 @@ class TestBound:
         assert math.isfinite(row["log_total"])
 
 
+def test_lattice_area_overflow_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bound", "cusp", "--k", "6", "--a1-re", "1e200", "--a2-im", "1e200")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "area" in err
+
+
 class TestLatticeSumCmd:
     def test_fields(self, capsys):
         code, out, _ = run(capsys, "lattice-sum", "--k", "6", "--tol", "1e-8")
@@ -132,6 +142,14 @@ class TestLatticeSumCmd:
         code, out, err = run(capsys, "lattice-sum", "--k", "6", "--a2-re", "0", "--a2-im", "1e-6")
         assert code == 3 and out == ""
         assert len(err.strip().splitlines()) == 1 and "numerical failure" in err
+
+
+    def test_tolerance_at_the_floor_exits_3_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "lattice-sum", "--k", "6", "--tol", "2.220446049250313e-16")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "terms" in err
 
 
 class TestGammaChainCmd:

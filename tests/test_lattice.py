@@ -172,6 +172,16 @@ class TestCovolume:
         with pytest.raises(DomainError):
             LatticeSpec(a1=1.0, a2=2.0)
 
+    def test_area_outside_double_range_rejected(self):
+        # the basis is square, but its area overflows or underflows a double
+        for scale in (1e200, 1e-200):
+            with pytest.raises(DomainError, match="area"):
+                LatticeSpec(a1=scale, a2=scale * 1j)
+        assert LatticeSpec(a1=1e150, a2=1e150j).cell_area == pytest.approx(1e300)
+        assert LatticeSpec(a1=1e-150, a2=1e-150j).cell_area == pytest.approx(1e-300)
+        with pytest.raises(DomainError, match="degenerate"):
+            LatticeSpec(a1=1e200, a2=2e200)
+
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             LatticeSpec(beta_step=0.0)

@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import pytest
 
-from pbl import GAUSSIAN_SPEC, LatticeSpec
+from pbl import GAUSSIAN_SPEC, LatticeSpec, cusp_lattice_sum
 from pbl.bounds import _log_gamma_ratio, _tail_logs
 
 EISENSTEIN = LatticeSpec(
@@ -56,3 +56,33 @@ def test_alpha_tail_majorizes_its_integral(spec, k):
             want = mp.log(2 * mp.pi / mp.mpf(spec.cell_area) * val)
             log_tail_alpha, _ = _tail_logs(spec, k, r_alpha, 10.0, 1)
             assert log_tail_alpha >= want, (r_alpha, log_tail_alpha, want)
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, EISENSTEIN], ids=["gaussian", "eisenstein"])
+@pytest.mark.parametrize("k", [6, 8, 20, 60, 200, 1000, 20000])
+def test_beta_tail_majorizes_its_sum(spec, k):
+    """The beta tail with one column is >= the mpmath.nsum of
+    (1 + beta^2/a0^2)^{-k/2} over beta = offset + l step with |beta| >= r_beta,
+    the largest a column's beta tail can be (its a is at least a0), on every
+    offset line of the spec.  Euler-Maclaurin summation agrees with Levin's
+    transform here to 20 digits; the default Richardson+Shanks does not at
+    k = 6."""
+    step = spec.beta_step
+    solved = cusp_lattice_sum(k, spec, 1e-8).r_beta
+    offsets = {spec.offset(m, n) for m in range(2) for n in range(2)}
+    with mp.workdps(20):
+        a0 = mp.mpf(k) / (2 * mp.pi)
+        for r_beta in (4 * step, solved, 1.5 * solved):
+            _, log_tail_beta = _tail_logs(spec, k, 2 + spec.alpha_cell_diameter, r_beta, 1)
+            for off in offsets:
+
+                def f(l):
+                    return (1 + ((off + l * mp.mpf(step)) / a0) ** 2) ** (-mp.mpf(k) / 2)
+
+                # boundary points with |beta| = r_beta are included
+                hi = math.ceil((r_beta - off) / step)
+                lo = math.floor((-r_beta - off) / step)
+                upper = mp.nsum(f, [hi, mp.inf], method="euler-maclaurin")
+                lower = mp.nsum(f, [-mp.inf, lo], method="euler-maclaurin")
+                want = mp.log(upper + lower)
+                assert log_tail_beta >= want, (r_beta, off, log_tail_beta, want)
