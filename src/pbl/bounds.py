@@ -36,6 +36,16 @@ __all__ = [
 ]
 
 
+# ints up to 2^53 in magnitude convert to a float exactly; beyond that
+# k / 2 pi and k log(...) round, and past the double range they overflow
+_MAX_EXACT_INT = 2**53
+
+
+def _check_exact_int(n: int, name: str) -> None:
+    if abs(n) > _MAX_EXACT_INT:
+        raise PreconditionError(f"{name}: must be at most 2^53 in magnitude")
+
+
 @dataclass(frozen=True)
 class ConstantModel:
     """C(k) = c_gamma * k^exponent, the unresolved normalizing constant of
@@ -48,6 +58,7 @@ class ConstantModel:
     def __post_init__(self):
         if not 0 < self.c_gamma < math.inf:
             raise PreconditionError("c_gamma must be positive and finite")
+        _check_exact_int(self.exponent, "exponent")
 
     def __call__(self, k: int) -> float:
         try:
@@ -96,6 +107,7 @@ def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundRepor
         raise PreconditionError("n >= 2 required")
     if k < 2 * n + 2:
         raise PreconditionError(f"k must be >= 2n+2 = {2 * n + 2}, got {k}")
+    _check_exact_int(k, "k")
     if not 0 < r_x < math.inf:
         raise PreconditionError("injectivity radius must be positive and finite")
     log_c = cm.log_value(k).log()
@@ -156,32 +168,36 @@ def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
     """The terms with |beta| <= r_beta over the columns of disc, and the
     number of lattice points they cover.
 
-    A column's beta line depends only on its exact (a, offset) pair, so each
-    distinct pair is summed once and weighted by its column count.
+    A column's beta line depends only on its exact (h, offset) pair, with
+    h = |alpha|^2/2, so each distinct pair is summed once and weighted by its
+    column count.  Each term is (1 + x)^{-k/2} with
+    x = (a^2 + beta^2)/a0^2 - 1 = (h (2 a0 + h) + beta^2)/a0^2, formed
+    without the cancellation of k log a0 - (k/2) log(a^2 + beta^2), whose
+    rounding grows like k eps.
     """
     a0 = k / (2 * math.pi)
     alpha = disc.alpha
-    # a + i offset as a 1-D key; re^2 + im^2 is exact on integer alphas
+    # h + i offset as a 1-D key; re^2 + im^2 is exact on integer alphas
     key, weight = np.unique(
-        a0 + (alpha.real**2 + alpha.imag**2) / 2.0 + 1j * disc.offset, return_counts=True
+        (alpha.real**2 + alpha.imag**2) / 2.0 + 1j * disc.offset, return_counts=True
     )
-    a, offs = key.real, key.imag
+    h, offs = key.real, key.imag
     step = spec.beta_step
     off_max = float(np.abs(offs).max()) if offs.size else 0.0
     half_line = (r_beta + off_max) / step
     _check_budget(2 * half_line + 3, f"the beta line of radius {r_beta:.3g}")
-    _check_terms(a.size * (2 * half_line + 3), f"the lattice sum box ({a.size} beta lines)")
+    _check_terms(h.size * (2 * half_line + 3), f"the lattice sum box ({h.size} beta lines)")
     l_max = int(math.floor(half_line)) + 1
     l = np.arange(-l_max, l_max + 1)
     total = 0.0
     count = 0
-    log_a0k = k * math.log(a0)
     chunk = max(1, int(2_000_000 / (2 * l_max + 1)))
-    for i in range(0, a.size, chunk):
+    for i in range(0, h.size, chunk):
         beta = offs[i : i + chunk, None] + l[None, :] * step
         mask = np.abs(beta) <= r_beta
-        logs = log_a0k - (k / 2.0) * np.log(a[i : i + chunk, None] ** 2 + beta**2)
-        vals = np.exp(np.minimum(logs, 0.0)) * mask
+        hc = h[i : i + chunk, None]
+        x = (hc * (2.0 * a0 + hc) + beta**2) / (a0 * a0)
+        vals = np.exp(-(k / 2.0) * np.log1p(x)) * mask
         w = weight[i : i + chunk]
         total += float(w @ vals.sum(axis=1))
         count += int(w @ mask.sum(axis=1))
@@ -280,6 +296,7 @@ def cusp_lattice_sum(
     """
     if k < 6:
         raise PreconditionError("k must be >= 6 for the sum to have margin")
+    _check_exact_int(k, "k")
     # below the double epsilon the tail could not change the computed sum
     if not (np.finfo(float).eps <= rel_tol <= 1e-3):
         raise PreconditionError("rel_tol must lie in [2.2e-16, 1e-3]")
@@ -342,6 +359,7 @@ def gamma_integral_chain(k: int) -> GammaChain:
     """
     if k < 6:
         raise PreconditionError("k must be >= 6")
+    _check_exact_int(k, "k")
     from scipy.integrate import quad
 
     a0 = k / (2 * math.pi)
@@ -389,6 +407,7 @@ def cusp_term_log(k: int, cm: ConstantModel, covolume: float = 1.0) -> float:
         * C(k) * k^{3/2} / covolume,
 
     the chained integral bound for the lattice sum times C(k)."""
+    _check_exact_int(k, "k")
     return (
         cm.log_value(k).log()
         + 1.5 * math.log(k)
@@ -434,37 +453,39 @@ def cusp_bound(
 
 # -- ridge locator ---------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RIDGE_RESOLUTION = 1e-14
+_NEWTON_CAP = 100
 
 
-def _golden_max(fun, lo, hi, iters=60):
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def maxima_locate(k: int, tol: float = 1e-6) -> ModelPoint:
+    """Maximizes (-2 x1 - x2^2 - y2^2)^k exp(4 pi x1) over model 3; the
+    maximum lies on Re z1 = -k/(4 pi), z2 = 0.
 
+    Its log phi = k log q + 4 pi x1, q = -2 x1 - x2^2 - y2^2, is strictly
+    concave where q > 0 (the Hessian is negative definite, as dq/dx1 = -2),
+    so damped Newton reaches the one maximum from any feasible start.  Each
+    step uses the analytic gradient and Hessian and is halved while it would
+    leave q > 0.  The loop stops after two consecutive steps of at most
+    4 eps |v|: one such step can still leave |z2| far above its final
+    rounding level, and x1 may flip between two adjacent floats forever.
 
-def _newton_finish(k: int, x1: float, x2: float, y2: float):
-    """Newton steps on phi = k log q + 4 pi x1, q = -2 x1 - x2^2 - y2^2, with
-    its analytic gradient and Hessian, halved while they would leave q > 0.
-
-    Golden section resolves the ridge only to about sqrt(eps) relative,
-    where phi is flat to rounding; the gradient has no such floor, and the
-    Hessian is negative definite wherever q > 0.
+    Raises if the result is not within tol (relative in x1, absolute in z2),
+    or if tol is below the 1e-14 the check can resolve.
     """
-    v = np.array([x1, x2, y2])
-    for _ in range(8):
+    if k < 1:
+        raise PreconditionError("k must be >= 1")
+    _check_exact_int(k, "k")
+    if tol <= 0:
+        raise PreconditionError("tol must be positive")
+    # the check below compares two rounded values, each a few eps from the
+    # ridge, so a smaller tol would pass or fail by rounding
+    if tol < _RIDGE_RESOLUTION:
+        raise NumericalError(f"tol {tol:.3g} is below the ridge resolution {_RIDGE_RESOLUTION:g}")
+
+    x_star = k / (4 * math.pi)
+    v = np.array([-x_star / 2.0 - 1.0, 0.3, 0.2])
+    rounding_steps = 0
+    for _ in range(_NEWTON_CAP):
         q = -2.0 * v[0] - v[1] * v[1] - v[2] * v[2]
         dq = np.array([-2.0, -2.0 * v[1], -2.0 * v[2]])
         grad = k * dq / q + np.array([4 * math.pi, 0.0, 0.0])
@@ -473,66 +494,14 @@ def _newton_finish(k: int, x1: float, x2: float, y2: float):
         while -2.0 * (v[0] + step[0]) - (v[1] + step[1]) ** 2 - (v[2] + step[2]) ** 2 <= 0:
             step = step / 2.0
         v = v + step
-    return tuple(float(t) for t in v)
+        small = np.linalg.norm(step) <= 4.0 * np.finfo(float).eps * np.linalg.norm(v)
+        rounding_steps = rounding_steps + 1 if small else 0
+        if rounding_steps == 2:
+            break
+    else:
+        raise NumericalError(f"Newton did not converge on the ridge in {_NEWTON_CAP} steps")
 
-
-def maxima_locate(k: int, tol: float = 1e-6) -> ModelPoint:
-    """Maximizes (-2 x1 - x2^2 - y2^2)^k exp(4 pi x1) over model 3 by
-    coordinate descent with golden-section line searches from five spread
-    starting points, the best one finished by Newton steps; the maximum lies
-    on Re z1 = -k/(4 pi), z2 = 0.
-
-    Raises if the result is not within tol (relative in x1, absolute in z2),
-    or if tol is below the 1e-14 the check can resolve.
-    """
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
-    # the check below compares two rounded values, each a few eps from the
-    # ridge, so a smaller tol would pass or fail by rounding
-    if tol < _RIDGE_RESOLUTION:
-        raise NumericalError(f"tol {tol:.3g} is below the ridge resolution {_RIDGE_RESOLUTION:g}")
-
-    def phi(x1, x2, y2):
-        q = -2.0 * x1 - x2 * x2 - y2 * y2
-        if q <= 0.0:
-            return -math.inf
-        return k * math.log(q) + 4 * math.pi * x1
-
-    x_star = k / (4 * math.pi)
-    best = None
-    for i, s in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
-        x1 = -s * x_star
-        r0 = 0.3 * math.sqrt(2.0 * s * x_star)
-        theta = 2 * math.pi * i / 5.0
-        x2, y2 = r0 * math.cos(theta), r0 * math.sin(theta)
-        w1 = 2.0 * (x_star + 1.0)
-        w2 = max(1.0, r0)
-        prev = phi(x1, x2, y2)
-        for _ in range(200):
-            limit = -(x2 * x2 + y2 * y2) / 2.0
-            hi = min(x1 + w1, limit - 1e-300 - abs(limit) * 1e-16)
-            x1, _f = _golden_max(lambda t: phi(t, x2, y2), x1 - w1, hi)
-            b = math.sqrt(max(-2.0 * x1 - y2 * y2, 0.0))
-            x2, _f = _golden_max(
-                lambda t: phi(x1, t, y2), max(x2 - w2, -b), min(x2 + w2, b)
-            )
-            b = math.sqrt(max(-2.0 * x1 - x2 * x2, 0.0))
-            y2, cur = _golden_max(
-                lambda t: phi(x1, x2, t), max(y2 - w2, -b), min(y2 + w2, b)
-            )
-            w1 = max(w1 * 0.5, 1e-12 * max(1.0, x_star))
-            w2 = max(w2 * 0.5, 1e-12)
-            if cur - prev < 1e-15 * (1.0 + abs(cur)) and w1 <= 1e-9 * max(1.0, x_star):
-                break
-            prev = cur
-        cand = (cur, x1, x2, y2)
-        if best is None or cand[0] > best[0]:
-            best = cand
-
-    _, x1, x2, y2 = best
-    x1, x2, y2 = _newton_finish(k, x1, x2, y2)
+    x1, x2, y2 = (float(t) for t in v)
     if abs(x1 + x_star) > tol * x_star or math.hypot(x2, y2) > tol:
         raise NumericalError(
             f"optimizer did not reach the ridge: x1={x1!r}, |z2|={math.hypot(x2, y2):.3g}"
@@ -559,6 +528,7 @@ def scaling_fit(ks: Sequence[int], bound: Callable[[int], LogReal]) -> ScalingFi
         raise PreconditionError("at least 5 distinct k values are required")
     if min(ks) <= 0:
         raise PreconditionError("k values must be positive")
+    _check_exact_int(max(ks), "k")
     xs = np.log(np.array(ks, dtype=float))
     ys = []
     for k in ks:
@@ -576,6 +546,7 @@ def scaling_fit(ks: Sequence[int], bound: Callable[[int], LogReal]) -> ScalingFi
 def orbit_cosh_power_sum(elements: Sequence[Isometry], z: ModelPoint, k: int) -> LogReal:
     """Truncated series sum_gamma cosh^{-k}(d(z, gamma z)/2) over an explicit
     list of group elements, in the log domain with order-independent reduction."""
+    _check_exact_int(k, "k")
     c2 = _cosh2(z, z, _isometry_stack(elements, z))
     logs = -(k / 2.0) * np.log(np.maximum(c2, 1.0))
     return log_sum([LogReal.from_log(v) for v in logs])

@@ -25,6 +25,7 @@ import numpy as np
 
 from .bounds import (
     ConstantModel,
+    _check_exact_int,
     cocompact_bound,
     cusp_bound,
     cusp_lattice_sum,
@@ -284,6 +285,7 @@ def cmd_bound(ns, file_cfg):
     cfg = _resolve(ns, file_cfg, defaults)
     cfg["which"] = ns.which
     ks = _parse_range("--k", cfg["k"], int)
+    _check_exact_int(ks[-1], "--k")
     if ns.which == "cusp" and min(ks) < 6:
         raise PreconditionError("--k: cusp bound requires k >= 6")
     if ns.which == "cocompact" and min(ks) < 2 * cfg["n"] + 2:
@@ -292,6 +294,7 @@ def cmd_bound(ns, file_cfg):
         raise PreconditionError("--rx: injectivity radius must be positive and finite")
     if not 0 < cfg["c_gamma"] < math.inf:
         raise PreconditionError("--c-gamma: the constant must be positive and finite")
+    _check_exact_int(cfg["c_exponent"], "--c-exponent")
     log.info("bound sweep over %d weights", len(ks))
     cm = ConstantModel(cfg["c_gamma"], cfg["c_exponent"])
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
@@ -333,6 +336,7 @@ def cmd_lattice_sum(ns, file_cfg):
     cfg = _resolve(ns, file_cfg, defaults)
     if cfg["k"] < 6:
         raise PreconditionError("--k: lattice sum requires k >= 6")
+    _check_exact_int(cfg["k"], "--k")
     if not (sys.float_info.epsilon <= cfg["tol"] <= 1e-3):
         raise PreconditionError("--tol: certified tolerance must lie in [2.2e-16, 1e-3]")
     res = cusp_lattice_sum(cfg["k"], _lattice_spec(cfg), cfg["tol"])
@@ -356,6 +360,7 @@ def cmd_gamma_chain(ns, file_cfg):
     defaults = {"k": "6"}
     cfg = _resolve(ns, file_cfg, defaults)
     ks = _parse_range("--k", cfg["k"], int)
+    _check_exact_int(ks[-1], "--k")
     if min(ks) < 6:
         raise PreconditionError("--k: gamma chain requires k >= 6")
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
@@ -380,6 +385,7 @@ def cmd_gamma_chain(ns, file_cfg):
 def cmd_count(ns, file_cfg):
     defaults = {"k": 6, "delta": "0..4:0.5", "rx": "auto", **_LATTICE_DEFAULTS}
     cfg = _resolve(ns, file_cfg, defaults)
+    _check_exact_int(cfg["k"], "--k")
     spec = _lattice_spec(cfg)
     z = ModelPoint.m3(complex(-cfg["k"] / (4 * math.pi), 0.0), 0.0)
     src = OrbitSource.from_lattice(spec)
@@ -404,6 +410,7 @@ def cmd_maxima(ns, file_cfg):
     cfg = _resolve(ns, file_cfg, defaults)
     if cfg["k"] < 1:
         raise PreconditionError("--k: weight must be >= 1")
+    _check_exact_int(cfg["k"], "--k")
     if not cfg["tol"] > 0:
         raise PreconditionError("--tol: tolerance must be positive")
     p = maxima_locate(cfg["k"], cfg["tol"])

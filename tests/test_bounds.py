@@ -58,11 +58,12 @@ def direct_box_sum(spec, k, r_alpha, r_beta):
     """The box sum term by term, one beta line per column, and its count."""
     a0 = k / (2 * math.pi)
     disc = spec.disc(r_alpha)
-    a = a0 + np.abs(disc.alpha) ** 2 / 2.0
+    h = (disc.alpha.real**2 + disc.alpha.imag**2)[:, None] / 2.0
     l_max = int((r_beta + np.abs(disc.offset).max()) / spec.beta_step) + 1
     beta = disc.offset[:, None] + np.arange(-l_max, l_max + 1) * spec.beta_step
     mask = np.abs(beta) <= r_beta
-    terms = np.exp(k * math.log(a0) - (k / 2.0) * np.log(a[:, None] ** 2 + beta**2))
+    # (a0^2 / (a^2 + beta^2))^{k/2} with a = a0 + h, as (1 + x)^{-k/2}
+    terms = np.exp(-(k / 2.0) * np.log1p((h * (2 * a0 + h) + beta**2) / a0**2))
     return float((terms * mask).sum()), int(mask.sum())
 
 
@@ -142,6 +143,30 @@ class TestCocompactBound:
         with pytest.raises(NumericalError):
             ConstantModel(1e300, 100)(6)
         assert ConstantModel(1.0, 3000).log_value(6).log() == pytest.approx(3000 * math.log(6))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: cocompact_bound(2, k, 1.0, ConstantModel()),
+        lambda k: cusp_bound(k, 1.0, ConstantModel(), GAUSSIAN_SPEC),
+        lambda k: cusp_lattice_sum(k, GAUSSIAN_SPEC),
+        gamma_integral_chain,
+        maxima_locate,
+        lambda k: ConstantModel(1.0, k),
+        lambda k: cusp_term_log(k, ConstantModel()),
+        lambda k: scaling_fit(range(k, k + 5), lambda _: LogReal.one()),
+        lambda k: orbit_cosh_power_sum([], ModelPoint.m3(-1.0, 0.0), k),
+    ],
+    ids=[
+        "cocompact", "cusp", "lattice_sum", "gamma_chain", "maxima", "exponent",
+        "cusp_term", "scaling_fit", "orbit_sum",
+    ],
+)
+@pytest.mark.parametrize("k", [2**53 + 1, int("9" * 400)], ids=["2^53+1", "400_digits"])
+def test_ints_beyond_2_53_rejected(call, k):
+    with pytest.raises(PreconditionError, match=r"2\^53"):
+        call(k)
 
 
 class TestCuspLatticeSum:
@@ -418,10 +443,16 @@ class TestMaximaLocate:
 
     @pytest.mark.parametrize("k", [5000, 10_000])
     def test_ridge_location_large_k(self, k):
-        # golden section alone stops at |z2| ~ 1e-6 here; Newton steps finish it
+        # a start far from the ridge at large k: damped steps must still reach it
         p = maxima_locate(k, 1e-6)
         assert p.coords[0].real == pytest.approx(-k / (4 * math.pi), rel=1e-6)
         assert abs(p.coords[1]) <= 1e-6
+
+    # the k where weaker stop rules fail (x1 flips between two floats at 7, 13
+    # and 14; steps are still damped at 2, 3 and 9), and large k
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 9, 13, 14, 527, 10**5, 10**6, 2 * 10**6])
+    def test_newton_reaches_the_resolution(self, k):
+        maxima_locate(k, 1e-14)
 
     def test_tolerance_below_resolution(self):
         with pytest.raises(NumericalError, match="resolution"):

@@ -118,6 +118,24 @@ class TestBound:
         assert math.isfinite(row["log_total"])
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("bound", "cocompact", "--k"), "--k"),
+        (("bound", "cusp", "--k"), "--k"),
+        (("gamma-chain", "--k"), "--k"),
+        (("lattice-sum", "--k"), "--k"),
+        (("count", "--delta", "1", "--k"), "--k"),
+        (("maxima", "--k"), "--k"),
+        (("bound", "cocompact", "--c-exponent"), "--c-exponent"),
+    ],
+)
+def test_int_beyond_2_53_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, "9" * 400)
+    assert (code, out) == (2, "")
+    assert flag in err and len(err.strip().splitlines()) == 1
+
+
 def test_lattice_area_overflow_exits_2(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -327,7 +345,8 @@ class TestConfigFile:
 
 # -- fuzz ----------------------------------------------------------------------
 
-VOCAB = ("0", "-1", "1e-300", "6", "1500", "3000", "1e308", "inf", "nan", "abc")
+# "9" * 400 is an int beyond the double range
+VOCAB = ("0", "-1", "1e-300", "6", "1500", "3000", "1e308", "inf", "nan", "abc", "9" * 400)
 # sweeps of at most 5 values, and malformed ones
 RANGES = VOCAB + (
     "6..10", "6..3000:1000", "0..2:0.5", "-1..3", "10..6", "6..abc", "nan..6", "0..inf",
@@ -375,6 +394,40 @@ def test_fuzzed_argv_exits_cleanly(argv, tmp_path, monkeypatch, capsys):
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@st.composite
+def config_files(draw):
+    """A command and a --config file of key=value lines: the command's keys
+    with fuzz-vocabulary values or free text, and lines of raw bytes."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    keys = sorted(flag[2:].replace("-", "_") for flag in flags)
+    values = st.sampled_from(sorted(set(RANGES))) | st.text(max_size=12)
+    line = st.tuples(st.sampled_from(keys), values).map(
+        lambda kv: f"{kv[0]}={kv[1]}".encode("utf-8", "surrogatepass")
+    )
+    lines = draw(st.lists(line | st.binary(max_size=8), max_size=4))
+    return command.split(), b"\n".join(lines)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=config_files())
+def test_fuzzed_config_exits_cleanly(case, tmp_path, capsys):
+    argv, content = case
+    path = tmp_path / "run.cfg"
+    path.write_bytes(content)
+    try:
+        code = main([*argv, "--config", str(path)])
+    except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3)

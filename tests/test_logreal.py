@@ -1,14 +1,23 @@
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pbl import DomainError, LogReal, NumericalError, log_sum
 
 finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False).filter(
     lambda x: x == 0.0 or abs(x) > 1e-8
 )
+
+
+def sum_error_bound(x, y):
+    """What a log-domain sum or difference of x and y can meet: each stored
+    log carries up to half an ulp of |log |x||, which cancellation turns into
+    about eps |log |x|| (|x| + |y|) absolute, however small |x - y| is."""
+    logs = [abs(math.log(abs(t))) for t in (x, y) if t]
+    return 2 * sys.float_info.epsilon * max([1.0, *logs]) * (abs(x) + abs(y)) + 1e-290
 
 
 class TestRoundTrip:
@@ -35,12 +44,13 @@ class TestArithmetic:
     @given(finite, finite)
     def test_add_matches_floats(self, x, y):
         got = (LogReal.from_float(x) + LogReal.from_float(y)).to_float()
-        assert got == pytest.approx(x + y, rel=1e-10, abs=1e-290)
+        assert abs(got - (x + y)) <= sum_error_bound(x, y)
 
     @given(finite, finite)
+    @example(-99998335.0, -99999999.0)  # 1.1e-10 relative under cancellation
     def test_sub_matches_floats(self, x, y):
         got = (LogReal.from_float(x) - LogReal.from_float(y)).to_float()
-        assert got == pytest.approx(x - y, rel=1e-10, abs=1e-290)
+        assert abs(got - (x - y)) <= sum_error_bound(x, y)
 
     def test_div(self):
         a = LogReal.from_float(6.0) / LogReal.from_float(-2.0)

@@ -2,12 +2,13 @@
 
 import cmath
 import math
+from collections import Counter
 
 import mpmath as mp
 import pytest
 
 from pbl import GAUSSIAN_SPEC, LatticeSpec, cusp_lattice_sum
-from pbl.bounds import _log_gamma_ratio, _tail_logs
+from pbl.bounds import _box_sum, _log_gamma_ratio, _tail_logs
 
 EISENSTEIN = LatticeSpec(
     a2=cmath.exp(1j * math.pi / 3),
@@ -86,3 +87,24 @@ def test_beta_tail_majorizes_its_sum(spec, k):
                 lower = mp.nsum(f, [-mp.inf, lo], method="euler-maclaurin")
                 want = mp.log(upper + lower)
                 assert log_tail_beta >= want, (r_beta, off, log_tail_beta, want)
+
+
+@pytest.mark.parametrize("k", [1000, 20000, 10**6])
+def test_box_sum_matches_40_digit_sum(k):
+    """The Gaussian box sum at rel_tol 1e-12 equals the 40-digit sum of
+    (a0^2 / (a^2 + l^2))^{k/2} over the same box, a = a0 + (m^2 + n^2)/2,
+    to 1e-15: its rounding does not grow with k."""
+    res = cusp_lattice_sum(k, GAUSSIAN_SPEC, 1e-12)
+    disc = GAUSSIAN_SPEC.disc(res.r_alpha)
+    got, _ = _box_sum(GAUSSIAN_SPEC, disc, k, res.r_beta)
+    norms = Counter(int(m) ** 2 + int(n) ** 2 for m, n in zip(disc.m, disc.n))
+    l_max = math.floor(res.r_beta)
+    with mp.workdps(40):
+        a0 = mp.mpf(k) / (2 * mp.pi)
+        half_k = mp.mpf(k) / 2
+        want = mp.mpf(0)
+        for s, count in norms.items():
+            a_sq = (a0 + mp.mpf(s) / 2) ** 2
+            side = mp.fsum((a0 * a0 / (a_sq + l * l)) ** half_k for l in range(1, l_max + 1))
+            want += count * (2 * side + (a0 * a0 / a_sq) ** half_k)
+        assert abs(mp.mpf(got) / want - 1) <= 1e-15
