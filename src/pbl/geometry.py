@@ -24,6 +24,16 @@ __all__ = [
 ]
 
 
+# ints up to 2^53 in magnitude convert to a float exactly; beyond that
+# k / 2 pi and k log(...) round, and past the double range they overflow
+_MAX_EXACT_INT = 2**53
+
+
+def _check_exact_int(n: int, name: str) -> None:
+    if abs(n) > _MAX_EXACT_INT:
+        raise PreconditionError(f"{name}: must be at most 2^53 in magnitude")
+
+
 def _cosh2(z: ModelPoint, w: ModelPoint, mats=None):
     """cosh^2(d(z, g w)/2) = |<g w, z>|^2 / (<z,z><g w,g w>) over a stack of
     form-preserving matrices g (..., n+1, n+1), or g = I when mats is None.
@@ -87,6 +97,7 @@ def petersson_norm_factor(p: ModelPoint, k: int) -> LogReal:
     in model 3, (2 Im z1 - |z2|^2)^k in model 2."""
     if k < 1:
         raise PreconditionError("weight k must be >= 1")
+    _check_exact_int(k, "k")
     q = -model_indicator(p)
     if q <= 0.0:
         raise DomainError("boundary or exterior point")
@@ -102,6 +113,7 @@ def petersson_objective(p: ModelPoint, k: int) -> LogReal:
         raise DomainError("objective is defined on model-3 points")
     if k < 1:
         raise PreconditionError("weight k must be >= 1")
+    _check_exact_int(k, "k")
     q = -model_indicator(p)
     if q <= 0.0:
         raise DomainError("boundary or exterior point")

@@ -72,6 +72,13 @@ class HermitianForm:
     def n(self) -> int:
         return self.dim - 1
 
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """The inverse matrix F^{-1}, computed once per form (read-only)."""
+        inv = np.linalg.inv(self.entries)
+        inv.setflags(write=False)
+        return inv
+
     def __eq__(self, other):
         return (
             isinstance(other, HermitianForm)

@@ -107,7 +107,8 @@ class LatticeSpec:
 
     Defaults to the Gaussian model a1=1, a2=i, step 1, zero offsets; other
     imaginary-quadratic shapes (e.g. Eisenstein a2 = exp(i pi/3)) are one
-    field away.
+    field away.  A disc calls beta_offset_rule once on its index arrays
+    where the rule accepts arrays, and once per column otherwise.
     """
 
     a1: complex = 1.0 + 0.0j
@@ -167,11 +168,19 @@ class LatticeSpec:
         # hypot, not np.abs: it rounds like Python's abs(complex)
         keep = np.hypot(alpha.real, alpha.imag) <= r_alpha
         m, n, alpha = m[keep], n[keep], alpha[keep]
-        if self.beta_offset_rule is None:
-            offset = np.zeros(m.size)
-        else:
-            offset = np.array([self.offset(int(i), int(j)) for i, j in zip(m, n)], dtype=float)
-        return AlphaDisc(m, n, alpha, offset)
+        return AlphaDisc(m, n, alpha, self._offsets(m, n))
+
+    def _offsets(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """The beta offsets of the columns (m, n): one call of the rule on the
+        index arrays, or one call per column where the rule fails on arrays
+        (raises TypeError or ValueError, or returns no (m.size,) result)."""
+        rule = self.beta_offset_rule
+        if rule is None:
+            return np.zeros(m.size)
+        try:
+            return np.broadcast_to(np.asarray(rule(m, n), dtype=float), (m.size,)).copy()
+        except (TypeError, ValueError):
+            return np.array([self.offset(int(i), int(j)) for i, j in zip(m, n)], dtype=float)
 
     def points(self, r_alpha: float, r_beta: float) -> LatticePoints:
         """Every lattice point with |alpha| <= r_alpha and |beta| <= r_beta,

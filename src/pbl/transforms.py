@@ -9,11 +9,12 @@ point_domain/point_codomain properties spell that out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError, PreconditionError
 from .hermitian import (
     HermitianForm,
     Model,
@@ -63,10 +64,11 @@ class Isometry:
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
         r = verify_isometry(m, self.form, self.form)
-        if r > ISOMETRY_TOL:
+        # written as "not <=" so that a NaN residual or determinant fails
+        if not r <= ISOMETRY_TOL:
             raise DomainError(f"matrix does not preserve the form (residual {r:.3g})")
         d = abs(np.linalg.det(m))
-        if abs(d - 1.0) > ISOMETRY_TOL:
+        if not abs(d - 1.0) <= ISOMETRY_TOL:
             raise DomainError(f"|det| = {d:.12g} != 1")
         m = m.copy()
         m.setflags(write=False)
@@ -108,7 +110,7 @@ class CayleyMap:
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
         r = verify_isometry(m, self.source_form, self.target_form)
-        if r > CAYLEY_TOL:
+        if not r <= CAYLEY_TOL:
             raise DomainError(f"matrix does not intertwine the forms (residual {r:.3g})")
         m = m.copy()
         m.setflags(write=False)
@@ -179,29 +181,67 @@ def apply(g, p: ModelPoint) -> ModelPoint:
     return ModelPoint(out_model, w[:-1] / denom)
 
 
+# Taylor coefficients of exp to degree 16 as a 4 x 5 matrix: row j holds
+# 1/(4j + i)! against x^i for i < 4, and row 3 also 1/16! against x^4
+_EXP_COEF = np.array(
+    [[1.0 / math.factorial(4 * j + i) for i in range(4)] + [0.0] for j in range(4)], dtype=complex
+)
+_EXP_COEF[3, 4] = 1.0 / math.factorial(16)
+
+
+def _expm(x: np.ndarray, norm: float) -> np.ndarray:
+    """exp(x) for a square matrix x with Frobenius norm `norm`, by scaling
+    and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+
+    x is scaled by 2^-s so that its norm is at most 1/2, where the degree-16
+    Taylor polynomial truncates below 1e-19 relative.  The polynomial is
+    evaluated Paterson-Stockmeyer style as sum_j (x^4)^j B_j: the blocks B_j
+    come from one product of _EXP_COEF with (I, x, x^2, x^3, x^4), and three
+    Horner steps in x^4 finish it.  s squarings undo the scaling.
+    """
+    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0.5 else 0
+    if s:
+        x = x * 2.0**-s
+    d = x.shape[0]
+    x2 = x @ x
+    x4 = x2 @ x2
+    powers = np.stack([np.eye(d), x, x2, x2 @ x, x4]).reshape(5, d * d)
+    b = (_EXP_COEF @ powers).reshape(4, d, d)
+    r = b[3]
+    for j in (2, 1, 0):
+        r = b[j] + x4 @ r
+    # an overflow is left as inf or nan, for the caller's check to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
+    return r
+
+
 def random_isometry(form: HermitianForm, seed: int, scale: float = 0.5) -> Isometry:
     """A deterministic pseudo-random element of SU(form).
 
     Draws a matrix, projects it onto the Lie algebra (X* F + F X = 0, trace
-    removed), rescales to Frobenius norm `scale`, and exponentiates.  The
-    form residual is re-checked afterwards, so the exponential's accuracy
-    is verified rather than assumed.  scale = 0 gives the identity.
+    removed), rescales to Frobenius norm |scale|, and exponentiates.  The
+    Isometry constructor re-checks the form residual and the determinant,
+    so the exponential's accuracy is verified rather than assumed.
+    scale = 0 gives the identity.
     """
-    from scipy.linalg import expm
-
+    if not math.isfinite(scale):
+        raise PreconditionError("scale must be finite")
     rng = np.random.default_rng(seed)
     d = form.dim
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    finv = np.linalg.inv(form.entries)
-    x = a - finv @ a.conj().T @ form.entries
-    x -= (np.trace(x) / d) * np.eye(d)
+    x = a - form.inverse @ a.conj().T @ form.entries
+    x.flat[:: d + 1] -= np.trace(x) / d
     norm = np.linalg.norm(x)
     if norm > 0 and scale != 0:
         x *= scale / norm
     else:
         x = np.zeros_like(x)
-    g = expm(x)
-    resid = verify_isometry(g, form, form)
-    if resid > ISOMETRY_TOL:
-        raise NumericalError(f"exponential left the group (residual {resid:.3g})")
-    return Isometry(g, form)
+    try:
+        # an exponential or form residual that overflows is inf or nan,
+        # which the residual check rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Isometry(_expm(x, abs(scale)), form)
+    except DomainError as exc:
+        raise NumericalError(f"exponential left the group: {exc}") from None

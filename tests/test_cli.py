@@ -30,14 +30,53 @@ def rows_of(out):
     return rows
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported only inside the three functions that compute with it
+# every call of a paper-reproduction session, then the three functions that
+# once used scipy (matrix exponential, tail quadrature, Gamma-chain quadrature)
+_SESSION_SCRIPT = """
+import contextlib, io, math, sys
+from pbl import (GAUSSIAN_SPEC, ModelPoint, OrbitSource, ball_form, gamma_integral_chain,
+                 min_displacement, random_isometry, tail_bound)
+from pbl.cli import main
+
+cusp = sys.argv[1]
+sweep = ["--k", "50..400:25", "--rx", "6", "--c-exponent", "2", "--fit"]
+session = [
+    (["verify", "--seed", "0"], 0),
+    (["bound", "cocompact", *sweep], 0),
+    (["bound", "cusp", *sweep], 0),
+    (["lattice-sum", "--k", "6", "--tol", "1e-8"], 0),
+    (["gamma-chain", "--k", "6..20"], 0),
+    (["count", "--delta", "0..4:0.5"], 0),
+    (["maxima", "--k", "20"], 0),
+    (["fit", "--in", cusp], 0),
+    (["lattice-sum", "--k", "4"], 2),
+]
+for argv, want in session:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code == want, (argv, code)
+    if argv[:2] == ["bound", "cusp"]:
+        with open(cusp, "w") as fh:
+            fh.write(out.getvalue())
+random_isometry(ball_form(2), 0)
+src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
+z = ModelPoint.m3(-1.0, 0.0)
+tail_bound(lambda r: math.cosh(r / 2) ** -12, 2, min_displacement(src, z), 3.0, src, z, z)
+gamma_integral_chain(20)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # pbl depends on numpy alone: no command or kernel imports scipy
     src = os.path.dirname(os.path.dirname(pbl.__file__))
-    code = "import sys, pbl, pbl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _SESSION_SCRIPT, str(tmp_path / "cusp.jsonl")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
     )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
@@ -177,6 +216,15 @@ class TestGammaChainCmd:
         (row,) = rows_of(out)
         assert abs(row["beta_ratio"] - 1.0) < 1e-8
         assert abs(row["r_ratio"] - 0.5) < 1e-8
+
+    def test_weight_1e8(self, capsys):
+        # the Wallis-integral quadratures and the Stirling Gamma ratio hold to
+        # rounding at large k, where the O(k log k) logs must cancel exactly
+        code, out, err = run(capsys, "gamma-chain", "--k", "100000000")
+        assert code == 0 and err == ""
+        (row,) = rows_of(out)
+        assert abs(row["beta_ratio"] - 1.0) <= 1e-12
+        assert abs(row["r_ratio"] - 0.5) <= 1e-12
 
 
 class TestCountCmd:

@@ -22,6 +22,7 @@ from pbl import (
     tail_bound,
     tail_bound_terms,
 )
+from pbl.counting import _G7_W, _K15_W, _K15_X, _integrate_to_inf
 from pbl.transforms import Isometry
 
 
@@ -223,6 +224,37 @@ class TestTailBound:
     def test_nonmonotone_f_rejected(self):
         with pytest.raises(PreconditionError):
             tail_bound(lambda r: 1 + math.sin(3 * r) ** 2, 2, 1.0, 0.75, self.src, self.z, self.z)
+
+
+class TestGaussKronrod:
+    def test_rules_integrate_polynomials_exactly(self):
+        # K15 is exact through degree 22 and G7 through degree 13 on [-1, 1]
+        x, wk, wg = np.array(_K15_X), np.array(_K15_W), np.array(_G7_W)
+        for j in range(23):
+            want = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert wk @ x**j == pytest.approx(want, abs=1e-15), j
+            if j <= 13:
+                assert wg @ x**j == pytest.approx(want, abs=1e-15), j
+        assert np.count_nonzero(wg) == 7
+
+    @pytest.mark.parametrize(
+        "f, lo, want",
+        [
+            (lambda r: math.exp(-r), 0.0, 1.0),
+            (lambda r: r**-3, 1.0, 0.5),
+            (lambda r: 1.0 / (1.0 + r * r), 0.0, math.pi / 2),
+            (lambda r: math.exp(-r * r), 2.0, math.sqrt(math.pi) / 2 * math.erfc(2.0)),
+        ],
+    )
+    def test_known_integrals(self, f, lo, want):
+        val, err = _integrate_to_inf(f, lo, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert err <= 1e-12 * val
+        assert val == pytest.approx(want, rel=1e-13)
+
+    def test_panel_limit_stops_refinement(self):
+        # r^-1.01 has a heavy tail: 5 panels cannot meet 1e-12
+        val, err = _integrate_to_inf(lambda r: r**-1.01, 1.0, epsabs=0.0, epsrel=1e-12, limit=5)
+        assert math.isfinite(val) and err > 1e-12 * val
 
 
 class TestDisplacement:

@@ -9,6 +9,7 @@ from pbl import (
     Model,
     ModelPoint,
     NumericalError,
+    PreconditionError,
     apply,
     ball_form,
     ball_volume,
@@ -196,6 +197,15 @@ class TestPeterssonObjective:
     def test_rejects_other_models(self):
         with pytest.raises(DomainError):
             petersson_objective(ModelPoint.ball([0, 0]), 3)
+
+    def test_weight_beyond_2_53_rejected(self):
+        # k log q would overflow the int-to-float conversion
+        z = ModelPoint.m3(-1.0, 0.0)
+        with pytest.raises(PreconditionError, match="2\\^53"):
+            petersson_objective(z, int("9" * 400))
+        with pytest.raises(PreconditionError, match="2\\^53"):
+            petersson_norm_factor(z, int("9" * 400))
+        assert petersson_objective(z, 2**53).log() == pytest.approx(2**53 * math.log(2.0) - 4 * math.pi)
 
 
 class TestCurvatureDeterminant:

@@ -146,6 +146,29 @@ class TestEnumeration:
         odd = [p for p in pts if abs(p.alpha) == 1.0]
         assert all(p.beta in (-0.5, 0.5) for p in odd)
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda m, n: 0.25 * ((m * n) % 2),
+            lambda m, n: 0.1 * (m % 3),
+            lambda m, n: 0.5 * ((m + n) % 2),
+            lambda m, n: 0.5 if m * n % 2 else 0.0,  # scalars only: falls back per column
+            lambda m, n: 0.125,  # broadcasts from one value
+        ],
+    )
+    def test_array_offsets_match_per_column_calls(self, rule):
+        spec = LatticeSpec(a2=cmath.exp(1j * math.pi / 3), beta_step=0.5, beta_offset_rule=rule)
+        disc = spec.disc(12.0)
+        loop = [float(rule(m, n)) for m, n in zip(disc.m.tolist(), disc.n.tolist())]
+        assert disc.offset.shape == (disc.m.size,)
+        assert disc.offset.tolist() == loop
+
+    def test_offset_rule_of_wrong_shape_falls_back(self):
+        # an array result that does not broadcast to one offset per column
+        spec = LatticeSpec(beta_offset_rule=lambda m, n: np.full(2, 0.5) if np.ndim(m) else 0.5)
+        disc = spec.disc(3.0)
+        assert disc.offset.tolist() == [0.5] * disc.m.size
+
     @given(
         st.floats(min_value=0.0, max_value=8.0),
         st.floats(min_value=0.0, max_value=4.0),

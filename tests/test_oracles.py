@@ -5,10 +5,23 @@ import math
 from collections import Counter
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from pbl import GAUSSIAN_SPEC, LatticeSpec, cusp_lattice_sum
-from pbl.bounds import _box_sum, _log_gamma_ratio, _tail_logs
+from pbl import (
+    GAUSSIAN_SPEC,
+    LatticeSpec,
+    ModelPoint,
+    OrbitSource,
+    ball_form,
+    cusp_lattice_sum,
+    min_displacement,
+    model2_form,
+    model3_form,
+    tail_bound_terms,
+)
+from pbl.bounds import _box_sum, _log_gamma_ratio, _tail_logs, _wallis
+from pbl.transforms import _expm
 
 EISENSTEIN = LatticeSpec(
     a2=cmath.exp(1j * math.pi / 3),
@@ -28,9 +41,72 @@ class TestLogGammaRatio:
             err = abs(mp.mpf(_log_gamma_ratio(j)) - _oracle_log_gamma_ratio(j))
             assert err <= 1e-15, (j, err)
 
-    @pytest.mark.parametrize("j", [1001, 1002, 4999, 20000, 49_999, 50_000])
+    @pytest.mark.parametrize(
+        "j",
+        [1001, 1002, 4999, 20000, 49_999, 50_000, 10**6, 10**8, 2 * 10**12 - 2, 2**53],
+    )
     def test_lgamma_difference_beyond_1000(self, j):
-        assert abs(mp.mpf(_log_gamma_ratio(j)) - _oracle_log_gamma_ratio(j)) <= 1e-10
+        assert abs(mp.mpf(_log_gamma_ratio(j)) - _oracle_log_gamma_ratio(j)) <= 1e-14
+
+
+def _su_element(form, seed, norm):
+    """A random X with X* F + F X = 0, trace 0 and Frobenius norm `norm`."""
+    rng = np.random.default_rng(seed)
+    d = form.dim
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = a - np.linalg.inv(form.entries) @ a.conj().T @ form.entries
+    x -= np.trace(x) / d * np.eye(d)
+    return x * (norm / np.linalg.norm(x))
+
+
+# the Taylor value is a few eps from exp; each of the s squarings at most
+# doubles the relative error (s = 0, 0, 3, 7)
+@pytest.mark.parametrize("norm, tol", [(1e-8, 1e-15), (0.5, 1e-15), (3.0, 1e-14), (50.0, 1e-13)])
+def test_expm_matches_40_digit_expm(norm, tol):
+    for form in (ball_form(2), model2_form(), model3_form()):
+        for seed in range(5):
+            x = _su_element(form, seed, norm)
+            got = _expm(x, norm)
+            with mp.workdps(40):
+                want = mp.expm(mp.matrix(x.tolist()))
+                scale = max(abs(want[i, j]) for i in range(3) for j in range(3))
+                err = max(
+                    abs(mp.mpc(complex(got[i, j])) - want[i, j]) for i in range(3) for j in range(3)
+                )
+            assert err <= tol * scale, (seed, float(err / scale))
+
+
+@pytest.mark.parametrize("k", [6, 7, 20, 200, 10**4, 10**6, 10**8, 2**53])
+def test_wallis_integrals_match_beta_function(k):
+    """W(m) = B(1/2, (m + 1)/2) / 2 at the chain's m = k - 2 and 2k - 4, to a
+    few eps, with an error estimate far below the chain's 1e-6 gate."""
+    ms = [k - 2, 2 * k - 4]
+    vals, errs = _wallis(np.array(ms, dtype=float))
+    for m, val, err in zip(ms, vals, errs):
+        with mp.workdps(40):
+            want = mp.beta(mp.mpf(1) / 2, (mp.mpf(m) + 1) / 2) / 2
+            assert abs(mp.mpf(val) / want - 1) <= 1e-14, m
+        assert err <= 1e-13 * val
+
+
+def test_tail_integral_matches_mpmath_quad():
+    """The tail estimate's integral term against mpmath.quad of
+    4 pi / ((n-1)! sinh^{2n}(r/4)) int_delta^inf f(rho) sinh^{2n-1} cosh((2 rho + r)/4)."""
+    src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
+    z = ModelPoint.m3(-1.0, 0.0)
+    r_x = min_displacement(src, z)
+    n, delta = 2, 3.0
+    got = tail_bound_terms(lambda r: math.cosh(r / 2) ** -12, n, r_x, delta, src, z, z).integral
+    with mp.workdps(30):
+        r = mp.mpf(r_x)
+
+        def integrand(rho):
+            u = (2 * rho + r) / 4
+            return mp.cosh(rho / 2) ** -12 * mp.sinh(u) ** (2 * n - 1) * mp.cosh(u)
+
+        coeff = 4 * mp.pi / (mp.factorial(n - 1) * mp.sinh(r / 4) ** (2 * n))
+        want = coeff * mp.quad(integrand, [delta, delta + 10, delta + 40, mp.inf])
+        assert abs(mp.mpf(got) / want - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, EISENSTEIN], ids=["gaussian", "eisenstein"])

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from pbl import (
+    CayleyMap,
     DimensionError,
     DomainError,
     HeisenbergParam,
     Isometry,
     Model,
     ModelPoint,
+    NumericalError,
+    PreconditionError,
     apply,
     ball_form,
     cayley_gamma2,
@@ -122,6 +125,26 @@ class TestRandomIsometry:
             g = random_isometry(form, 77)
             assert verify_isometry(g.mat, form, form) < 1e-10
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(PreconditionError, match="scale"):
+            random_isometry(ball_form(2), 1, scale=scale)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e300])
+    def test_overflowing_exponential_raises(self, scale):
+        # the exponential or its form residual leaves the double range; this
+        # raises, and without a RuntimeWarning (an error under pytest)
+        with pytest.raises(NumericalError, match="left the group"):
+            random_isometry(model3_form(), 2, scale=scale)
+
+    @pytest.mark.parametrize("scale", [3.0, 10.0])
+    def test_squaring_path_stays_in_group(self, scale):
+        # |X|_F = 3 and 10 take three and five squarings of the Taylor value
+        for form in (ball_form(2), model2_form(), model3_form()):
+            for s in range(4):
+                g = random_isometry(form, s, scale=scale)
+                assert verify_isometry(g.mat, form, form) < 1e-10
+
 
 class TestStabilizerConjugation:
     def test_hundred_random_parameters(self):
@@ -141,6 +164,13 @@ class TestIsometryValidation:
     def test_rejects_non_preserving(self):
         with pytest.raises(DomainError):
             Isometry(np.diag([2.0, 1.0, 1.0]).astype(complex), ball_form(2))
+
+    def test_rejects_nan(self):
+        # a NaN residual compares False against the tolerance either way round
+        with pytest.raises(DomainError, match="residual nan"):
+            Isometry(np.full((3, 3), np.nan), ball_form(2))
+        with pytest.raises(DomainError, match="residual nan"):
+            CayleyMap(np.full((3, 3), np.nan), ball_form(2), model3_form(), Model.M3, Model.BALL)
 
     def test_blocks_shapes(self):
         g = random_isometry(ball_form(2), 8)
