@@ -21,25 +21,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .bounds import (
-    ConstantModel,
-    _check_exact_int,
-    cocompact_bound,
-    cusp_bound,
-    cusp_lattice_sum,
-    gamma_integral_chain,
-    maxima_locate,
-    scaling_fit,
-)
-from .counting import OrbitSource, counting_function, counting_upper_bound, min_displacement
-from .errors import NumericalError, PblError, PreconditionError
-from .geometry import curvature_determinant, petersson_objective
-from .hermitian import Model, ModelPoint, ball_form, model2_form, model3_form
-from .lattice import HeisenbergParam, LatticeSpec, stabilizer_matrix
+# the commands that use arrays import numpy and their modules when they run,
+# so the closed-form commands and usage errors never load it
+from .closed_forms import ConstantModel, cocompact_bound, gamma_integral_chain, scaling_fit
+from .errors import NumericalError, PblError, PreconditionError, _check_exact_int
 from .logreal import LogReal
-from .transforms import _GAMMA3, cayley_gamma2, cayley_gamma23, verify_isometry
 
 log = logging.getLogger("pbl")
 
@@ -47,12 +33,14 @@ log = logging.getLogger("pbl")
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    if hasattr(v, "item"):  # a numpy scalar
+        v = v.item()
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return format(v, ".17g")
     return json.dumps(str(v))
 
 
@@ -153,7 +141,9 @@ def _resolve(ns, file_cfg: dict, defaults: dict) -> dict:
     return out
 
 
-def _lattice_spec(cfg: dict) -> LatticeSpec:
+def _lattice_spec(cfg: dict):
+    from .lattice import LatticeSpec
+
     return LatticeSpec(
         a1=complex(cfg["a1_re"], cfg["a1_im"]),
         a2=complex(cfg["a2_re"], cfg["a2_im"]),
@@ -193,6 +183,14 @@ def _parse_range(flag: str, spec: str, kind: type):
 
 
 def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
+    import numpy as np
+
+    from .bounds import maxima_locate
+    from .geometry import curvature_determinant
+    from .hermitian import Model, ModelPoint, ball_form, model2_form, model3_form
+    from .lattice import HeisenbergParam, stabilizer_matrix
+    from .transforms import _GAMMA3, cayley_gamma2, cayley_gamma23, verify_isometry
+
     h_ball, h2, h3 = ball_form(2), model2_form(), model3_form()
     g3 = np.array(_GAMMA3)
     if perturb_gamma3:
@@ -303,6 +301,8 @@ def cmd_bound(ns, file_cfg):
         if ns.which == "cocompact":
             row = cocompact_bound(cfg["n"], k, cfg["rx"], cm).row()
         else:
+            from .bounds import cusp_bound
+
             rep = cusp_bound(k, cfg["rx"], cm, _lattice_spec(cfg), cfg["tol"])
             row = rep.row()
             row["log_cusp_sum_scaled"] = rep.extras["cusp_sum_scaled"].log()
@@ -339,6 +339,8 @@ def cmd_lattice_sum(ns, file_cfg):
     _check_exact_int(cfg["k"], "--k")
     if not (sys.float_info.epsilon <= cfg["tol"] <= 1e-3):
         raise PreconditionError("--tol: certified tolerance must lie in [2.2e-16, 1e-3]")
+    from .bounds import cusp_lattice_sum
+
     res = cusp_lattice_sum(cfg["k"], _lattice_spec(cfg), cfg["tol"])
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
     writer.row(
@@ -383,6 +385,9 @@ def cmd_gamma_chain(ns, file_cfg):
 
 
 def cmd_count(ns, file_cfg):
+    from .counting import OrbitSource, counting_function, counting_upper_bound, min_displacement
+    from .hermitian import ModelPoint
+
     defaults = {"k": 6, "delta": "0..4:0.5", "rx": "auto", **_LATTICE_DEFAULTS}
     cfg = _resolve(ns, file_cfg, defaults)
     _check_exact_int(cfg["k"], "--k")
@@ -406,6 +411,9 @@ def cmd_count(ns, file_cfg):
 
 
 def cmd_maxima(ns, file_cfg):
+    from .bounds import maxima_locate
+    from .geometry import petersson_objective
+
     defaults = {"k": 6, "tol": 1e-6}
     cfg = _resolve(ns, file_cfg, defaults)
     if cfg["k"] < 1:

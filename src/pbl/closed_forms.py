@@ -1,0 +1,357 @@
+"""Bound pipelines that need no arrays: the cocompact three-term estimate,
+the Gamma-function ratios and integral chain, the closed-form cusp term, and
+the log-log exponent fitter.
+
+Everything here works on plain floats, so importing this module loads no
+numpy; `pbl.bounds` re-exports every public name.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
+
+from .errors import NumericalError, PreconditionError, _check_exact_int
+from .logreal import LogReal, log_cosh, log_sinh, log_sum
+
+__all__ = [
+    "ConstantModel",
+    "BoundReport",
+    "GammaChain",
+    "ScalingFit",
+    "cocompact_bound",
+    "cusp_term_log",
+    "gamma_integral_chain",
+    "scaling_fit",
+]
+
+
+@dataclass(frozen=True)
+class ConstantModel:
+    """C(k) = c_gamma * k^exponent, the unresolved normalizing constant of
+    the kernel bound; exponent n in the cocompact case, 2 in the one-cusp
+    case, 0 for a plain constant."""
+
+    c_gamma: float = 1.0
+    exponent: int = 0
+
+    def __post_init__(self):
+        if not 0 < self.c_gamma < math.inf:
+            raise PreconditionError("c_gamma must be positive and finite")
+        _check_exact_int(self.exponent, "exponent")
+
+    def __call__(self, k: int) -> float:
+        try:
+            value = self.c_gamma * float(k) ** self.exponent
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise NumericalError(f"C({k}) overflows a double; use log_value")
+        return value
+
+    def log_value(self, k: int) -> LogReal:
+        return LogReal.from_log(math.log(self.c_gamma) + self.exponent * math.log(k))
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Per-term log-domain breakdown of a bound at given (n, k, r_x)."""
+
+    n: int
+    k: int
+    r_x: float
+    terms: Mapping[str, LogReal]
+    total: LogReal
+    normalized_total: LogReal
+    extras: Mapping[str, object] = field(default_factory=dict)
+
+    def row(self) -> dict:
+        """Flat dict for machine-readable output."""
+        out = {"n": self.n, "k": self.k, "r_x": self.r_x}
+        for name, term in self.terms.items():
+            out[f"log_{name}"] = term.log()
+        out["log_total"] = self.total.log()
+        out["normalized_total"] = self.normalized_total.to_float()
+        return out
+
+
+def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundReport:
+    """Three-term bound for the cocompact case:
+
+        C(k) + C(k) cosh^{2n}(r/4) / ((k-2n-1) sinh^{2n}(r/4))
+             + C(k) sinh^{2n}(5r/8) / (sinh^{2n}(r/4) cosh^k(3r/8)).
+
+    Requires k >= 2n+2 so the middle denominator stays positive.
+    """
+    if n < 2:
+        raise PreconditionError("n >= 2 required")
+    if k < 2 * n + 2:
+        raise PreconditionError(f"k must be >= 2n+2 = {2 * n + 2}, got {k}")
+    _check_exact_int(k, "k")
+    if not 0 < r_x < math.inf:
+        raise PreconditionError("injectivity radius must be positive and finite")
+    log_c = cm.log_value(k).log()
+    log_sh = log_sinh(r_x / 4.0)
+    identity = LogReal.from_log(log_c)
+    middle = LogReal.from_log(
+        log_c
+        + 2 * n * (log_cosh(r_x / 4.0) - log_sh)
+        - math.log(k - 2 * n - 1)
+    )
+    # r_x / 8 first keeps 5 r_x / 8 finite; the two products overflow together
+    # only for r_x near the double range, where k >= 2n+2 sends the term to 0
+    r8 = r_x / 8.0
+    if r_x < 4.0:
+        # one quotient: below r_x = 4 the two logs grow like log r_x and cancel
+        log_ratio = math.log(math.sinh(5 * r8) / math.sinh(2 * r8))
+    else:
+        log_ratio = log_sinh(5 * r8) - log_sh
+    log_ring = log_c + 2 * n * log_ratio - k * log_cosh(3 * r8)
+    ring = LogReal.from_log(-math.inf if math.isnan(log_ring) else log_ring)
+    terms = {"identity_term": identity, "middle_term": middle, "ring_term": ring}
+    total = log_sum(terms.values())
+    return BoundReport(n, k, r_x, terms, total, total / cm.log_value(k))
+
+
+# -- Gamma-function ratios --------------------------------------------------
+
+_HALF_LOG_PI = 0.5 * math.log(math.pi)
+
+
+def _stirling(z: float) -> float:
+    """The Stirling series log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2
+    to its 1/z^7 term, which is below 1e-27 for z >= 500."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w / 1680))) / z
+
+
+def _log_gamma_ratio(j: int) -> float:
+    """log Gamma((j-1)/2) / Gamma(j/2) for an integer j >= 3: from a central
+    binomial C(2m, m) / 4^m (one rounding) up to j = 1000, and beyond from
+    the Stirling series, with x = j/2, as
+
+        -log(x)/2 + ((x - 1) log1p(-1/(2x)) + 1/2) + S(x - 1/2) - S(x),
+
+    whose terms do not cancel (lgamma((j-1)/2) - lgamma(j/2) loses
+    log(j) eps j / 2 to the difference)."""
+    if j > 1000:
+        x = j / 2.0
+        return (
+            -0.5 * math.log(x)
+            + ((x - 1.0) * math.log1p(-0.5 / x) + 0.5)
+            + (_stirling(x - 0.5) - _stirling(x))
+        )
+    m = (j - 1) // 2
+    if j % 2:  # Gamma(m) / Gamma(m + 1/2) = 4^m / (m C(2m, m) sqrt(pi))
+        return math.log(4**m / (m * math.comb(2 * m, m))) - _HALF_LOG_PI
+    # Gamma(m + 1/2) / Gamma(m + 1) = C(2m, m) sqrt(pi) / 4^m
+    return math.log(math.comb(2 * m, m) / 4**m) + _HALF_LOG_PI
+
+
+def _beta_integral(k: int) -> float:
+    """int_R (1+t^2)^{-k/2} dt = sqrt(pi) Gamma((k-1)/2) / Gamma(k/2)."""
+    return math.exp(_HALF_LOG_PI + _log_gamma_ratio(k))
+
+
+# -- Gamma-function integral chain ----------------------------------------
+
+
+@dataclass(frozen=True)
+class GammaChain:
+    """Closed-form vs quadrature values of the two auxiliary integrals and
+    their chained product 2 pi (k/2pi)^k * beta_integral * r_integral."""
+
+    k: int
+    beta_closed: float
+    beta_quad: float
+    beta_ratio: float
+    r_closed: LogReal
+    r_quad: LogReal
+    r_ratio: float
+    chained: LogReal
+
+
+def _legendre(n: int, x: float):
+    """P_n(x) and P_n'(x) for 0 <= x < 1, by the three-term recurrence
+    carried in d_j = P_j - P_{j-1} and u = 1 - x,
+
+        d_j = ((j - 1) d_{j-1} - (2j - 1) u P_{j-1}) / j,
+
+    whose rounding does not grow near x = 1, where the plain recurrence
+    loses a factor ~n^2 (Reinsch's modification)."""
+    u = 1.0 - x
+    p, d = x, -u
+    for j in range(2, n + 1):
+        d = ((j - 1) * d - (2 * j - 1) * u * p) / j
+        p += d
+    # x P_n - P_{n-1} = d - u P_n
+    return p, n * (u * p - d) / (u * (1.0 + x))
+
+
+@functools.cache
+def _gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1].
+
+    Each positive node is found by Newton on P_n from
+    cos(pi (i - 1/4) / (n + 1/2)) (Hale & Townsend 2013) until a step is
+    below 1e-10, then one more step, and weighted 2 / ((1 - x^2) P_n'(x)^2);
+    the negative half is its mirror image, and odd n adds the node 0.
+    """
+    half = []
+    for i in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        step = math.inf
+        while abs(step) >= 1e-10:
+            p, dp = _legendre(n, x)
+            step = p / dp
+            x -= step
+        p, dp = _legendre(n, x)
+        x -= p / dp
+        _, dp = _legendre(n, x)
+        half.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
+    middle = [(0.0, 2.0 / _legendre(n, 0.0)[1] ** 2)] if n % 2 else []
+    rule = [(-x, w) for x, w in half] + middle + half[::-1]
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
+
+
+# W(m) keeps t <= c / sqrt(m): as cos t <= exp(-t^2/2) on [0, pi/2], the
+# dropped part is at most exp(-c^2/2) / (c sqrt(m)), below 1e-18 of W(m)
+_WALLIS_CUT = 9.0
+_WALLIS_NODES = 24
+
+
+def _wallis(ms: Sequence[float]):
+    """W(m) = int_0^{pi/2} cos^m t dt for each m >= 1, and an error estimate.
+
+    The integral runs over [0, min(pi/2, c / sqrt(m))], where cos^m t is
+    exp(m log1p(-2 sin^2(t/2))), accurate at every m.  Gauss-Legendre with
+    2n = 48 nodes gives the value and |Q_2n - Q_n|, with n = 24, the error
+    estimate; each rule is summed with fsum.  In the scaled variable
+    t sqrt(m) the integrand tends to exp(-u^2/2), so one rule fits every m.
+    """
+    vals, errs = [], []
+    for m in ms:
+        m = float(m)
+        half = min(math.pi / 2, _WALLIS_CUT / math.sqrt(m)) / 2.0
+
+        def rule(n):
+            terms = []
+            for x, w in zip(*_gauss_legendre(n)):
+                s = math.sin(half * (x + 1.0) / 2.0)
+                terms.append(w * math.exp(m * math.log1p(-2.0 * s * s)))
+            return half * math.fsum(terms)
+
+        fine = rule(2 * _WALLIS_NODES)
+        vals.append(fine)
+        errs.append(abs(fine - rule(_WALLIS_NODES)))
+    return vals, errs
+
+
+def gamma_integral_chain(k: int) -> GammaChain:
+    """Evaluates, closed-form and by quadrature:
+
+      beta integral: A^{k-1} int_R (A^2 + beta^2)^{-k/2} dbeta
+                     = sqrt(pi) Gamma(k/2 - 1/2) / Gamma(k/2),
+      r integral:    int_0^inf (k/2pi + r^2/2)^{-(k-1)} dr, whose printed
+                     closed form (2pi)^{k-1} Gamma(k - 3/2) / (k^{k-3/2} Gamma(k-1))
+                     exceeds the quadrature by a constant factor (the ratio
+                     is returned, not hidden).
+
+    The exact substitutions beta = A s and r = sqrt(2A) s, then s = tan t,
+    turn both integrals into Wallis integrals W(m) = int_0^{pi/2} cos^m t dt:
+    the beta integral is 2 W(k - 2) and the r integral's s part is W(2k - 4).
+    """
+    if k < 6:
+        raise PreconditionError("k must be >= 6")
+    _check_exact_int(k, "k")
+    a0 = k / (2 * math.pi)
+    vals, errs = _wallis((k - 2.0, 2.0 * k - 4.0))
+    for what, val, err in zip(("beta-integral", "r-integral"), vals, errs):
+        if not math.isfinite(val) or err > 1e-6 * val:
+            raise NumericalError(f"{what} quadrature did not converge (err {err:.3g})")
+    w_beta, w_r = vals
+
+    beta_closed = _beta_integral(k)
+    beta_quad = 2.0 * w_beta
+    log_r_closed = (
+        (k - 1) * math.log(2 * math.pi) + _log_gamma_ratio(2 * k - 2) - (k - 1.5) * math.log(k)
+    )
+    log_r_quad = 0.5 * math.log(2 * a0) + (1.0 - k) * math.log(a0) + math.log(w_r)
+
+    chained = LogReal.from_log(
+        math.log(2 * math.pi) + k * math.log(a0) + math.log(beta_quad) + log_r_quad
+    )
+    return GammaChain(
+        k=k,
+        beta_closed=beta_closed,
+        beta_quad=beta_quad,
+        beta_ratio=beta_quad / beta_closed,
+        r_closed=LogReal.from_log(log_r_closed),
+        r_quad=LogReal.from_log(log_r_quad),
+        # log_r_quad - log_r_closed with its O(k log k) terms cancelled exactly
+        r_ratio=math.exp(math.log(w_r) - _log_gamma_ratio(2 * k - 2) - _HALF_LOG_PI),
+        chained=chained,
+    )
+
+
+def cusp_term_log(k: int, cm: ConstantModel, covolume: float = 1.0) -> float:
+    """log of the closed-form stabilizer term
+
+        (sqrt(pi)/2) Gamma(k/2-1/2) Gamma(k-3/2) / (Gamma(k/2) Gamma(k-1))
+        * C(k) * k^{3/2} / covolume,
+
+    the chained integral bound for the lattice sum times C(k)."""
+    _check_exact_int(k, "k")
+    return (
+        cm.log_value(k).log()
+        + 1.5 * math.log(k)
+        + _HALF_LOG_PI
+        - math.log(2.0)
+        + _log_gamma_ratio(k)
+        + _log_gamma_ratio(2 * k - 2)
+        - math.log(covolume)
+    )
+
+
+# -- exponent fitting -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScalingFit:
+    """Least-squares fit of log bound(k) = intercept + slope * log k."""
+
+    slope: float
+    intercept: float
+    residual_rms: float
+
+
+def scaling_fit(ks: Sequence[int], bound: Callable[[int], LogReal]) -> ScalingFit:
+    """Fits the growth exponent of a positive bound over the given weights,
+    by least squares in closed form on the centred logs."""
+    ks = list(ks)
+    if len(set(ks)) < 5:
+        raise PreconditionError("at least 5 distinct k values are required")
+    if min(ks) <= 0:
+        raise PreconditionError("k values must be positive")
+    _check_exact_int(max(ks), "k")
+    xs = [math.log(k) for k in ks]
+    ys = []
+    for k in ks:
+        v = bound(k)
+        if isinstance(v, LogReal):
+            ys.append(v.log())
+        else:  # a non-positive float has no log; the check below rejects nan
+            v = float(v)
+            ys.append(math.log(v) if v > 0 else math.nan)
+    if not all(map(math.isfinite, ys)):
+        raise PreconditionError("the bound's log must be finite at every k")
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    dy = [y - y_mean for y in ys]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    rms = math.sqrt(math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy)) / len(ks))
+    return ScalingFit(slope, y_mean - slope * x_mean, rms)

@@ -22,3 +22,13 @@ class PreconditionError(PblError):
 class NumericalError(PblError):
     """An internal numerical procedure failed to converge or could not
     certify its result (quadrature, optimizer, enumeration radius)."""
+
+
+# ints up to 2^53 in magnitude convert to a float exactly; beyond that
+# k / 2 pi and k log(...) round, and past the double range they overflow
+_MAX_EXACT_INT = 2**53
+
+
+def _check_exact_int(n: int, name: str) -> None:
+    if abs(n) > _MAX_EXACT_INT:
+        raise PreconditionError(f"{name}: must be at most 2^53 in magnitude")

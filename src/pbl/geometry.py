@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, PreconditionError
+from .errors import DimensionError, DomainError, PreconditionError, _check_exact_int
 from .hermitian import Model, ModelPoint, lift, model_indicator
 from .logreal import LogReal, exp_or_raise, log_sinh
 
@@ -22,16 +22,6 @@ __all__ = [
     "petersson_objective",
     "curvature_determinant",
 ]
-
-
-# ints up to 2^53 in magnitude convert to a float exactly; beyond that
-# k / 2 pi and k log(...) round, and past the double range they overflow
-_MAX_EXACT_INT = 2**53
-
-
-def _check_exact_int(n: int, name: str) -> None:
-    if abs(n) > _MAX_EXACT_INT:
-        raise PreconditionError(f"{name}: must be at most 2^53 in magnitude")
 
 
 def _cosh2(z: ModelPoint, w: ModelPoint, mats=None):

@@ -212,9 +212,14 @@ def log_sinh(u: float) -> float:
 
 
 def log_cosh(u: float) -> float:
-    """log cosh(u) for u >= 0, without overflow up to u = 1e300."""
+    """log cosh(u) for u >= 0, without overflow up to u = 1e300, and to a
+    few eps relative for small u, where cosh(u) rounds to 1 + O(eps) and
+    log(cosh(u)) keeps only about eps/u^2 of its value (all of it below
+    u = 1e-8)."""
     if u > 20.0:
         return u - math.log(2.0) + math.log1p(math.exp(-2.0 * u))
+    if u < 1.0:
+        return math.log1p(2.0 * math.sinh(u / 2.0) ** 2)
     return math.log(math.cosh(u))
 
 

@@ -499,6 +499,11 @@ class TestScalingFit:
         with pytest.raises(PreconditionError):
             scaling_fit([10, 20, 30, 40, 50], lambda k: LogReal(1, math.inf))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_rejects_non_positive_float(self, bad):
+        with pytest.raises(PreconditionError):
+            scaling_fit([10, 20, 30, 40, 50], lambda k: bad if k == 30 else float(k))
+
 
 class TestCoversStability:
     def test_termwise_domination(self):

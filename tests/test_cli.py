@@ -6,12 +6,13 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pbl
-from pbl.cli import main
+from pbl.cli import _fmt, main
 
 
 def run(capsys, *argv):
@@ -78,6 +79,85 @@ def test_import_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# `import pbl` alone with no argv, else one pbl.cli.main call; prints the
+# exit code and whether numpy got loaded
+_LAZY_SCRIPT = """
+import contextlib, io, sys
+if len(sys.argv) == 1:
+    import pbl
+    code = 0
+else:
+    from pbl.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+_SWEEP = ["--k", "50..400:25", "--rx", "6", "--c-exponent", "2", "--fit"]
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, loads_numpy",
+    [
+        ([], 0, False),
+        (["bound", "cocompact", *_SWEEP], 0, False),
+        (["gamma-chain", "--k", "6..20"], 0, False),
+        (["fit", "--in", "REPORT"], 0, False),
+        (["lattice-sum", "--k", "4"], 2, False),
+        (["--help"], 0, False),
+        (["verify", "--seed", "0"], 0, True),
+    ],
+    ids=["import", "bound-cocompact", "gamma-chain", "fit", "usage-error", "help", "verify"],
+)
+def test_numpy_loads_only_for_array_commands(tmp_path, argv, want_code, loads_numpy):
+    report = tmp_path / "report.jsonl"
+    assert main(["bound", "cocompact", *_SWEEP, "--out", str(report)]) == 0
+    argv = [str(report) if a == "REPORT" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(pbl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCRIPT, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(want_code), str(loads_numpy)]
+
+
+def test_lazy_namespace():
+    for name in pbl.__all__:
+        getattr(pbl, name)
+    assert set(pbl.__all__) <= set(dir(pbl))
+    assert pbl.cusp_bound is pbl.bounds.cusp_bound
+    assert pbl.ConstantModel is pbl.bounds.ConstantModel is pbl.closed_forms.ConstantModel
+    with pytest.raises(AttributeError):
+        pbl.no_such_name
+
+
+@pytest.mark.parametrize(
+    "value, plain",
+    [
+        (np.float64(0.1), 0.1),
+        (np.float64(-1e300), -1e300),
+        (np.float64(math.inf), math.inf),
+        (np.float64(-math.inf), -math.inf),
+        (np.float64(math.nan), math.nan),
+        (np.float32(0.1), 0.10000000149011612),
+        (np.float32(math.inf), math.inf),
+        (np.float32(math.nan), math.nan),
+        (np.int64(-7), -7),
+        (np.int64(2**62), 2**62),
+        (np.bool_(True), True),
+        (np.bool_(False), False),
+    ],
+)
+def test_fmt_prints_numpy_scalars_as_python_scalars(value, plain):
+    assert type(_fmt(value)) is str
+    assert _fmt(value) == _fmt(plain)
 
 
 class TestVerify:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from collections import Counter
 
 import mpmath as mp
@@ -10,17 +11,23 @@ import pytest
 
 from pbl import (
     GAUSSIAN_SPEC,
+    ConstantModel,
     LatticeSpec,
+    LogReal,
     ModelPoint,
     OrbitSource,
     ball_form,
+    cocompact_bound,
     cusp_lattice_sum,
+    cusp_term_log,
     min_displacement,
     model2_form,
     model3_form,
+    scaling_fit,
     tail_bound_terms,
 )
 from pbl.bounds import _box_sum, _log_gamma_ratio, _tail_logs, _wallis
+from pbl.closed_forms import _gauss_legendre
 from pbl.transforms import _expm
 
 EISENSTEIN = LatticeSpec(
@@ -87,6 +94,101 @@ def test_wallis_integrals_match_beta_function(k):
             want = mp.beta(mp.mpf(1) / 2, (mp.mpf(m) + 1) / 2) / 2
             assert abs(mp.mpf(val) / want - 1) <= 1e-14, m
         assert err <= 1e-13 * val
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_gauss_legendre_nodes_are_legendre_roots(n):
+    """n ascending nodes, each within 1e-15 of a root of mp.legendre(n, x),
+    so they are all n roots of P_n."""
+    nodes, _ = _gauss_legendre(n)
+    assert len(nodes) == n and all(a < b for a, b in zip(nodes, nodes[1:]))
+    with mp.workdps(50):
+        for x in nodes:
+            root = mp.findroot(lambda t: mp.legendre(n, t), mp.mpf(x), solver="newton")
+            assert abs(root - x) <= 1e-15, (x, root)
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_gauss_legendre_weights_at_their_nodes(n):
+    """Each weight is within 8 eps of 2 / ((1 - x^2) P_n'(x)^2) at its own
+    rounded node x; the plain three-term recurrence misses this by ~1e-13
+    near x = +-1."""
+    nodes, weights = _gauss_legendre(n)
+    with mp.workdps(50):
+        for x, w in zip(nodes, weights):
+            x = mp.mpf(x)
+            dp = n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+            want = 2 / ((1 - x * x) * dp * dp)
+            assert abs(w / want - 1) <= 8 * sys.float_info.epsilon, (x, w)
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_gauss_legendre_weights_integrate_even_powers(n):
+    """sum w x^{2j} = 2/(2j+1) for j < n, summed exactly: each node is
+    rounded by up to half an ulp, which moves x^{2j} by up to j eps, so
+    (2j + 2) eps bounds the relative error; j = 0 is the weights' sum."""
+    nodes, weights = _gauss_legendre(n)
+    eps = 2.0**-52
+    with mp.workdps(50):
+        for j in range(n):
+            got = mp.fsum(mp.mpf(w) * mp.mpf(x) ** (2 * j) for x, w in zip(nodes, weights))
+            assert abs(got * (2 * j + 1) / 2 - 1) <= (2 * j + 2) * eps, j
+
+
+_FIT_KS = list(range(50, 401, 25))
+
+
+@pytest.mark.parametrize(
+    "log_bound",
+    [
+        lambda k: cocompact_bound(2, k, 6.0, ConstantModel(1.0, 2)).total.log(),
+        lambda k: cusp_term_log(k, ConstantModel(1.0, 2)),
+        lambda k: 2.5 * math.log(k) - 3.0 + 0.01 * math.sin(k),
+    ],
+    ids=["cocompact", "cusp-term", "wobble"],
+)
+def test_scaling_fit_matches_50_digit_least_squares(log_bound):
+    """Slope and intercept on the 15-point sweep 50..400:25 against the
+    50-digit least-squares line through (log k, y); both are coefficients
+    of a log, so the error is absolute."""
+    ys = [log_bound(k) for k in _FIT_KS]
+    fit = scaling_fit(_FIT_KS, lambda k: LogReal.from_log(ys[_FIT_KS.index(k)]))
+    with mp.workdps(50):
+        xs = [mp.log(k) for k in _FIT_KS]
+        x_mean, y_mean = mp.fsum(xs) / len(xs), mp.fsum(ys) / len(ys)
+        slope = mp.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / mp.fsum(
+            (x - x_mean) ** 2 for x in xs
+        )
+        intercept = y_mean - slope * x_mean
+        assert abs(fit.slope - slope) <= 1e-14
+        assert abs(fit.intercept - intercept) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [6, 7, 10**6, 2**53])
+@pytest.mark.parametrize("r_x", [1e-300, 1e-8, 6.0, 700.0, 1e300])
+def test_cocompact_terms_match_50_digit_logs(r_x, k):
+    """Each log term of the n = 2 bound, C(k) = k^2, against 50 digits, to
+    4 eps of the sum of its summands' magnitudes (log C, 2n log coth(r/4),
+    log(k - 5); 2n log(sinh(5r/8) / sinh(r/4)), k log cosh(3r/8)).  A term
+    below the double range must come out as zero."""
+    report = cocompact_bound(2, k, r_x, ConstantModel(1.0, 2))
+    with mp.workdps(50):
+        r, n = mp.mpf(r_x), 2
+        log_c = 2 * mp.log(k)
+        coth = 2 * n * mp.log(mp.cosh(r / 4) / mp.sinh(r / 4))
+        ratio = 2 * n * mp.log(mp.sinh(5 * r / 8) / mp.sinh(r / 4))
+        cosh = k * mp.log(mp.cosh(3 * r / 8))
+        want = {
+            "identity_term": (log_c, abs(log_c)),
+            "middle_term": (log_c + coth - mp.log(k - 5), log_c + coth + mp.log(k - 5)),
+            "ring_term": (log_c + ratio - cosh, log_c + ratio + cosh),
+        }
+        for name, (value, scale) in want.items():
+            got = report.terms[name].log_abs
+            if value < -sys.float_info.max:
+                assert got == -math.inf, name
+            else:
+                assert abs(got - value) <= 4 * sys.float_info.epsilon * scale, (name, got, value)
 
 
 def test_tail_integral_matches_mpmath_quad():
