@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import math
 import os
 import sys
@@ -27,7 +26,12 @@ from .closed_forms import ConstantModel, cocompact_bound, gamma_integral_chain, 
 from .errors import NumericalError, PblError, PreconditionError, _check_exact_int
 from .logreal import LogReal
 
-log = logging.getLogger("pbl")
+
+def _info(message: str) -> None:
+    """One `pbl: ` diagnostic line on stderr when PBL_LOG is info or debug."""
+    if os.environ.get("PBL_LOG", "error").lower() in ("info", "debug"):
+        print(f"pbl: {message}", file=sys.stderr)
+
 
 # -- output formatting -------------------------------------------------------
 
@@ -293,7 +297,7 @@ def cmd_bound(ns, file_cfg):
     if not 0 < cfg["c_gamma"] < math.inf:
         raise PreconditionError("--c-gamma: the constant must be positive and finite")
     _check_exact_int(cfg["c_exponent"], "--c-exponent")
-    log.info("bound sweep over %d weights", len(ks))
+    _info(f"bound sweep over {len(ks)} weights")
     cm = ConstantModel(cfg["c_gamma"], cfg["c_exponent"])
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
     rows = []
@@ -568,10 +572,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("PBL_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(stream=sys.stderr, level=level, format="pbl: %(message)s")
     ap = build_parser()
     ns = ap.parse_args(argv)
     try:

@@ -93,21 +93,28 @@ def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundRepor
     if not 0 < r_x < math.inf:
         raise PreconditionError("injectivity radius must be positive and finite")
     log_c = cm.log_value(k).log()
-    log_sh = log_sinh(r_x / 4.0)
+    # r_x / 8 first keeps 5 r_x / 8 finite; the two products overflow together
+    # only for r_x near the double range, where k >= 2n+2 sends the term to 0
+    r8 = r_x / 8.0
+    if r_x < 1e-8:
+        # sinh(u) = u to double precision for u <= 5 r_x / 8, so
+        # sinh(5 r_x/8) / sinh(r_x/4) = 5/2; log r_x - log 4 keeps a subnormal
+        # r_x exact, where r_x / 4 would round or underflow to 0
+        log_sh = math.log(r_x) - math.log(4.0)
+        log_ratio = math.log(2.5)
+    elif r_x < 4.0:
+        log_sh = log_sinh(r_x / 4.0)
+        # one quotient: below r_x = 4 the two logs grow like log r_x and cancel
+        log_ratio = math.log(math.sinh(5 * r8) / math.sinh(2 * r8))
+    else:
+        log_sh = log_sinh(r_x / 4.0)
+        log_ratio = log_sinh(5 * r8) - log_sh
     identity = LogReal.from_log(log_c)
     middle = LogReal.from_log(
         log_c
         + 2 * n * (log_cosh(r_x / 4.0) - log_sh)
         - math.log(k - 2 * n - 1)
     )
-    # r_x / 8 first keeps 5 r_x / 8 finite; the two products overflow together
-    # only for r_x near the double range, where k >= 2n+2 sends the term to 0
-    r8 = r_x / 8.0
-    if r_x < 4.0:
-        # one quotient: below r_x = 4 the two logs grow like log r_x and cancel
-        log_ratio = math.log(math.sinh(5 * r8) / math.sinh(2 * r8))
-    else:
-        log_ratio = log_sinh(5 * r8) - log_sh
     log_ring = log_c + 2 * n * log_ratio - k * log_cosh(3 * r8)
     ring = LogReal.from_log(-math.inf if math.isnan(log_ring) else log_ring)
     terms = {"identity_term": identity, "middle_term": middle, "ring_term": ring}
@@ -305,6 +312,8 @@ def cusp_term_log(k: int, cm: ConstantModel, covolume: float = 1.0) -> float:
 
     the chained integral bound for the lattice sum times C(k)."""
     _check_exact_int(k, "k")
+    if not 0 < covolume < math.inf:
+        raise PreconditionError("covolume must be positive and finite")
     return (
         cm.log_value(k).log()
         + 1.5 * math.log(k)

@@ -30,11 +30,12 @@ def _cosh2(z: ModelPoint, w: ModelPoint, mats=None):
     The ratio is projective, so the images g lift(w) need no normalising."""
     if z.model is not w.model or z.n != w.n:
         raise DomainError("points must lie in the same model")
-    h = z.form().entries
     zt = lift(z)
     wt = lift(w) if mats is None else mats @ lift(w)
-    wh = wt.conj() @ h
-    return np.abs(wh @ zt) ** 2 / ((zt.conj() @ h @ zt).real * (wh * wt).sum(axis=-1).real)
+    wh = wt.conj() @ z.form().entries
+    # <z,z> is the stored indicator; <g w, g w> is summed from the images and
+    # never taken as <w,w>, which would assume that g preserves the form exactly
+    return np.abs(wh @ zt) ** 2 / (model_indicator(z) * (wh * wt).sum(axis=-1).real)
 
 
 def cosh2_half_distance(z: ModelPoint, w: ModelPoint) -> float:
@@ -110,50 +111,55 @@ def petersson_objective(p: ModelPoint, k: int) -> LogReal:
     return LogReal.from_log(k * math.log(q) + 4 * math.pi * p.coords[0].real)
 
 
-def _log_one_minus_sq(coords: np.ndarray) -> float:
-    q = 1.0 - float(np.sum(np.abs(coords) ** 2))
-    if q <= 0.0:
-        raise DomainError("stencil point left the ball")
-    return math.log(q)
+def _one_minus_sq(zs) -> float:
+    return 1.0 - sum(w.real * w.real + w.imag * w.imag for w in zs)
 
 
-def _dolbeault_hessian(coords: np.ndarray, h: float) -> np.ndarray:
+def _dolbeault_hessian(zs: list, h: float) -> np.ndarray:
     """Matrix of second Wirtinger derivatives d^2/dz_j dzbar_k of
-    log(1-|z|^2), by central differences with step h."""
-    n = coords.shape[0]
+    log(1-|z|^2) at the point with Python complex coordinates zs, by
+    central differences with step h."""
+    n = len(zs)
     g = np.zeros((n, n), dtype=complex)
 
-    def f(delta):
-        return _log_one_minus_sq(coords + delta)
+    def f(*shifts):
+        # log(1-|z|^2) at zs moved by the given (index, offset) pairs
+        w = list(zs)
+        for j, s in shifts:
+            w[j] += s
+        q = _one_minus_sq(w)
+        if q <= 0.0:
+            raise DomainError("stencil point left the ball")
+        return math.log(q)
 
-    e = np.eye(n)
-    f0 = f(np.zeros(n, dtype=complex))
+    f0 = f()
     for j in range(n):
-        dxx = (f(h * e[j]) - 2 * f0 + f(-h * e[j])) / h**2
-        dyy = (f(1j * h * e[j]) - 2 * f0 + f(-1j * h * e[j])) / h**2
+        dxx = (f((j, h)) - 2 * f0 + f((j, -h))) / h**2
+        dyy = (f((j, 1j * h)) - 2 * f0 + f((j, -1j * h))) / h**2
         g[j, j] = 0.25 * (dxx + dyy)
 
-    def cross(u, v):
-        # 4-point stencil for the mixed second derivative along u, v
+    def cross(j, a, k, b):
+        # 4-point stencil for the mixed second derivative along a e_j, b e_k
+        u, v = h * a, h * b
         return (
-            f(h * (u + v)) - f(h * (u - v)) - f(h * (v - u)) + f(-h * (u + v))
+            f((j, u), (k, v)) - f((j, u), (k, -v)) - f((j, -u), (k, v)) + f((j, -u), (k, -v))
         ) / (4 * h**2)
 
     for j in range(n):
         for k in range(j + 1, n):
-            dxjxk = cross(e[j], e[k])
-            dyjyk = cross(1j * e[j], 1j * e[k])
-            dxjyk = cross(e[j], 1j * e[k])
-            dyjxk = cross(1j * e[j], e[k])
+            dxjxk = cross(j, 1, k, 1)
+            dyjyk = cross(j, 1j, k, 1j)
+            dxjyk = cross(j, 1, k, 1j)
+            dyjxk = cross(j, 1j, k, 1)
             g[j, k] = 0.25 * ((dxjxk + dyjyk) + 1j * (dxjyk - dyjxk))
             g[k, j] = np.conj(g[j, k])
     return g
 
 
-def _curvature_det_once(coords: np.ndarray, n: int, h: float) -> float:
-    ghat = -_dolbeault_hessian(coords, h)  # of -log(1-|z|^2), positive definite
+def _curvature_det_once(zs: list, n: int, h: float) -> float:
+    ghat = -_dolbeault_hessian(zs, h)  # of -log(1-|z|^2), positive definite
     c1 = ghat / (2 * math.pi)
-    q = 1.0 - float(np.sum(np.abs(coords) ** 2))
+    q = _one_minus_sq(zs)
     # metric matrix of the hyperbolic Kaehler form is 2G with
     # det G = (1-|z|^2)^-(n+1) in closed form
     log_den = n * math.log(2.0) - (n + 1) * math.log(q)
@@ -181,8 +187,9 @@ def curvature_determinant(z: ModelPoint, n: int | None = None, h: float = 1e-4) 
     radius = float(np.linalg.norm(coords))
     if radius + 2 * h >= 1.0:
         raise DomainError("point too close to the boundary for the stencil")
-    full = _curvature_det_once(coords, n, h)
-    half = _curvature_det_once(coords, n, h / 2)
+    zs = coords.tolist()
+    full = _curvature_det_once(zs, n, h)
+    half = _curvature_det_once(zs, n, h / 2)
     if abs(full - half) > 1e-5 * abs(half):
         return (4.0 * half - full) / 3.0
     return half

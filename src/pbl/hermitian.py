@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class HermitianForm:
         return inv
 
     def __eq__(self, other):
-        return (
+        # the standard forms are singletons, so identity settles most calls
+        return self is other or (
             isinstance(other, HermitianForm)
             and self.dim == other.dim
             and bool(np.abs(self.entries - other.entries).max() <= HERMITIAN_TOL)
@@ -131,27 +132,41 @@ class ModelPoint:
     """An interior point of one of the models, stored in affine coordinates.
 
     Constructors reject boundary and exterior points (indicator >= 0), so
-    every ModelPoint in circulation is strictly interior.
+    every ModelPoint in circulation is strictly interior.  The lift
+    (z_1, ..., z_n, 1) and its indicator are computed once, at construction;
+    `coords` and `lift(p)` are read-only views of one private buffer.
     """
 
     model: Model
     coords: np.ndarray
+    _lift: np.ndarray = field(init=False, repr=False, compare=False)
+    _indicator: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coords, dtype=complex))
+        c = np.asarray(self.coords, dtype=complex)
+        if c.ndim == 0:
+            c = c.reshape(1)
         if c.ndim != 1:
             raise DimensionError("coords must be a vector")
-        if self.model in (Model.M2, Model.M3) and c.shape[0] != 2:
+        n = c.shape[0]
+        if self.model is Model.BALL:
+            if n < 2:
+                raise DimensionError("ball points need n >= 2 coordinates")
+        elif n != 2:
             raise DimensionError(f"{self.model.value} points live in C^2")
-        if self.model is Model.BALL and c.shape[0] < 2:
-            raise DimensionError("ball points need n >= 2 coordinates")
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-        ind = model_indicator(self)
+        # a fresh buffer, so that the caller's array stays the caller's
+        zt = np.empty(n + 1, dtype=complex)
+        zt[:n] = c
+        zt[n] = 1.0
+        zt.setflags(write=False)
+        ind = float((zt.conj() @ standard_form_for(self.model, n).entries @ zt).real)
         if not ind < 0:
             raise DomainError(
                 f"not an interior {self.model.value} point (indicator {ind:.3g} >= 0)"
             )
+        object.__setattr__(self, "coords", zt[:n])
+        object.__setattr__(self, "_lift", zt[:])
+        object.__setattr__(self, "_indicator", ind)
 
     @property
     def n(self) -> int:
@@ -159,15 +174,15 @@ class ModelPoint:
 
     @staticmethod
     def ball(coords) -> "ModelPoint":
-        return ModelPoint(Model.BALL, np.asarray(coords, dtype=complex))
+        return ModelPoint(Model.BALL, coords)
 
     @staticmethod
     def m2(z1, z2) -> "ModelPoint":
-        return ModelPoint(Model.M2, np.array([z1, z2], dtype=complex))
+        return ModelPoint(Model.M2, (z1, z2))
 
     @staticmethod
     def m3(z1, z2) -> "ModelPoint":
-        return ModelPoint(Model.M3, np.array([z1, z2], dtype=complex))
+        return ModelPoint(Model.M3, (z1, z2))
 
     def form(self) -> HermitianForm:
         return standard_form_for(self.model, self.n)
@@ -188,15 +203,15 @@ def inner_product(form: HermitianForm, zt, wt) -> complex:
 
 
 def lift(p: ModelPoint) -> np.ndarray:
-    """The canonical lift (z_1, ..., z_n, 1)."""
-    return np.append(p.coords, 1.0 + 0.0j)
+    """The canonical lift (z_1, ..., z_n, 1): the point's stored read-only
+    vector, a view that shares memory with p.coords."""
+    return p._lift
 
 
 def model_indicator(p: ModelPoint) -> float:
-    """<lift(p), lift(p)> under the model's standard form.
+    """<lift(p), lift(p)> under the model's standard form, stored at
+    construction as lift.conj() @ F @ lift.
 
     Real by Hermitian symmetry and negative exactly on interior points.
     """
-    zt = np.append(np.asarray(p.coords, dtype=complex), 1.0 + 0.0j)
-    form = standard_form_for(p.model, zt.shape[0] - 1)
-    return float((zt.conj() @ form.entries @ zt).real)
+    return p._indicator

@@ -9,6 +9,7 @@ point_domain/point_codomain properties spell that out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,6 +190,14 @@ _EXP_COEF = np.array(
 _EXP_COEF[3, 4] = 1.0 / math.factorial(16)
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, built once per d (read-only)."""
+    e = np.eye(d, dtype=complex)
+    e.setflags(write=False)
+    return e
+
+
 def _expm(x: np.ndarray, norm: float) -> np.ndarray:
     """exp(x) for a square matrix x with Frobenius norm `norm`, by scaling
     and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
@@ -203,17 +212,22 @@ def _expm(x: np.ndarray, norm: float) -> np.ndarray:
     if s:
         x = x * 2.0**-s
     d = x.shape[0]
-    x2 = x @ x
-    x4 = x2 @ x2
-    powers = np.stack([np.eye(d), x, x2, x2 @ x, x4]).reshape(5, d * d)
-    b = (_EXP_COEF @ powers).reshape(4, d, d)
+    powers = np.empty((5, d, d), dtype=complex)
+    powers[0] = _identity(d)
+    powers[1] = x
+    x2, x3, x4 = powers[2:]
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    np.matmul(x2, x2, out=x4)
+    b = (_EXP_COEF @ powers.reshape(5, d * d)).reshape(4, d, d)
     r = b[3]
     for j in (2, 1, 0):
         r = b[j] + x4 @ r
-    # an overflow is left as inf or nan, for the caller's check to reject
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            r = r @ r
+    if s:
+        # an overflow is left as inf or nan, for the caller's check to reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                r = r @ r
     return r
 
 
@@ -232,8 +246,11 @@ def random_isometry(form: HermitianForm, seed: int, scale: float = 0.5) -> Isome
     d = form.dim
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     x = a - form.inverse @ a.conj().T @ form.entries
-    x.flat[:: d + 1] -= np.trace(x) / d
-    norm = np.linalg.norm(x)
+    diag = x.reshape(-1)[:: d + 1]
+    diag -= diag.sum() / d
+    # the Frobenius norm, summed as numpy.linalg.norm sums it
+    v = x.reshape(-1)
+    norm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
     if norm > 0 and scale != 0:
         x *= scale / norm
     else:

@@ -528,3 +528,9 @@ class TestCoversStability:
         s_sub = orbit_cosh_power_sum(sub, z, k)
         assert s_sub <= s_full
         assert len(sub) < len(full)
+
+
+@pytest.mark.parametrize("covolume", [0.0, -1.0, math.inf, math.nan])
+def test_cusp_term_log_rejects_bad_covolume(covolume):
+    with pytest.raises(PreconditionError, match="covolume"):
+        cusp_term_log(6, ConstantModel(), covolume)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -235,6 +236,50 @@ class TestBound:
         assert code == 0 and "Traceback" not in err
         (row,) = rows_of(out)
         assert math.isfinite(row["log_total"])
+
+
+@pytest.mark.parametrize("rx", ["5e-324", "1e-322"])
+@pytest.mark.parametrize("which", ["cocompact", "cusp"])
+def test_subnormal_rx_gives_finite_terms(capsys, which, rx):
+    # r_x / 4 and r_x / 8 underflow here; the terms must not
+    code, out, err = run(capsys, "bound", which, "--k", "6", "--rx", rx)
+    assert (code, err) == (0, "")
+    # the row's normalized_total overflows to inf, which json cannot read
+    logs = {key: float(v) for key, v in re.findall(r'"(log_\w+)": ([^,}]+)', out.splitlines()[1])}
+    assert len(logs) >= 4 and all(map(math.isfinite, logs.values()))
+    # sinh(5 r/8) / sinh(r/4) = 5/2 to double precision
+    assert logs["log_ring_term"] == pytest.approx(4 * math.log(2.5), rel=1e-15)
+
+
+class TestDiagnostics:
+    def test_info_prints_the_sweep_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("PBL_LOG", "info")
+        code, out, err = run(capsys, "bound", "cocompact", "--k", "6..8")
+        assert code == 0 and len(rows_of(out)) == 3
+        assert err == "pbl: bound sweep over 3 weights\n"
+
+    def test_default_prints_nothing(self, capsys, monkeypatch):
+        monkeypatch.delenv("PBL_LOG", raising=False)
+        code, _, err = run(capsys, "bound", "cocompact", "--k", "6..8")
+        assert (code, err) == (0, "")
+
+    def test_numpy_free_command_loads_no_logging(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from pbl.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['bound', 'cocompact', '--k', '6..8'])\n"
+            "print(code, 'logging' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(pbl.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src, "PBL_LOG": "info"},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+        assert proc.stderr == "pbl: bound sweep over 3 weights\n"
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,51 @@
+"""The stdout of the deterministic CLI calls of a paper-reproduction
+session, byte for byte, against the files in tests/golden/.
+
+After a deliberate output change, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import difflib
+import io
+import pathlib
+
+import pytest
+
+from pbl.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+_SWEEP = ["--k", "50..400:25", "--rx", "6", "--c-exponent", "2", "--fit"]
+CALLS = {
+    "verify": ["verify", "--seed", "0"],
+    "bound_cocompact_fit": ["bound", "cocompact", *_SWEEP],
+    "bound_cusp_fit": ["bound", "cusp", *_SWEEP],
+    "lattice_sum": ["lattice-sum", "--k", "6", "--tol", "1e-8"],
+    "gamma_chain": ["gamma-chain", "--k", "6..20"],
+    "count": ["count", "--delta", "0..4:0.5"],
+    "maxima": ["maxima", "--k", "20"],
+}
+
+
+def stdout_of(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_cli_stdout_matches_golden(name):
+    want = (GOLDEN / f"{name}.out").read_text()
+    got = stdout_of(CALLS[name])
+    diff = "".join(
+        difflib.unified_diff(want.splitlines(True), got.splitlines(True), "golden", "now")
+    )
+    assert got == want, f"pbl {' '.join(CALLS[name])} changed its output:\n{diff}"
+
+
+if __name__ == "__main__":
+    for name, argv in CALLS.items():
+        (GOLDEN / f"{name}.out").write_text(stdout_of(argv))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbl import (
     DimensionError,
@@ -13,6 +14,7 @@ from pbl import (
     model2_form,
     model3_form,
     model_indicator,
+    standard_form_for,
     standard_forms,
 )
 
@@ -147,3 +149,59 @@ class TestPointConstruction:
         p = ModelPoint.ball([0.1, 0.2])
         with pytest.raises(ValueError):
             p.coords[0] = 0.5
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def model_points(draw):
+    """Interior points of all three models; ball points in n = 2..4."""
+    model = draw(st.sampled_from(list(Model)))
+    if model is Model.BALL:
+        n = draw(st.integers(2, 4))
+        v = np.array([complex(draw(_unit), draw(_unit)) for _ in range(n)])
+        norm = float(np.linalg.norm(v))
+        radius = draw(st.floats(0.0, 0.999))
+        # a tiny v is kept as it is: radius / norm could overflow
+        return ModelPoint.ball(v * (radius / norm) if norm > 1e-100 else v)
+    z2 = 3 * complex(draw(_unit), draw(_unit))
+    t = draw(st.floats(1e-3, 1e3))
+    other = draw(st.floats(-1e3, 1e3))
+    if model is Model.M2:  # 2 Im z1 > |z2|^2
+        return ModelPoint.m2(complex(other, abs(z2) ** 2 / 2 + t), z2)
+    return ModelPoint.m3(complex(-(abs(z2) ** 2 / 2 + t), other), z2)  # 2 Re z1 < -|z2|^2
+
+
+class TestStoredLift:
+    @settings(max_examples=300, deadline=None)
+    @given(p=model_points())
+    def test_indicator_is_the_lift_pairing_bit_for_bit(self, p):
+        zt = lift(p)
+        form = standard_form_for(p.model, p.n)
+        assert model_indicator(p) == float((zt.conj() @ form.entries @ zt).real)
+        assert model_indicator(p) < 0
+
+    def test_lift_is_the_stored_coords_and_one(self):
+        p = ModelPoint.ball([0.1, 0.2j, -0.3])
+        assert lift(p) is lift(p)
+        assert np.shares_memory(lift(p), p.coords)
+        assert np.array_equal(lift(p), [0.1, 0.2j, -0.3, 1])
+
+    def test_coords_and_lift_cannot_be_written(self):
+        p = ModelPoint.m3(-1.0 + 0.5j, 0.25)
+        before = lift(p).copy()
+        for arr in (p.coords, lift(p)):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+        assert np.array_equal(lift(p), before)
+        assert model_indicator(p) == float((before.conj() @ model3_form().entries @ before).real)
+
+    def test_callers_array_stays_theirs(self):
+        v = np.array([0.1 + 0.1j, 0.2])
+        p = ModelPoint.ball(v)
+        v[0] = 0.9  # the caller's array stays writable, and p keeps its copy
+        assert p.coords[0] == 0.1 + 0.1j
+        assert lift(p)[0] == 0.1 + 0.1j

@@ -165,7 +165,7 @@ def test_scaling_fit_matches_50_digit_least_squares(log_bound):
 
 
 @pytest.mark.parametrize("k", [6, 7, 10**6, 2**53])
-@pytest.mark.parametrize("r_x", [1e-300, 1e-8, 6.0, 700.0, 1e300])
+@pytest.mark.parametrize("r_x", [5e-324, 1e-322, 1e-300, 1e-8, 6.0, 700.0, 1e300])
 def test_cocompact_terms_match_50_digit_logs(r_x, k):
     """Each log term of the n = 2 bound, C(k) = k^2, against 50 digits, to
     4 eps of the sum of its summands' magnitudes (log C, 2n log coth(r/4),

@@ -6,6 +6,7 @@ from pbl import (
     DimensionError,
     DomainError,
     HeisenbergParam,
+    HermitianForm,
     Isometry,
     Model,
     ModelPoint,
@@ -187,3 +188,19 @@ class TestIsometryValidation:
         m[2, :2] = c
         m[2, 2] = d
         assert np.array_equal(m, g.mat)
+
+
+class TestFormIdentity:
+    def test_apply_accepts_an_equal_but_distinct_form(self):
+        copy = HermitianForm(ball_form(2).entries.copy())
+        assert copy is not ball_form(2) and copy == ball_form(2)
+        p = ModelPoint.ball([0.3 - 0.1j, 0.2j])
+        got = apply(random_isometry(copy, 3), p)
+        want = apply(random_isometry(ball_form(2), 3), p)
+        assert np.array_equal(got.coords, want.coords)
+
+    @pytest.mark.parametrize("form", [model3_form(), HermitianForm(model3_form().entries.copy())])
+    def test_apply_rejects_another_models_form(self, form):
+        g = random_isometry(form, 3)
+        with pytest.raises(DomainError, match="isometry preserves a different form than the ball model's"):
+            apply(g, ModelPoint.ball([0.3, 0.1]))
