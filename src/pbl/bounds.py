@@ -68,43 +68,90 @@ class CuspSumResult:
     n_terms: int
 
 
+def _fold(beta: np.ndarray, split: int):
+    """The |beta| of an ascending beta row whose first split entries are
+    negative, each distinct value once, and how many times each occurs
+    (1 or 2); values merge only when they are equal floats.  The row is an
+    arithmetic progression, so its negative half, reversed, can only match
+    the top of its nonnegative half (or the other way round)."""
+    pos, neg = beta[split:], -beta[split - 1 :: -1] if split else beta[:0]
+    if pos.size < neg.size:
+        pos, neg = neg, pos
+    j = pos.size - neg.size
+    hit = pos[j:] == neg
+    mult = np.empty(pos.size)
+    mult[:j] = 1.0
+    np.add(hit, 1.0, out=mult[j:])
+    if np.count_nonzero(hit) == neg.size:
+        return pos, mult
+    rest = neg[~hit]
+    return np.concatenate((pos, rest)), np.concatenate((mult, np.ones(rest.size)))
+
+
+def _runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """The index where each run of equal values in sorted_keys starts,
+    followed by len(sorted_keys)."""
+    return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1], [True])))
+
+
 def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
     """The terms with |beta| <= r_beta over the columns of disc, and the
     number of lattice points they cover.
 
     A column's beta line depends only on its exact (h, offset) pair, with
-    h = |alpha|^2/2, so each distinct pair is summed once and weighted by its
-    column count.  Each term is (1 + x)^{-k/2} with
-    x = (a^2 + beta^2)/a0^2 - 1 = (h (2 a0 + h) + beta^2)/a0^2, formed
+    h = |alpha|^2/2, and a term only on h and |beta|.  So the distinct pairs
+    are grouped by offset.  Each offset class builds its beta row once,
+    folds it to its distinct |beta| and their counts (2 where beta and
+    -beta are both on the row), evaluates one block of its lines times
+    those |beta|, and reduces the block by row sums weighted by the counts,
+    then by the column weights.  A symmetric class (offset = -offset mod step) evaluates about
+    half its row; an asymmetric one all of it.  Each term is (1 + x)^{-k/2}
+    with x = (a^2 + beta^2)/a0^2 - 1 = (h (2 a0 + h) + beta^2)/a0^2, formed
     without the cancellation of k log a0 - (k/2) log(a^2 + beta^2), whose
-    rounding grows like k eps.
+    rounding grows like k eps.  The count is each class's column weight
+    times its row length.  The work budget is checked, before any block is
+    built, against every line at the full unfolded row length.
     """
     a0 = k / (2 * math.pi)
     alpha = disc.alpha
-    # h + i offset as a 1-D key; re^2 + im^2 is exact on integer alphas
-    key, weight = np.unique(
-        (alpha.real**2 + alpha.imag**2) / 2.0 + 1j * disc.offset, return_counts=True
-    )
-    h, offs = key.real, key.imag
+    # offset + i h as one key, sorted class by class; re^2 + im^2 is exact
+    # on integer alphas
+    key = np.sort(disc.offset + 1j * ((alpha.real**2 + alpha.imag**2) / 2.0))
+    edges = _runs(key)
+    weight = np.subtract(edges[1:], edges[:-1], dtype=float)
+    lines = key[edges[:-1]]
+    offs, h = lines.real, lines.imag
     step = spec.beta_step
     off_max = float(np.abs(offs).max()) if offs.size else 0.0
     half_line = (r_beta + off_max) / step
     _check_budget(2 * half_line + 3, f"the beta line of radius {r_beta:.3g}")
     _check_terms(h.size * (2 * half_line + 3), f"the lattice sum box ({h.size} beta lines)")
     l_max = int(math.floor(half_line)) + 1
-    l = np.arange(-l_max, l_max + 1)
+    l_step = np.arange(-l_max, l_max + 1) * step
+    h_part = h * (2.0 * a0 + h)
+    # a row's window |beta| <= r_beta runs from its first beta >= -r_beta
+    # to its first beta > r_beta, and its first beta >= 0 splits it
+    window = np.array((-r_beta, 0.0, math.nextafter(r_beta, math.inf)))
+    columns = edges.tolist()
+    classes = _runs(offs).tolist()
     total = 0.0
     count = 0
-    chunk = max(1, int(2_000_000 / (2 * l_max + 1)))
-    for i in range(0, h.size, chunk):
-        beta = offs[i : i + chunk, None] + l[None, :] * step
-        mask = np.abs(beta) <= r_beta
-        hc = h[i : i + chunk, None]
-        x = (hc * (2.0 * a0 + hc) + beta**2) / (a0 * a0)
-        vals = np.exp(-(k / 2.0) * np.log1p(x)) * mask
-        w = weight[i : i + chunk]
-        total += float(w @ vals.sum(axis=1))
-        count += int(w @ mask.sum(axis=1))
+    for lo, hi in zip(classes[:-1], classes[1:]):
+        beta = offs[lo] + l_step
+        start, split, stop = np.searchsorted(beta, window).tolist()
+        count += (columns[hi] - columns[lo]) * (stop - start)
+        beta_abs, mult = _fold(beta[start:stop], split - start)
+        beta_sq = beta_abs * beta_abs
+        chunk = max(1, 2_000_000 // max(beta_sq.size, 1))
+        for i in range(lo, hi, chunk):
+            j = min(i + chunk, hi)
+            x = h_part[i:j, None] + beta_sq
+            x /= a0 * a0
+            np.log1p(x, out=x)
+            x *= -(k / 2.0)
+            np.exp(x, out=x)
+            x *= mult
+            total += float(weight[i:j] @ x.sum(axis=1))
     return total, count
 
 

@@ -49,7 +49,12 @@ def _fmt(v) -> str:
 
 
 def _jsonl(row: dict) -> str:
-    parts = [f"{json.dumps(key)}: {_fmt(val)}" for key, val in row.items()]
+    """One JSON object.  JSON has no inf or nan, so a float that is not
+    finite is written as null; a report's log_* columns carry its value."""
+    parts = []
+    for key, val in row.items():
+        text = _fmt(val)
+        parts.append(f"{json.dumps(key)}: {'null' if text in ('inf', '-inf', 'nan') else text}")
     return "{" + ", ".join(parts) + "}"
 
 

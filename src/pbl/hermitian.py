@@ -127,14 +127,16 @@ def standard_form_for(model: Model, n: int = 2) -> HermitianForm:
     return model3_form()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelPoint:
     """An interior point of one of the models, stored in affine coordinates.
 
     Constructors reject boundary and exterior points (indicator >= 0), so
     every ModelPoint in circulation is strictly interior.  The lift
     (z_1, ..., z_n, 1) and its indicator are computed once, at construction;
-    `coords` and `lift(p)` are read-only views of one private buffer.
+    `coords` and `lift(p)` are read-only views of one private buffer.  Two
+    points are equal when they have the same model and exactly equal
+    coordinates, and equal points hash alike.
     """
 
     model: Model
@@ -167,6 +169,15 @@ class ModelPoint:
         object.__setattr__(self, "coords", zt[:n])
         object.__setattr__(self, "_lift", zt[:])
         object.__setattr__(self, "_indicator", ind)
+
+    def __eq__(self, other):
+        if not isinstance(other, ModelPoint):
+            return NotImplemented
+        return self.model is other.model and self.coords.tolist() == other.coords.tolist()
+
+    def __hash__(self):
+        # Python complex numbers: 0.0 and -0.0 compare and hash alike
+        return hash((self.model, tuple(self.coords.tolist())))
 
     @property
     def n(self) -> int:

@@ -148,27 +148,28 @@ class LatticeSpec:
         """Every column (m, n) with |alpha| <= r_alpha, lexicographic.
 
         The index box |m| <= m_max, |n| <= n_max around the disc comes from
-        the dual basis row norms; NumericalError if it exceeds the budget.
+        the dual basis row norms, |a2|/area and |a1|/area (the rows of the
+        inverse of the basis [[a1, a2]]); NumericalError if it exceeds the
+        budget.
         """
         if not r_alpha >= 0:
             raise PreconditionError("radii must be nonnegative")
-        basis = np.array(
-            [[self.a1.real, self.a2.real], [self.a1.imag, self.a2.imag]], dtype=float
-        )
-        dual_norms = np.linalg.norm(np.linalg.inv(basis), axis=1)
+        area = self.cell_area
+        dual_norms = (abs(self.a2) / area, abs(self.a1) / area)
         # Python floats: a box past the double range is inf, not a warning
-        m_max, n_max = np.floor(r_alpha * dual_norms + 1e-9).tolist()
+        m_max, n_max = np.floor([r_alpha * d + 1e-9 for d in dual_norms]).tolist()
         _check_budget(
             (2 * m_max + 1) * (2 * n_max + 1), f"the alpha disc of radius {r_alpha:.3g}"
         )
         m_max, n_max = int(m_max), int(n_max)
-        m = np.repeat(np.arange(-m_max, m_max + 1), 2 * n_max + 1)
-        n = np.tile(np.arange(-n_max, n_max + 1), 2 * m_max + 1)
-        alpha = m * self.a1 + n * self.a2
+        m = np.arange(-m_max, m_max + 1)
+        n = np.arange(-n_max, n_max + 1)
+        alpha = (m * self.a1)[:, None] + n * self.a2
         # hypot, not np.abs: it rounds like Python's abs(complex)
         keep = np.hypot(alpha.real, alpha.imag) <= r_alpha
-        m, n, alpha = m[keep], n[keep], alpha[keep]
-        return AlphaDisc(m, n, alpha, self._offsets(m, n))
+        i, j = np.nonzero(keep)
+        m, n = m[i], n[j]
+        return AlphaDisc(m, n, alpha[keep], self._offsets(m, n))
 
     def _offsets(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         """The beta offsets of the columns (m, n): one call of the rule on the

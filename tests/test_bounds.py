@@ -240,6 +240,17 @@ class TestCuspLatticeSum:
         assert res.value.to_float() == pytest.approx(got, rel=1e-15)
 
     @pytest.mark.parametrize(
+        "spec", [GAUSSIAN_SPEC, EISENSTEIN_OFFSET, SKEW_SPEC], ids=["gaussian", "eisenstein", "skew"]
+    )
+    @pytest.mark.parametrize("r_beta", [2.0, 2.1, 2.25])
+    def test_box_includes_the_betas_on_its_radius(self, spec, r_beta):
+        # each radius is some line's |beta| at the top of its window
+        got, count = _box_sum(spec, spec.disc(3.0), 6, r_beta)
+        want, want_count = direct_box_sum(spec, 6, 3.0, r_beta)
+        assert count == want_count
+        assert got == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
         "k, tol, lattice",
         [
             *((k, 1e-8, "gaussian") for k in (8, 20, 200, 5000, 20000)),

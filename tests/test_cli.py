@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import time
@@ -13,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pbl
-from pbl.cli import _fmt, main
+from pbl.cli import _fmt, _jsonl, main
 
 
 def run(capsys, *argv):
@@ -244,11 +243,29 @@ def test_subnormal_rx_gives_finite_terms(capsys, which, rx):
     # r_x / 4 and r_x / 8 underflow here; the terms must not
     code, out, err = run(capsys, "bound", which, "--k", "6", "--rx", rx)
     assert (code, err) == (0, "")
-    # the row's normalized_total overflows to inf, which json cannot read
-    logs = {key: float(v) for key, v in re.findall(r'"(log_\w+)": ([^,}]+)', out.splitlines()[1])}
+    (row,) = rows_of(out)
+    logs = {key: v for key, v in row.items() if key.startswith("log_")}
     assert len(logs) >= 4 and all(map(math.isfinite, logs.values()))
     # sinh(5 r/8) / sinh(r/4) = 5/2 to double precision
     assert logs["log_ring_term"] == pytest.approx(4 * math.log(2.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("which", ["cocompact", "cusp"])
+def test_overflowing_total_is_json_null(capsys, which):
+    # exp(log_total) passes the double range; json has no inf
+    code, out, err = run(capsys, "bound", which, "--k", "6..8", "--rx", "1e-77")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 4
+    rows = [json.loads(line) for line in lines][1:]
+    for row in rows:
+        assert row["normalized_total"] is None
+        assert math.isfinite(row["log_total"]) and row["log_total"] > 709.8
+
+
+def test_jsonl_writes_non_finite_floats_as_null():
+    row = {"a": math.inf, "b": -math.inf, "c": math.nan, "d": np.float32(math.inf), "e": 1.5, "f": "inf"}
+    assert json.loads(_jsonl(row)) == {"a": None, "b": None, "c": None, "d": None, "e": 1.5, "f": "inf"}
 
 
 class TestDiagnostics:

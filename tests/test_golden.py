@@ -4,6 +4,8 @@ session, byte for byte, against the files in tests/golden/.
 After a deliberate output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the files whose bytes changed and prints their names.
 """
 
 import contextlib
@@ -46,6 +48,29 @@ def test_cli_stdout_matches_golden(name):
     assert got == want, f"pbl {' '.join(CALLS[name])} changed its output:\n{diff}"
 
 
+def rewrite(golden=GOLDEN, calls=CALLS) -> list:
+    """Rewrite each golden file whose bytes differ from its call's stdout,
+    and return the paths rewritten."""
+    changed = []
+    for name, argv in calls.items():
+        path = golden / f"{name}.out"
+        got = stdout_of(argv)
+        if not path.exists() or path.read_text() != got:
+            path.write_text(got)
+            changed.append(path)
+    return changed
+
+
+def test_rewrite_touches_only_changed_files(tmp_path):
+    calls = {name: CALLS[name] for name in ("maxima", "gamma_chain")}
+    for name in calls:
+        (tmp_path / f"{name}.out").write_text((GOLDEN / f"{name}.out").read_text())
+    (tmp_path / "maxima.out").write_text("stale\n")
+    assert rewrite(tmp_path, calls) == [tmp_path / "maxima.out"]
+    assert (tmp_path / "maxima.out").read_text() == (GOLDEN / "maxima.out").read_text()
+    assert rewrite(tmp_path, calls) == []
+
+
 if __name__ == "__main__":
-    for name, argv in CALLS.items():
-        (GOLDEN / f"{name}.out").write_text(stdout_of(argv))
+    for path in rewrite():
+        print(f"rewrote {path.relative_to(GOLDEN.parent.parent)}")

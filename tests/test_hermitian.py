@@ -151,6 +151,30 @@ class TestPointConstruction:
             p.coords[0] = 0.5
 
 
+class TestPointEquality:
+    def test_equal_coordinates_are_equal_points(self):
+        p, q = ModelPoint.ball([0.1, 0.2]), ModelPoint.ball(np.array([0.1, 0.2]))
+        assert p == q and not p != q
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
+
+    def test_signed_zero_is_one_coordinate(self):
+        p, q = ModelPoint.ball([0.0, 0.2]), ModelPoint.ball([-0.0, complex(0.2, -0.0)])
+        assert p == q and hash(p) == hash(q)
+
+    def test_unequal_points(self):
+        p = ModelPoint.ball([0.1, 0.2])
+        assert p != ModelPoint.ball([0.1, np.nextafter(0.2, 1.0)])
+        assert p != ModelPoint.ball([0.1, 0.2, 0.0])
+        assert p != (0.1, 0.2) and p != "p"
+
+    def test_same_coordinates_other_model(self):
+        z1, z2 = complex(-1.0, 1.0), 0.1
+        p, q = ModelPoint.m3(z1, z2), ModelPoint.m2(z1, z2)
+        assert p.coords.tolist() == q.coords.tolist()
+        assert p != q
+
+
 _unit = st.floats(-1.0, 1.0)
 
 

@@ -35,6 +35,9 @@ EISENSTEIN = LatticeSpec(
     beta_step=0.5,
     beta_offset_rule=lambda m, n: 0.25 * ((m * n) % 2),
 )
+# offsets 0, 0.1, 0.2 by m mod 3: no beta of an offset-0.1 or 0.2 line is
+# minus another beta of the same line
+SKEW = LatticeSpec(beta_offset_rule=lambda m, n: 0.1 * (m % 3))
 
 
 def _oracle_log_gamma_ratio(j):
@@ -285,4 +288,40 @@ def test_box_sum_matches_40_digit_sum(k):
             a_sq = (a0 + mp.mpf(s) / 2) ** 2
             side = mp.fsum((a0 * a0 / (a_sq + l * l)) ** half_k for l in range(1, l_max + 1))
             want += count * (2 * side + (a0 * a0 / a_sq) ** half_k)
+        assert abs(mp.mpf(got) / want - 1) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", [EISENSTEIN, SKEW], ids=["eisenstein", "skew"])
+@pytest.mark.parametrize("k, rel_tol", [(6, 1e-3), (60, 1e-8)])
+def test_grouped_box_sum_matches_40_digit_sum(spec, k, rel_tol):
+    """_box_sum over a certified box equals the 40-digit sum of
+    (a0^2 / ((a0 + h)^2 + beta^2))^{k/2} over the same lattice points, to
+    1e-15, with h = |m a1 + n a2|^2 / 2 and beta = offset + l step taken
+    exactly from the spec's doubles.  The Eisenstein offsets 0 and 1/4 are
+    symmetric mod the step 1/2, so their beta rows fold; SKEW's do not
+    (except offset 0).  The point count is the oracle's too."""
+    res = cusp_lattice_sum(k, spec, rel_tol)
+    disc = spec.disc(res.r_alpha)
+    got, count = _box_sum(spec, disc, k, res.r_beta)
+    step = spec.beta_step
+    # beta = offset + l step in doubles decides membership, as in the box
+    betas = {}
+    for off in set(disc.offset.tolist()):
+        l_max = math.ceil((res.r_beta + abs(off)) / step) + 1
+        betas[off] = [l for l in range(-l_max, l_max + 1) if abs(off + l * step) <= res.r_beta]
+    with mp.workdps(40):
+        a0 = mp.mpf(k) / (2 * mp.pi)
+        half_k = mp.mpf(k) / 2
+        a1, a2 = (mp.mpc(complex(z).real, complex(z).imag) for z in (spec.a1, spec.a2))
+        lines = Counter()
+        for m, n, off in zip(disc.m.tolist(), disc.n.tolist(), disc.offset.tolist()):
+            lines[(abs(m * a1 + n * a2) ** 2 / 2, off)] += 1
+        want = mp.mpf(0)
+        for (h, off), columns in lines.items():
+            a_sq = (a0 + h) ** 2
+            want += columns * mp.fsum(
+                (a0 * a0 / (a_sq + (mp.mpf(off) + l * mp.mpf(step)) ** 2)) ** half_k
+                for l in betas[off]
+            )
+        assert count == sum(c * len(betas[off]) for (_, off), c in lines.items())
         assert abs(mp.mpf(got) / want - 1) <= 1e-15
