@@ -12,16 +12,15 @@ from pbl import (
     OrbitSource,
     counting_function,
     counting_upper_bound,
-    enumerate_ball,
     min_displacement,
     tail_bound_terms,
 )
 
 print("Gaussian lattice points with |alpha| <= 2, |beta| <= 1:")
-pts = list(enumerate_ball(GAUSSIAN_SPEC, 2.0, 1.0))
-print(f"  {len(pts)} points; first few:", [(p.alpha, p.beta) for p in pts[:5]])
+pts = GAUSSIAN_SPEC.points(2.0, 1.0)
+print(f"  {pts.m.size} points; first few:", list(zip(pts.alpha[:5].tolist(), pts.beta[:5].tolist())))
 
-count_317 = sum(1 for _ in enumerate_ball(GAUSSIAN_SPEC, 10.0, 0.0))
+count_317 = GAUSSIAN_SPEC.points(10.0, 0.0).m.size
 print(f"  circle count |alpha| <= 10: {count_317} (the Gauss circle number)")
 
 k = 6

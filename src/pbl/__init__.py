@@ -47,7 +47,6 @@ _BY_MODULE = {
         "GAUSSIAN_SPEC",
         "HeisenbergParam",
         "LatticeSpec",
-        "enumerate_ball",
         "enumerate_indices",
         "lattice_covolume",
         "stabilizer_matrix",

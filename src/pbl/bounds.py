@@ -32,7 +32,7 @@ from .errors import NumericalError, PreconditionError, _check_exact_int
 from .geometry import _cosh2
 from .hermitian import ModelPoint
 from .lattice import LatticeSpec, _check_budget, _check_terms, lattice_covolume
-from .logreal import LogReal, log_sum
+from .logreal import LogReal, log_sum, log_sum_exp
 from .transforms import Isometry, _isometry_stack
 
 __all__ = [
@@ -210,13 +210,6 @@ def _beta_tail(spec: LatticeSpec, k: int, n_alpha: int) -> Callable[[float], flo
     return log_tail
 
 
-def _tail_logs(spec: LatticeSpec, k: int, r_alpha: float, r_beta: float, n_alpha: int):
-    """Log-domain majorants (alpha tail, beta tail) for the sum outside the
-    (r_alpha, r_beta) box, by monotone comparison of lattice cells with
-    integrals; n_alpha is the number of columns with |alpha| <= r_alpha."""
-    return _alpha_tail(spec, k)(r_alpha), _beta_tail(spec, k, n_alpha)(r_beta)
-
-
 def _solve_radius(log_tail: Callable[[float], float], lo: float, target: float) -> float:
     """The smallest r >= lo, to 1e-3 relative, with log_tail(r) <= target,
     for a log_tail that decreases to -inf."""
@@ -379,4 +372,4 @@ def orbit_cosh_power_sum(elements: Sequence[Isometry], z: ModelPoint, k: int) ->
     _check_exact_int(k, "k")
     c2 = _cosh2(z, z, _isometry_stack(elements, z))
     logs = -(k / 2.0) * np.log(np.maximum(c2, 1.0))
-    return log_sum([LogReal.from_log(v) for v in logs])
+    return LogReal(log_sum_exp(logs.tolist()))

@@ -7,7 +7,6 @@ decreasing function over an orbit.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -95,9 +94,11 @@ def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
 def _seed_box(spec: LatticeSpec):
     """(alpha, beta) arrays of the nontrivial lattice points with m, n, l
     in {-1, 0, 1}, whose minima seed the certified searches."""
-    seed = [spec.param(*i) for i in itertools.product((-1, 0, 1), repeat=3)]
-    seed = [p for p in seed if not p.is_origin]
-    return np.array([p.alpha for p in seed]), np.array([p.beta for p in seed])
+    m, n, l = np.indices((3, 3, 3)).reshape(3, -1) - 1
+    alpha = spec.alpha(m, n)
+    beta = spec._offsets(m, n) + l * spec.beta_step
+    keep = (alpha != 0) | (beta != 0)
+    return alpha[keep], beta[keep]
 
 
 def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: float):

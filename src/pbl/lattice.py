@@ -22,7 +22,6 @@ __all__ = [
     "GAUSSIAN_SPEC",
     "stabilizer_matrix",
     "enumerate_indices",
-    "enumerate_ball",
     "lattice_covolume",
 ]
 
@@ -61,10 +60,6 @@ class HeisenbergParam:
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise DomainError("parameters must be finite")
-
-    @property
-    def is_origin(self) -> bool:
-        return self.alpha == 0 and self.beta == 0
 
 
 def stabilizer_matrix(p: HeisenbergParam, model: Model) -> Isometry:
@@ -174,14 +169,18 @@ class LatticeSpec:
     def _offsets(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         """The beta offsets of the columns (m, n): one call of the rule on the
         index arrays, or one call per column where the rule fails on arrays
-        (raises TypeError or ValueError, or returns no (m.size,) result)."""
+        (raises TypeError or ValueError, or returns no (m.size,) result).
+        DomainError if an offset is not finite."""
         rule = self.beta_offset_rule
         if rule is None:
             return np.zeros(m.size)
         try:
-            return np.broadcast_to(np.asarray(rule(m, n), dtype=float), (m.size,)).copy()
+            offsets = np.broadcast_to(np.asarray(rule(m, n), dtype=float), (m.size,)).copy()
         except (TypeError, ValueError):
-            return np.array([self.offset(int(i), int(j)) for i, j in zip(m, n)], dtype=float)
+            offsets = np.array([self.offset(int(i), int(j)) for i, j in zip(m, n)], dtype=float)
+        if not np.isfinite(offsets).all():
+            raise DomainError("beta offsets must be finite")
+        return offsets
 
     def points(self, r_alpha: float, r_beta: float) -> LatticePoints:
         """Every lattice point with |alpha| <= r_alpha and |beta| <= r_beta,
@@ -208,26 +207,14 @@ GAUSSIAN_SPEC = LatticeSpec()
 
 
 def enumerate_indices(
-    spec: LatticeSpec, r_alpha: float, r_beta: float, exclude_origin: bool = False
+    spec: LatticeSpec, r_alpha: float, r_beta: float
 ) -> Iterator[tuple[int, int, int]]:
     """Indices (m, n, l) of all lattice points with |alpha| <= r_alpha and
     |beta| <= r_beta, in lexicographic order, each exactly once."""
     pts = spec.points(r_alpha, r_beta)
-    keep = (pts.alpha != 0) | (pts.beta != 0) if exclude_origin else slice(None)
-    return zip(pts.m[keep].tolist(), pts.n[keep].tolist(), pts.l[keep].tolist())
-
-
-def enumerate_ball(
-    spec: LatticeSpec, r_alpha: float, r_beta: float, exclude_origin: bool = False
-) -> Iterator[HeisenbergParam]:
-    """Lattice points as HeisenbergParam values, lexicographic in (m, n, l)."""
-    for m, n, l in enumerate_indices(spec, r_alpha, r_beta, exclude_origin):
-        yield spec.param(m, n, l)
+    return zip(pts.m.tolist(), pts.n.tolist(), pts.l.tolist())
 
 
 def lattice_covolume(spec: LatticeSpec) -> float:
     """Volume |Im(conj(a1) a2)| * beta_step of a fundamental cell in C x R."""
-    area = spec.cell_area
-    if area <= 0:
-        raise DomainError("degenerate alpha basis")
-    return area * spec.beta_step
+    return spec.cell_area * spec.beta_step

@@ -120,6 +120,11 @@ class TestCocompactBound:
         rep = cocompact_bound(2, 5000, 8.0, ConstantModel(1.0, 2))
         assert math.isfinite(rep.total.log())
 
+    def test_vanishing_ring_term_row(self):
+        # k log cosh(3 r_x / 8) overflows, so the ring term is exactly 0
+        row = cocompact_bound(2, 6, 1e308, ConstantModel(1.0, 0)).row()
+        assert row["log_ring_term"] == -math.inf
+
     def test_precondition_k(self):
         with pytest.raises(PreconditionError):
             cocompact_bound(2, 5, 1.0, ConstantModel())
@@ -155,7 +160,7 @@ class TestCocompactBound:
         maxima_locate,
         lambda k: ConstantModel(1.0, k),
         lambda k: cusp_term_log(k, ConstantModel()),
-        lambda k: scaling_fit(range(k, k + 5), lambda _: LogReal.one()),
+        lambda k: scaling_fit(range(k, k + 5), lambda _: LogReal(0.0)),
         lambda k: orbit_cosh_power_sum([], ModelPoint.m3(-1.0, 0.0), k),
     ],
     ids=[
@@ -495,20 +500,20 @@ class TestScalingFit:
 
     def test_requires_five_points(self):
         with pytest.raises(PreconditionError):
-            scaling_fit([10, 20, 30, 40], lambda k: LogReal.one())
+            scaling_fit([10, 20, 30, 40], lambda k: LogReal(0.0))
         with pytest.raises(PreconditionError):
-            scaling_fit([10, 10, 10, 10, 10], lambda k: LogReal.one())
+            scaling_fit([10, 10, 10, 10, 10], lambda k: LogReal(0.0))
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(PreconditionError):
-            scaling_fit([0, 10, 20, 30, 40], lambda k: LogReal.one())
+            scaling_fit([0, 10, 20, 30, 40], lambda k: LogReal(0.0))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_non_finite_log(self, bad):
         with pytest.raises(PreconditionError):
             scaling_fit([10, 20, 30, 40, 50], lambda k: bad if k == 30 else float(k))
         with pytest.raises(PreconditionError):
-            scaling_fit([10, 20, 30, 40, 50], lambda k: LogReal(1, math.inf))
+            scaling_fit([10, 20, 30, 40, 50], lambda k: LogReal(math.inf))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rejects_non_positive_float(self, bad):

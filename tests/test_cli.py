@@ -263,6 +263,20 @@ def test_overflowing_total_is_json_null(capsys, which):
         assert math.isfinite(row["log_total"]) and row["log_total"] > 709.8
 
 
+@pytest.mark.parametrize("k, rx", [("100", "1e307"), ("6", "9e307")])
+@pytest.mark.parametrize("which", ["cocompact", "cusp"])
+def test_vanishing_ring_term_is_null(capsys, which, k, rx):
+    # k log cosh(3 r_x / 8) overflows: the ring term is exactly 0, log -inf
+    code, out, err = run(capsys, "bound", which, "--k", k, "--rx", rx)
+    assert (code, err) == (0, "")
+    (row,) = rows_of(out)
+    assert row["log_ring_term"] is None and math.isfinite(row["log_total"])
+    code, out, err = run(capsys, "bound", which, "--k", k, "--rx", rx, "--format", "csv")
+    assert (code, err) == (0, "")
+    header, values = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    assert dict(zip(header, values))["log_ring_term"] == "-inf"
+
+
 def test_jsonl_writes_non_finite_floats_as_null():
     row = {"a": math.inf, "b": -math.inf, "c": math.nan, "d": np.float32(math.inf), "e": 1.5, "f": "inf"}
     assert json.loads(_jsonl(row)) == {"a": None, "b": None, "c": None, "d": None, "e": 1.5, "f": "inf"}

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from pbl import (
     GAUSSIAN_SPEC,
     DomainError,
+    LatticeSpec,
     Model,
     ModelPoint,
     NumericalError,
@@ -22,7 +24,7 @@ from pbl import (
     tail_bound,
     tail_bound_terms,
 )
-from pbl.counting import _G7_W, _K15_W, _K15_X, _integrate_to_inf
+from pbl.counting import _G7_W, _K15_W, _K15_X, _integrate_to_inf, _seed_box
 from pbl.transforms import Isometry
 
 
@@ -287,7 +289,30 @@ class TestDisplacement:
         got = stabilizer_injectivity_radius(GAUSSIAN_SPEC, q_max=a0, p_max=0.0)
         assert got == pytest.approx(min_displacement(src, ridge_point(k)), rel=1e-9)
 
+    def test_non_finite_offsets_rejected(self):
+        spec = LatticeSpec(beta_offset_rule=lambda m, n: math.nan)
+        with pytest.raises(DomainError, match="offsets"):
+            min_displacement(OrbitSource.from_lattice(spec), ridge_point(6))
+        with pytest.raises(DomainError, match="offsets"):
+            stabilizer_injectivity_radius(spec, q_max=1.0)
+
     def test_slice_radius_shrinks_with_larger_slice(self):
         r1 = stabilizer_injectivity_radius(GAUSSIAN_SPEC, q_max=1.0)
         r2 = stabilizer_injectivity_radius(GAUSSIAN_SPEC, q_max=4.0)
         assert r2 < r1
+
+    @pytest.mark.parametrize(
+        "rule",
+        [None, lambda m, n: 0.25 * ((m * n) % 2), lambda m, n: 0.1 * (m % 3)],
+        ids=["gaussian", "eisenstein", "skew"],
+    )
+    def test_seed_box_is_the_nontrivial_unit_box(self, rule):
+        # the 26 nontrivial points with m, n, l in {-1, 0, 1}, in the order
+        # and with the values spec.param gives them one at a time
+        spec = LatticeSpec(a2=cmath.exp(1j * math.pi / 3), beta_step=0.5, beta_offset_rule=rule)
+        params = [spec.param(m, n, l) for m in (-1, 0, 1) for n in (-1, 0, 1) for l in (-1, 0, 1)]
+        params = [p for p in params if (p.alpha, p.beta) != (0, 0)]
+        alpha, beta = _seed_box(spec)
+        assert len(params) == 26
+        assert alpha.tolist() == [p.alpha for p in params]
+        assert beta.tolist() == [p.beta for p in params]

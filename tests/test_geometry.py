@@ -148,7 +148,7 @@ class TestPeterssonFactor:
     def test_large_weight_stays_finite(self):
         z = ModelPoint.ball([0.9, 0.4j * 0.1])
         v = petersson_norm_factor(z, 4000)
-        assert math.isfinite(v.log_abs) and v.sign == 1
+        assert math.isfinite(v.log_abs)
 
     def test_automorphy_transport(self):
         # (1 - |gz|^2) = (1 - |z|^2) / |Cz + D|^2 for group elements

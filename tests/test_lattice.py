@@ -12,7 +12,6 @@ from pbl import (
     LatticeSpec,
     Model,
     cayley_gamma23,
-    enumerate_ball,
     enumerate_indices,
     lattice_covolume,
     stabilizer_matrix,
@@ -106,12 +105,12 @@ def brute_indices(spec, r_alpha, r_beta, box=25):
 
 class TestEnumeration:
     def test_origin_only(self):
-        pts = list(enumerate_ball(GAUSSIAN_SPEC, 0.0, 0.0))
-        assert len(pts) == 1 and pts[0].is_origin
+        pts = GAUSSIAN_SPEC.points(0.0, 0.0)
+        assert pts.m.size == 1 and pts.alpha[0] == 0 and pts.beta[0] == 0
 
     def test_five_points(self):
-        pts = list(enumerate_ball(GAUSSIAN_SPEC, 1.0, 0.0))
-        alphas = sorted((p.alpha.real, p.alpha.imag) for p in pts)
+        pts = GAUSSIAN_SPEC.points(1.0, 0.0)
+        alphas = sorted((a.real, a.imag) for a in pts.alpha.tolist())
         assert alphas == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
     def test_gauss_circle_317(self):
@@ -135,16 +134,16 @@ class TestEnumeration:
         assert len(idx) == len(set(idx))
 
     def test_exclude_origin(self):
-        with_o = list(enumerate_ball(GAUSSIAN_SPEC, 2.0, 2.0))
-        without = list(enumerate_ball(GAUSSIAN_SPEC, 2.0, 2.0, exclude_origin=True))
-        assert len(with_o) - len(without) == 1
-        assert all(not p.is_origin for p in without)
+        # the counting kernels' nontrivial mask drops this one point alone
+        pts = GAUSSIAN_SPEC.points(2.0, 2.0)
+        origin = (pts.alpha == 0) & (pts.beta == 0)
+        assert list(zip(pts.m[origin], pts.n[origin], pts.l[origin])) == [(0, 0, 0)]
 
     def test_offset_rule(self):
         spec = LatticeSpec(beta_offset_rule=lambda m, n: 0.5 * ((m + n) % 2))
-        pts = [p for p in enumerate_ball(spec, 1.0, 1.0)]
-        odd = [p for p in pts if abs(p.alpha) == 1.0]
-        assert all(p.beta in (-0.5, 0.5) for p in odd)
+        pts = spec.points(1.0, 1.0)
+        odd = np.abs(pts.alpha) == 1.0
+        assert odd.any() and set(pts.beta[odd].tolist()) <= {-0.5, 0.5}
 
     @pytest.mark.parametrize(
         "rule",
@@ -169,15 +168,24 @@ class TestEnumeration:
         disc = spec.disc(3.0)
         assert disc.offset.tolist() == [0.5] * disc.m.size
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_offsets_rejected(self, bad):
+        for rule in (lambda m, n: np.where(m % 2, bad, 0.0), lambda m, n: bad if m % 2 else 0.0):
+            spec = LatticeSpec(beta_offset_rule=rule)
+            with pytest.raises(DomainError, match="offsets"):
+                spec.disc(3.0)
+            with pytest.raises(DomainError, match="offsets"):
+                spec.points(3.0, 1.0)
+
     @given(
         st.floats(min_value=0.0, max_value=8.0),
         st.floats(min_value=0.0, max_value=4.0),
     )
     @settings(max_examples=25, deadline=None)
     def test_radii_filter_property(self, ra, rb):
-        for p in enumerate_ball(GAUSSIAN_SPEC, ra, rb):
-            assert abs(p.alpha) <= ra + 1e-9
-            assert abs(p.beta) <= rb + 1e-9
+        pts = GAUSSIAN_SPEC.points(ra, rb)
+        assert (np.abs(pts.alpha) <= ra + 1e-9).all()
+        assert (np.abs(pts.beta) <= rb + 1e-9).all()
 
 
 class TestCovolume:

@@ -26,7 +26,7 @@ from pbl import (
     scaling_fit,
     tail_bound_terms,
 )
-from pbl.bounds import _box_sum, _log_gamma_ratio, _tail_logs, _wallis
+from pbl.bounds import _alpha_tail, _beta_tail, _box_sum, _log_gamma_ratio, _wallis
 from pbl.closed_forms import _gauss_legendre
 from pbl.transforms import _expm
 
@@ -236,7 +236,7 @@ def test_alpha_tail_majorizes_its_integral(spec, k):
             # breakpoints resolve it for every k here to ~1e-11
             val = mp.quad(s_weighted, [u0, *(u0 + mp.mpf(2) ** i / 64 for i in range(11)), mp.inf])
             want = mp.log(2 * mp.pi / mp.mpf(spec.cell_area) * val)
-            log_tail_alpha, _ = _tail_logs(spec, k, r_alpha, 10.0, 1)
+            log_tail_alpha = _alpha_tail(spec, k)(r_alpha)
             assert log_tail_alpha >= want, (r_alpha, log_tail_alpha, want)
 
 
@@ -255,7 +255,7 @@ def test_beta_tail_majorizes_its_sum(spec, k):
     with mp.workdps(20):
         a0 = mp.mpf(k) / (2 * mp.pi)
         for r_beta in (4 * step, solved, 1.5 * solved):
-            _, log_tail_beta = _tail_logs(spec, k, 2 + spec.alpha_cell_diameter, r_beta, 1)
+            log_tail_beta = _beta_tail(spec, k, 1)(r_beta)
             for off in offsets:
 
                 def f(l):
