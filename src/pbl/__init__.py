@@ -69,6 +69,8 @@ _BY_MODULE = {
         "cocompact_bound",
         "cusp_term_log",
         "gamma_integral_chain",
+        "ridge_locate",
+        "ridge_log_objective",
         "scaling_fit",
     ),
     "bounds": (

@@ -1,8 +1,9 @@
 """Bound pipelines: the cusp-stabilizer lattice sum with certified
 truncation, the combined one-cusp bound, the ridge locator for the cusp
-objective, and the truncated orbit sum.  The closed-form pipelines (the
-cocompact estimate, the Gamma-function chain, the exponent fitter) live in
-`pbl.closed_forms`, which needs no numpy, and are re-exported here.
+objective as a model-3 point, and the truncated orbit sum.  The closed-form
+pipelines (the cocompact estimate, the Gamma-function chain, the ridge in
+floats, the exponent fitter) live in `pbl.closed_forms`, which needs no
+numpy, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .closed_forms import (
     cocompact_bound,
     cusp_term_log,
     gamma_integral_chain,
+    ridge_locate,
+    ridge_log_objective,
     scaling_fit,
 )
 from .errors import NumericalError, PreconditionError, _check_exact_int
@@ -47,6 +50,8 @@ __all__ = [
     "gamma_integral_chain",
     "cusp_bound",
     "maxima_locate",
+    "ridge_locate",
+    "ridge_log_objective",
     "scaling_fit",
     "orbit_cosh_power_sum",
 ]
@@ -155,17 +160,17 @@ def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
     return total, count
 
 
-def _alpha_tail(spec: LatticeSpec, k: int) -> Callable[[float], float]:
+def _alpha_tail(spec: LatticeSpec, k: int, beta_integral: float) -> Callable[[float], float]:
     """r_alpha -> log majorant of the terms with |alpha| > r_alpha, for
-    r_alpha >= 2 + diam.
+    r_alpha >= 2 + diam, given beta_integral = `_beta_integral(k)`.
 
     It is (2 pi / area) int_{u0}^inf (a0/a)^k (2 + c a) (u + diam/2) du with
-    a = a0 + u^2/2 and c = beta integral / step.  As u >= u0 >= 2,
+    a = a0 + u^2/2 and c = beta_integral / step.  As u >= u0 >= 2,
     u + diam/2 <= (1 + diam/(2 u0)) u, and u du = da integrates in closed form.
     """
     a0 = k / (2 * math.pi)
     diam = spec.alpha_cell_diameter
-    c = _beta_integral(k) / spec.beta_step
+    c = beta_integral / spec.beta_step
     log_a0 = math.log(a0)
     log_density = math.log(2 * math.pi / spec.cell_area)
 
@@ -245,9 +250,10 @@ def cusp_lattice_sum(
     if not (np.finfo(float).eps <= rel_tol <= 1e-3):
         raise PreconditionError("rel_tol must lie in [2.2e-16, 1e-3]")
     a0 = k / (2 * math.pi)
+    beta_integral = _beta_integral(k)
     # the alpha = 0 line alone sums to within 1 of a0 * beta integral / step
-    goal = max(1.0, a0 * _beta_integral(k) / spec.beta_step - 1.0)
-    alpha_tail = _alpha_tail(spec, k)
+    goal = max(1.0, a0 * beta_integral / spec.beta_step - 1.0)
+    alpha_tail = _alpha_tail(spec, k, beta_integral)
     r_alpha = 2.0 + spec.alpha_cell_diameter
     r_beta = 4.0 * spec.beta_step
     disc_radius = None
@@ -310,59 +316,22 @@ def cusp_bound(
 
 # -- ridge locator ---------------------------------------------------------
 
-_RIDGE_RESOLUTION = 1e-14
-_NEWTON_CAP = 100
-
 
 def maxima_locate(k: int, tol: float = 1e-6) -> ModelPoint:
-    """Maximizes (-2 x1 - x2^2 - y2^2)^k exp(4 pi x1) over model 3; the
-    maximum lies on Re z1 = -k/(4 pi), z2 = 0.
+    """The maximum of (-2 x1 - x2^2 - y2^2)^k exp(4 pi x1) over model 3, on
+    Re z1 = -k/(4 pi), z2 = 0, as the point (x1 + 0i, x2 + i y2).
 
-    Its log phi = k log q + 4 pi x1, q = -2 x1 - x2^2 - y2^2, is strictly
-    concave where q > 0 (the Hessian is negative definite, as dq/dx1 = -2),
-    so damped Newton reaches the one maximum from any feasible start.  Each
-    step uses the analytic gradient and Hessian and is halved while it would
-    leave q > 0.  The loop stops after two consecutive steps of at most
-    4 eps |v|: one such step can still leave |z2| far above its final
-    rounding level, and x1 may flip between two adjacent floats forever.
+    `closed_forms.ridge_locate` finds it by damped Newton on the log, whose
+    Hessian is a diagonal plus a rank-one term, so each step is solved in
+    closed form: with q = -2 x1 - x2^2 - y2^2 and u = 2 pi q / k,
+    s = (u (x2^2 + y2^2) - q (1 - u) / 2, -x2 u, -y2 u).  A step is halved
+    while it would leave q > 0, and the loop stops after two consecutive
+    steps of at most 4 eps |v|.
 
     Raises if the result is not within tol (relative in x1, absolute in z2),
     or if tol is below the 1e-14 the check can resolve.
     """
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
-    _check_exact_int(k, "k")
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
-    # the check below compares two rounded values, each a few eps from the
-    # ridge, so a smaller tol would pass or fail by rounding
-    if tol < _RIDGE_RESOLUTION:
-        raise NumericalError(f"tol {tol:.3g} is below the ridge resolution {_RIDGE_RESOLUTION:g}")
-
-    x_star = k / (4 * math.pi)
-    v = np.array([-x_star / 2.0 - 1.0, 0.3, 0.2])
-    rounding_steps = 0
-    for _ in range(_NEWTON_CAP):
-        q = -2.0 * v[0] - v[1] * v[1] - v[2] * v[2]
-        dq = np.array([-2.0, -2.0 * v[1], -2.0 * v[2]])
-        grad = k * dq / q + np.array([4 * math.pi, 0.0, 0.0])
-        hess = k * (np.diag([0.0, -2.0, -2.0]) / q - np.outer(dq, dq) / (q * q))
-        step = np.linalg.solve(hess, -grad)
-        while -2.0 * (v[0] + step[0]) - (v[1] + step[1]) ** 2 - (v[2] + step[2]) ** 2 <= 0:
-            step = step / 2.0
-        v = v + step
-        small = np.linalg.norm(step) <= 4.0 * np.finfo(float).eps * np.linalg.norm(v)
-        rounding_steps = rounding_steps + 1 if small else 0
-        if rounding_steps == 2:
-            break
-    else:
-        raise NumericalError(f"Newton did not converge on the ridge in {_NEWTON_CAP} steps")
-
-    x1, x2, y2 = (float(t) for t in v)
-    if abs(x1 + x_star) > tol * x_star or math.hypot(x2, y2) > tol:
-        raise NumericalError(
-            f"optimizer did not reach the ridge: x1={x1!r}, |z2|={math.hypot(x2, y2):.3g}"
-        )
+    x1, x2, y2 = ridge_locate(k, tol)
     return ModelPoint.m3(complex(x1, 0.0), complex(x2, y2))
 
 

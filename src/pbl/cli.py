@@ -22,7 +22,14 @@ import sys
 
 # the commands that use arrays import numpy and their modules when they run,
 # so the closed-form commands and usage errors never load it
-from .closed_forms import ConstantModel, cocompact_bound, gamma_integral_chain, scaling_fit
+from .closed_forms import (
+    ConstantModel,
+    cocompact_bound,
+    gamma_integral_chain,
+    ridge_locate,
+    ridge_log_objective,
+    scaling_fit,
+)
 from .errors import NumericalError, PblError, PreconditionError, _check_exact_int
 from .logreal import LogReal
 
@@ -420,9 +427,6 @@ def cmd_count(ns, file_cfg):
 
 
 def cmd_maxima(ns, file_cfg):
-    from .bounds import maxima_locate
-    from .geometry import petersson_objective
-
     defaults = {"k": 6, "tol": 1e-6}
     cfg = _resolve(ns, file_cfg, defaults)
     if cfg["k"] < 1:
@@ -430,17 +434,17 @@ def cmd_maxima(ns, file_cfg):
     _check_exact_int(cfg["k"], "--k")
     if not cfg["tol"] > 0:
         raise PreconditionError("--tol: tolerance must be positive")
-    p = maxima_locate(cfg["k"], cfg["tol"])
+    x1, x2, y2 = ridge_locate(cfg["k"], cfg["tol"])
     x_star = cfg["k"] / (4 * math.pi)
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
     writer.row(
         {
             "k": cfg["k"],
-            "x1": p.coords[0].real,
+            "x1": x1,
             "x1_target": -x_star,
-            "x1_rel_err": abs(p.coords[0].real + x_star) / x_star,
-            "z2_abs": abs(p.coords[1]),
-            "log_objective": petersson_objective(p, cfg["k"]).log(),
+            "x1_rel_err": abs(x1 + x_star) / x_star,
+            "z2_abs": abs(complex(x2, y2)),
+            "log_objective": ridge_log_objective(cfg["k"], -2.0 * x1 - x2 * x2 - y2 * y2, x1),
         }
     )
     writer.close()

@@ -1,6 +1,6 @@
 """Bound pipelines that need no arrays: the cocompact three-term estimate,
-the Gamma-function ratios and integral chain, the closed-form cusp term, and
-the log-log exponent fitter.
+the Gamma-function ratios and integral chain, the closed-form cusp term, the
+ridge locator for the cusp objective, and the log-log exponent fitter.
 
 Everything here works on plain floats, so importing this module loads no
 numpy; `pbl.bounds` re-exports every public name.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -24,6 +25,8 @@ __all__ = [
     "cocompact_bound",
     "cusp_term_log",
     "gamma_integral_chain",
+    "ridge_locate",
+    "ridge_log_objective",
     "scaling_fit",
 ]
 
@@ -275,6 +278,7 @@ def gamma_integral_chain(k: int) -> GammaChain:
         raise PreconditionError("k must be >= 6")
     _check_exact_int(k, "k")
     a0 = k / (2 * math.pi)
+    log_gamma_r = _log_gamma_ratio(2 * k - 2)
     vals, errs = _wallis((k - 2.0, 2.0 * k - 4.0))
     for what, val, err in zip(("beta-integral", "r-integral"), vals, errs):
         if not math.isfinite(val) or err > 1e-6 * val:
@@ -284,7 +288,7 @@ def gamma_integral_chain(k: int) -> GammaChain:
     beta_closed = _beta_integral(k)
     beta_quad = 2.0 * w_beta
     log_r_closed = (
-        (k - 1) * math.log(2 * math.pi) + _log_gamma_ratio(2 * k - 2) - (k - 1.5) * math.log(k)
+        (k - 1) * math.log(2 * math.pi) + log_gamma_r - (k - 1.5) * math.log(k)
     )
     log_r_quad = 0.5 * math.log(2 * a0) + (1.0 - k) * math.log(a0) + math.log(w_r)
 
@@ -299,7 +303,7 @@ def gamma_integral_chain(k: int) -> GammaChain:
         r_closed=LogReal.from_log(log_r_closed),
         r_quad=LogReal.from_log(log_r_quad),
         # log_r_quad - log_r_closed with its O(k log k) terms cancelled exactly
-        r_ratio=math.exp(math.log(w_r) - _log_gamma_ratio(2 * k - 2) - _HALF_LOG_PI),
+        r_ratio=math.exp(math.log(w_r) - log_gamma_r - _HALF_LOG_PI),
         chained=chained,
     )
 
@@ -323,6 +327,89 @@ def cusp_term_log(k: int, cm: ConstantModel, covolume: float = 1.0) -> float:
         + _log_gamma_ratio(2 * k - 2)
         - math.log(covolume)
     )
+
+
+# -- ridge locator -----------------------------------------------------------
+
+_RIDGE_RESOLUTION = 1e-14
+_NEWTON_CAP = 100
+_EPS = sys.float_info.epsilon
+
+
+def ridge_log_objective(k: int, q: float, x1: float) -> float:
+    """log of the model-3 cusp objective q^k exp(4 pi x1), for
+    q = -2 Re z1 - |z2|^2 > 0 and x1 = Re z1."""
+    return k * math.log(q) + 4 * math.pi * x1
+
+
+def _ridge_step(a0: float, x1: float, x2: float, y2: float):
+    """The Newton step s with H s = -grad of k log q + 4 pi x1 at
+    (x1, x2, y2), q = -2 x1 - x2^2 - y2^2 > 0, in closed form, for
+    a0 = k / (2 pi), the q of the ridge.
+
+    The Hessian is k/q diag(0, -2, -2) - (k/q^2) g g^T with g = grad q =
+    (-2, -2 x2, -2 y2), a diagonal plus a rank-one term; with
+    u = 2 pi q / k = q / a0 the system has the exact solution
+
+        s = (u (x2^2 + y2^2) - q (1 - u) / 2, -x2 u, -y2 u),
+
+    as g.s = q (1 - u) makes each row of H s equal -grad.
+    """
+    q = -2.0 * x1 - x2 * x2 - y2 * y2
+    # q / a0, not 2 pi q / k: the located x1 is then within 0.85 ulp of the
+    # ridge for k up to 3000, against 1.6 ulp
+    u = q / a0
+    return u * (x2 * x2 + y2 * y2) - q * (1.0 - u) / 2.0, -x2 * u, -y2 * u
+
+
+def ridge_locate(k: int, tol: float = 1e-6):
+    """The maximum (x1, x2, y2) of (-2 x1 - x2^2 - y2^2)^k exp(4 pi x1), the
+    model-3 cusp objective at z1 = x1 + i y1 (it does not depend on y1),
+    z2 = x2 + i y2; it lies on x1 = -k/(4 pi), z2 = 0.
+
+    Its log k log q + 4 pi x1, q = -2 x1 - x2^2 - y2^2, is strictly concave
+    where q > 0 (the Hessian is negative definite, as dq/dx1 = -2), so damped
+    Newton reaches the one maximum from any feasible start; this one starts
+    at (-k/(8 pi) - 1, 0.3, 0.2).  Each step is `_ridge_step`'s closed form
+    and is halved while it would leave q > 0.  The loop stops after two
+    consecutive steps of at most 4 eps |v|: one such step can still leave
+    |z2| far above its final rounding level, and x1 may flip between two
+    adjacent floats forever.
+
+    Raises if the result is not within tol (relative in x1, absolute in z2),
+    or if tol is below the 1e-14 the check can resolve.
+    """
+    if k < 1:
+        raise PreconditionError("k must be >= 1")
+    _check_exact_int(k, "k")
+    if not tol > 0:
+        raise PreconditionError("tol must be positive")
+    # the check below compares two rounded values, each a few eps from the
+    # ridge, so a smaller tol would pass or fail by rounding
+    if tol < _RIDGE_RESOLUTION:
+        raise NumericalError(f"tol {tol:.3g} is below the ridge resolution {_RIDGE_RESOLUTION:g}")
+
+    x_star = k / (4 * math.pi)
+    a0 = k / (2 * math.pi)
+    x1, x2, y2 = -x_star / 2.0 - 1.0, 0.3, 0.2
+    rounding_steps = 0
+    for _ in range(_NEWTON_CAP):
+        s1, s2, s3 = _ridge_step(a0, x1, x2, y2)
+        while -2.0 * (x1 + s1) - (x2 + s2) ** 2 - (y2 + s3) ** 2 <= 0:
+            s1, s2, s3 = s1 / 2.0, s2 / 2.0, s3 / 2.0
+        x1, x2, y2 = x1 + s1, x2 + s2, y2 + s3
+        small = math.hypot(s1, s2, s3) <= 4.0 * _EPS * math.hypot(x1, x2, y2)
+        rounding_steps = rounding_steps + 1 if small else 0
+        if rounding_steps == 2:
+            break
+    else:
+        raise NumericalError(f"Newton did not converge on the ridge in {_NEWTON_CAP} steps")
+
+    if abs(x1 + x_star) > tol * x_star or math.hypot(x2, y2) > tol:
+        raise NumericalError(
+            f"optimizer did not reach the ridge: x1={x1!r}, |z2|={math.hypot(x2, y2):.3g}"
+        )
+    return x1, x2, y2
 
 
 # -- exponent fitting -------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from .closed_forms import ridge_log_objective
 from .errors import DimensionError, DomainError, PreconditionError, _check_exact_int
 from .hermitian import Model, ModelPoint, lift, model_indicator
 from .logreal import LogReal, exp_or_raise, log_sinh
@@ -74,7 +75,7 @@ def ball_volume(n: int, r: float, c_n: float | None = None) -> float:
     """
     if n < 2:
         raise PreconditionError("n >= 2 required")
-    if r < 0:
+    if not r >= 0:
         raise PreconditionError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
@@ -108,7 +109,7 @@ def petersson_objective(p: ModelPoint, k: int) -> LogReal:
     q = -model_indicator(p)
     if q <= 0.0:
         raise DomainError("boundary or exterior point")
-    return LogReal.from_log(k * math.log(q) + 4 * math.pi * p.coords[0].real)
+    return LogReal.from_log(ridge_log_objective(k, q, p.coords[0].real))
 
 
 def _one_minus_sq(zs) -> float:

@@ -481,6 +481,11 @@ class TestMaximaLocate:
         with pytest.raises(PreconditionError):
             maxima_locate(6, tol=0.0)
 
+    def test_nan_tolerance_rejected(self):
+        # every comparison with nan is False, so "tol <= 0" let it through
+        with pytest.raises(PreconditionError):
+            maxima_locate(6, float("nan"))
+
 
 class TestScalingFit:
     def test_exact_power_law(self):

@@ -108,11 +108,12 @@ _SWEEP = ["--k", "50..400:25", "--rx", "6", "--c-exponent", "2", "--fit"]
         (["bound", "cocompact", *_SWEEP], 0, False),
         (["gamma-chain", "--k", "6..20"], 0, False),
         (["fit", "--in", "REPORT"], 0, False),
+        (["maxima", "--k", "20"], 0, False),
         (["lattice-sum", "--k", "4"], 2, False),
         (["--help"], 0, False),
         (["verify", "--seed", "0"], 0, True),
     ],
-    ids=["import", "bound-cocompact", "gamma-chain", "fit", "usage-error", "help", "verify"],
+    ids=["import", "bound-cocompact", "gamma-chain", "fit", "maxima", "usage-error", "help", "verify"],
 )
 def test_numpy_loads_only_for_array_commands(tmp_path, argv, want_code, loads_numpy):
     report = tmp_path / "report.jsonl"
@@ -418,7 +419,8 @@ class TestMaximaCmd:
         assert row["x1_rel_err"] <= 1e-6
 
     def test_unreachable_tolerance_exits_3(self, capsys):
-        # machine-precision flatness caps the optimizer near 1e-8 relative
+        # the ridge check resolves no tolerance below 1e-14: it compares two
+        # rounded values, each a few eps from the ridge
         code, _, err = run(capsys, "maxima", "--k", "6", "--tol", "1e-15")
         assert code == 3
         assert "numerical failure" in err

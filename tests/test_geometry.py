@@ -124,6 +124,11 @@ class TestBallVolume:
             with pytest.raises(NumericalError):
                 ball_volume(2, r)
 
+    def test_nan_radius_rejected(self):
+        # every comparison with nan is False, so "r < 0" let it through
+        with pytest.raises(PreconditionError):
+            ball_volume(2, float("nan"))
+
     def test_constant_swap(self):
         assert ball_volume(2, 1.0, c_n=1.0) == pytest.approx(math.sinh(0.5) ** 4)
         assert ball_volume_constant(2) == pytest.approx(2 * math.pi)

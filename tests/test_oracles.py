@@ -1,7 +1,11 @@
 """Checks against high-precision mpmath values computed without pbl's formulas."""
 
 import cmath
+import contextlib
+import io
+import json
 import math
+import random
 import sys
 from collections import Counter
 
@@ -20,14 +24,17 @@ from pbl import (
     cocompact_bound,
     cusp_lattice_sum,
     cusp_term_log,
+    maxima_locate,
     min_displacement,
     model2_form,
     model3_form,
+    petersson_objective,
     scaling_fit,
     tail_bound_terms,
 )
-from pbl.bounds import _alpha_tail, _beta_tail, _box_sum, _log_gamma_ratio, _wallis
-from pbl.closed_forms import _gauss_legendre
+from pbl.bounds import _alpha_tail, _beta_integral, _beta_tail, _box_sum, _log_gamma_ratio, _wallis
+from pbl.cli import main
+from pbl.closed_forms import _gauss_legendre, _ridge_step
 from pbl.transforms import _expm
 
 EISENSTEIN = LatticeSpec(
@@ -236,7 +243,7 @@ def test_alpha_tail_majorizes_its_integral(spec, k):
             # breakpoints resolve it for every k here to ~1e-11
             val = mp.quad(s_weighted, [u0, *(u0 + mp.mpf(2) ** i / 64 for i in range(11)), mp.inf])
             want = mp.log(2 * mp.pi / mp.mpf(spec.cell_area) * val)
-            log_tail_alpha = _alpha_tail(spec, k)(r_alpha)
+            log_tail_alpha = _alpha_tail(spec, k, _beta_integral(k))(r_alpha)
             assert log_tail_alpha >= want, (r_alpha, log_tail_alpha, want)
 
 
@@ -325,3 +332,54 @@ def test_grouped_box_sum_matches_40_digit_sum(spec, k, rel_tol):
             )
         assert count == sum(c * len(betas[off]) for (_, off), c in lines.items())
         assert abs(mp.mpf(got) / want - 1) <= 1e-15
+
+
+def test_ridge_step_solves_the_40_digit_newton_system():
+    """The closed-form ridge step equals the 40-digit solution of
+    H s = -grad for k log q + 4 pi x1, q = -2 x1 - x2^2 - y2^2, with the
+    gradient and Hessian written out from their definitions, to 1e-12 of
+    |s| at 50 random feasible points on both sides of the ridge."""
+    rng = random.Random(11)
+    for _ in range(50):
+        k = rng.randint(1, 200)
+        x2, y2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        q_float = k / (2 * math.pi) * math.exp(rng.uniform(-2.0, 2.0))
+        x1 = -(q_float + x2 * x2 + y2 * y2) / 2.0
+        got = _ridge_step(k / (2 * math.pi), x1, x2, y2)
+        with mp.workdps(40):
+            v = [mp.mpf(x1), mp.mpf(x2), mp.mpf(y2)]
+            q = -2 * v[0] - v[1] ** 2 - v[2] ** 2
+            dq = [mp.mpf(-2), -2 * v[1], -2 * v[2]]
+            d2q = [0, -2, -2]
+            grad = mp.matrix([k * dq[i] / q + (4 * mp.pi if i == 0 else 0) for i in range(3)])
+            hess = mp.matrix(3, 3)
+            for i in range(3):
+                for j in range(3):
+                    hess[i, j] = k * ((d2q[i] if i == j else 0) / q - dq[i] * dq[j] / q**2)
+            want = mp.lu_solve(hess, -grad)
+            err = max(abs(mp.mpf(g) - w) for g, w in zip(got, want))
+            assert err <= 1e-12 * mp.norm(want), (k, x1, x2, y2, err)
+
+
+def test_ridge_within_2_ulp_of_40_digit_ridge():
+    """maxima_locate lands within 2 ulp of the 40-digit -k/(4 pi), with
+    |z2| <= 1e-14, for every k to 400 and at large k."""
+    for k in [*range(1, 401), 527, 10**5, 10**6, 2 * 10**6, 2**52]:
+        p = maxima_locate(k, 1e-14)
+        x1 = p.coords[0].real
+        with mp.workdps(40):
+            err = abs(mp.mpf(x1) + mp.mpf(k) / (4 * mp.pi))
+        assert err <= 2 * math.ulp(x1), (k, x1, err / math.ulp(x1))
+        assert abs(p.coords[1]) <= 1e-14, k
+
+
+def test_cli_log_objective_is_petersson_objective_bit_for_bit():
+    """`pbl maxima` forms its log objective from the located floats; it is
+    the library's petersson_objective at maxima_locate's point, bit for bit."""
+    for k in [*range(1, 3001, 11), 10**4, 10**6, 10**8, 2**52]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["maxima", "--k", str(k)]) == 0
+        row = json.loads(out.getvalue().splitlines()[1])
+        want = petersson_objective(maxima_locate(k), k).log()
+        assert row["log_objective"] == want, (k, row["log_objective"], want)
