@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -569,6 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process: building it costs far
+    more than parsing, and parse_args keeps no state between calls."""
+    return build_parser()
+
+
 _COMMANDS = {
     "verify": cmd_verify,
     "bound": cmd_bound,
@@ -581,8 +589,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         file_cfg = _read_config_file(ns.config) if ns.config else {}
         return _COMMANDS[ns.command](ns, file_cfg)

@@ -127,7 +127,7 @@ def standard_form_for(model: Model, n: int = 2) -> HermitianForm:
     return model3_form()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ModelPoint:
     """An interior point of one of the models, stored in affine coordinates.
 
@@ -144,24 +144,43 @@ class ModelPoint:
     _lift: np.ndarray = field(init=False, repr=False, compare=False)
     _indicator: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=complex)
+    def __init__(self, model: Model, coords):
+        object.__setattr__(self, "model", model)
+        c = np.asarray(coords, dtype=complex)
         if c.ndim == 0:
             c = c.reshape(1)
         if c.ndim != 1:
             raise DimensionError("coords must be a vector")
         n = c.shape[0]
-        if self.model is Model.BALL:
+        if model is Model.BALL:
             if n < 2:
                 raise DimensionError("ball points need n >= 2 coordinates")
         elif n != 2:
-            raise DimensionError(f"{self.model.value} points live in C^2")
+            raise DimensionError(f"{model.value} points live in C^2")
         # a fresh buffer, so that the caller's array stays the caller's
         zt = np.empty(n + 1, dtype=complex)
         zt[:n] = c
         zt[n] = 1.0
+        self._store_lift(zt)
+
+    @classmethod
+    def _from_lift(cls, model: Model, zt: np.ndarray) -> "ModelPoint":
+        """The point of `model` whose lift is zt, a complex buffer of length
+        n+1 with last entry 1 that the library just computed and no caller
+        holds: it becomes the point's lift without a copy, and is checked
+        as the constructor checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "model", model)
+        p._store_lift(zt)
+        return p
+
+    def _store_lift(self, zt: np.ndarray):
+        """Makes zt read-only and stores it as the lift, with its indicator;
+        DomainError unless the indicator is negative."""
+        n = zt.shape[0] - 1
         zt.setflags(write=False)
-        ind = float((zt.conj() @ standard_form_for(self.model, n).entries @ zt).real)
+        # .dot is @ bit for bit (the same BLAS call) with less overhead
+        ind = float(zt.conj().dot(standard_form_for(self.model, n).entries).dot(zt).real)
         if not ind < 0:
             raise DomainError(
                 f"not an interior {self.model.value} point (indicator {ind:.3g} >= 0)"

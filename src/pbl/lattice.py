@@ -71,18 +71,13 @@ def stabilizer_matrix(p: HeisenbergParam, model: Model) -> Isometry:
     """
     a, b = complex(p.alpha), float(p.beta)
     if model is Model.M3:
-        mat = np.array(
-            [[1, -np.conj(a), -abs(a) ** 2 / 2 + 1j * b], [0, 1, a], [0, 0, 1]],
-            dtype=complex,
-        )
-        return Isometry(mat, model3_form())
-    if model is Model.M2:
-        mat = np.array(
-            [[1, 1j * np.conj(a), 1j * abs(a) ** 2 / 2 + b], [0, 1, a], [0, 0, 1]],
-            dtype=complex,
-        )
-        return Isometry(mat, model2_form())
-    raise DomainError("stabilizer matrices exist in models 2 and 3 only")
+        top, form = (-a.conjugate(), -abs(a) ** 2 / 2 + 1j * b), model3_form()
+    elif model is Model.M2:
+        top, form = (1j * a.conjugate(), 1j * abs(a) ** 2 / 2 + b), model2_form()
+    else:
+        raise DomainError("stabilizer matrices exist in models 2 and 3 only")
+    mat = np.array([1, *top, 0, 1, a, 0, 0, 1], dtype=complex).reshape(3, 3)
+    return Isometry._of(mat, form)
 
 
 def _cross(u: complex, v: complex) -> float:

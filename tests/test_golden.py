@@ -15,6 +15,7 @@ import pathlib
 
 import pytest
 
+from pbl import cli
 from pbl.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -46,6 +47,31 @@ def test_cli_stdout_matches_golden(name):
         difflib.unified_diff(want.splitlines(True), got.splitlines(True), "golden", "now")
     )
     assert got == want, f"pbl {' '.join(CALLS[name])} changed its output:\n{diff}"
+
+
+def test_interleaved_calls_match_golden(capsys):
+    """main parses with one parser per process: the calls run forwards and
+    backwards, with a usage error and a failing call between any two, print
+    the golden bytes every time."""
+    for name in [*CALLS, *reversed(CALLS)]:
+        with pytest.raises(SystemExit):
+            main(["bound"])
+        assert main(["lattice-sum", "--k", "4"]) == 2
+        capsys.readouterr()
+        assert stdout_of(CALLS[name]) == (GOLDEN / f"{name}.out").read_text(), name
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for name in ("maxima", "gamma_chain", "maxima"):
+            stdout_of(CALLS[name])
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def rewrite(golden=GOLDEN, calls=CALLS) -> list:

@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from pbl import (
     cayley_gamma2,
     cayley_gamma23,
     cayley_gamma3,
+    lift,
     model2_form,
     model3_form,
     model_indicator,
@@ -102,6 +106,26 @@ class TestApply:
             v *= rng.uniform(0.05, 0.85) / np.linalg.norm(v)
             q = apply(g, ModelPoint.ball(v))
             assert model_indicator(q) < 0
+
+    def test_image_is_the_matrix_action_bit_for_bit(self):
+        # apply keeps the lift it computes: (M w)[:-1] / (M w)[-1], then 1,
+        # with the indicator paired from it, and nothing of it writable
+        rng = np.random.default_rng(11)
+        cay = cayley_gamma2()
+        for s in range(50):
+            g = random_isometry(ball_form(2), s)
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            p = ModelPoint.ball(v * (rng.uniform(0.05, 0.9) / np.linalg.norm(v)))
+            back = apply(cay.inverse(), p)
+            for m, q, r in ((g.mat, apply(g, p), p), (cay.mat, apply(cay, back), back)):
+                w = m @ lift(r)
+                assert q.coords.tobytes() == (w[:-1] / w[-1]).tobytes()
+                zt = lift(q)
+                assert zt[-1] == 1.0
+                assert model_indicator(q) == float((zt.conj() @ q.form().entries @ zt).real)
+                for arr in (q.coords, zt):
+                    with pytest.raises(ValueError):
+                        arr.setflags(write=True)
 
 
 class TestRandomIsometry:
@@ -204,3 +228,148 @@ class TestFormIdentity:
         g = random_isometry(form, 3)
         with pytest.raises(DomainError, match="isometry preserves a different form than the ball model's"):
             apply(g, ModelPoint.ball([0.3, 0.1]))
+
+
+class TestRandomIsometrySeed:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, np.int64(-2)])
+    def test_rejects_anything_but_a_non_negative_integer(self, seed):
+        with pytest.raises(PreconditionError, match="seed must be a non-negative integer"):
+            random_isometry(ball_form(2), seed)
+
+    def test_numpy_and_big_integers_are_seeds(self):
+        assert np.array_equal(random_isometry(ball_form(2), np.uint32(7)).mat,
+                              random_isometry(ball_form(2), 7).mat)
+        random_isometry(ball_form(2), 2**70)
+
+
+# a reference random_isometry written out in full with @ products: two
+# d x d draws, the Taylor exponential with its powers and Horner steps, and
+# the public Isometry constructor, which copies and checks with
+# np.linalg.det; random_isometry must reproduce it bit for bit
+_REF_COEF = np.array(
+    [[1.0 / math.factorial(4 * j + i) for i in range(4)] + [0.0] for j in range(4)], dtype=complex
+)
+_REF_COEF[3, 4] = 1.0 / math.factorial(16)
+
+
+def _reference_expm(x, norm):
+    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0.5 else 0
+    if s:
+        x = x * 2.0**-s
+    d = x.shape[0]
+    powers = np.empty((5, d, d), dtype=complex)
+    powers[0] = np.eye(d)
+    powers[1] = x
+    x2, x3, x4 = powers[2:]
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    np.matmul(x2, x2, out=x4)
+    b = (_REF_COEF @ powers.reshape(5, d * d)).reshape(4, d, d)
+    r = b[3]
+    for j in (2, 1, 0):
+        r = b[j] + x4 @ r
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _reference_random_isometry(form, seed, scale=0.5):
+    rng = np.random.default_rng(seed)
+    d = form.dim
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = a - form.inverse @ a.conj().T @ form.entries
+    diag = x.reshape(-1)[:: d + 1]
+    diag -= diag.sum() / d
+    v = x.reshape(-1)
+    norm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    if norm > 0 and scale != 0:
+        x *= scale / norm
+    else:
+        x = np.zeros_like(x)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Isometry(_reference_expm(x, abs(scale)), form)
+    except DomainError:
+        return None
+
+
+class TestRandomIsometryStream:
+    @pytest.mark.parametrize("form", [ball_form(2), model2_form(), model3_form(), ball_form(3)])
+    def test_bit_identical_to_the_reference(self, form):
+        for s in range(20):
+            assert random_isometry(form, s).mat.tobytes() == (
+                _reference_random_isometry(form, s).mat.tobytes()
+            ), s
+
+    def test_accepts_every_matrix_the_reference_accepts(self):
+        # successes of seeds 0..19 on the model-3 form at the reference: a
+        # check that rejected more of these large-entry matrices would fail
+        reference_successes = {10.0: 20, 15.0: 16, 20.0: 9, 30.0: 4, 50.0: 4}
+        for scale, floor in reference_successes.items():
+            successes = 0
+            for s in range(20):
+                want = _reference_random_isometry(model3_form(), s, scale)
+                try:
+                    got = random_isometry(model3_form(), s, scale)
+                except NumericalError:
+                    assert want is None, (scale, s)
+                    continue
+                successes += 1
+                assert want is not None and got.mat.tobytes() == want.mat.tobytes(), (scale, s)
+            assert successes >= floor, scale
+
+
+def _unchecked(mat, form):
+    """An Isometry whose matrix never passed the check.  It stands in for an
+    operand corrupted after construction, so that only the check of the
+    builder under test can catch the defect."""
+    g = object.__new__(Isometry)
+    object.__setattr__(g, "mat", np.array(mat, dtype=complex))
+    object.__setattr__(g, "form", form)
+    return g
+
+
+# c I preserves the form to (c^2 - 1) = 0.9e-10, inside ISOMETRY_TOL, while
+# |det| = c^3 is 1.35e-10 away from 1, outside it; so is c^-1 I
+_C = math.sqrt(1 + 0.9e-10)
+DEFECTS = {
+    "nan": (np.full((3, 3), np.nan), "residual nan"),
+    "off_form": (np.eye(3) + 1e-6 * np.eye(3, k=1), "does not preserve the form"),
+    "det": (_C * np.eye(3), r"\|det\| = "),
+}
+
+
+class TestBuildersCheck:
+    """Each library builder skips the constructor's copy but not its check."""
+
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_compose(self, defect):
+        mat, msg = DEFECTS[defect]
+        bad, one = _unchecked(mat, ball_form(2)), Isometry(np.eye(3), ball_form(2))
+        with pytest.raises(DomainError, match=msg):
+            bad.compose(one)
+        with pytest.raises(DomainError, match=msg):
+            one @ bad
+
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_inverse(self, defect):
+        mat, msg = DEFECTS[defect]
+        with pytest.raises(DomainError, match=msg):
+            _unchecked(mat, ball_form(2)).inverse()
+
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_random_isometry(self, defect, monkeypatch):
+        mat, msg = DEFECTS[defect]
+        monkeypatch.setattr("pbl.transforms._expm", lambda x, norm: mat.astype(complex))
+        with pytest.raises(NumericalError, match="exponential left the group: .*" + msg):
+            random_isometry(ball_form(2), 1)
+
+    @pytest.mark.parametrize("model", [Model.M2, Model.M3])
+    def test_stabilizer_matrix(self, model):
+        # its matrices are unitriangular, so |det| = 1 exactly and only the
+        # residual can fail: on a NaN parameter (which HeisenbergParam itself
+        # rejects) and where |alpha|^2 / 2 rounds past the tolerance
+        with pytest.raises(DomainError, match="residual nan"):
+            stabilizer_matrix(SimpleNamespace(alpha=complex("nan"), beta=0.0), model)
+        with pytest.raises(DomainError, match="does not preserve the form"):
+            stabilizer_matrix(HeisenbergParam(3000 + 1000j, 0.5), model)
