@@ -93,39 +93,26 @@ def _fold(beta: np.ndarray, split: int):
     return np.concatenate((pos, rest)), np.concatenate((mult, np.ones(rest.size)))
 
 
-def _runs(sorted_keys: np.ndarray) -> np.ndarray:
-    """The index where each run of equal values in sorted_keys starts,
-    followed by len(sorted_keys)."""
-    return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1], [True])))
+def _box_sum(spec: LatticeSpec, lines, k: int, r_beta: float):
+    """The terms with |beta| <= r_beta on the beta lines of an alpha disc
+    (`LatticeSpec._lines`), and the number of lattice points they cover.
 
-
-def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
-    """The terms with |beta| <= r_beta over the columns of disc, and the
-    number of lattice points they cover.
-
-    A column's beta line depends only on its exact (h, offset) pair, with
-    h = |alpha|^2/2, and a term only on h and |beta|.  So the distinct pairs
-    are grouped by offset.  Each offset class builds its beta row once,
-    folds it to its distinct |beta| and their counts (2 where beta and
-    -beta are both on the row), evaluates one block of its lines times
-    those |beta|, and reduces the block by row sums weighted by the counts,
-    then by the column weights.  A symmetric class (offset = -offset mod step) evaluates about
-    half its row; an asymmetric one all of it.  Each term is (1 + x)^{-k/2}
-    with x = (a^2 + beta^2)/a0^2 - 1 = (h (2 a0 + h) + beta^2)/a0^2, formed
+    A term depends only on a line's h and on |beta|, so each offset class
+    of lines builds its beta row once, folds it to its distinct |beta| and
+    their counts (2 where beta and -beta are both on the row), evaluates
+    one block of its lines times those |beta|, and reduces the block by row
+    sums weighted by the counts, then by the column weights.  A symmetric
+    class (offset = -offset mod step) evaluates about half its row; an
+    asymmetric one all of it.  Each term is (1 + x)^{-k/2} with
+    x = (a^2 + beta^2)/a0^2 - 1 = (h (2 a0 + h) + beta^2)/a0^2, formed
     without the cancellation of k log a0 - (k/2) log(a^2 + beta^2), whose
-    rounding grows like k eps.  The count is each class's column weight
-    times its row length.  The work budget is checked, before any block is
-    built, against every line at the full unfolded row length.
+    rounding grows like k eps; where x overflows to inf its term is exactly
+    0, without a warning.  The count is each class's column weight times
+    its row length.  The work budget is checked, before any block is built,
+    against every line at the full unfolded row length.
     """
     a0 = k / (2 * math.pi)
-    alpha = disc.alpha
-    # offset + i h as one key, sorted class by class; re^2 + im^2 is exact
-    # on integer alphas
-    key = np.sort(disc.offset + 1j * ((alpha.real**2 + alpha.imag**2) / 2.0))
-    edges = _runs(key)
-    weight = np.subtract(edges[1:], edges[:-1], dtype=float)
-    lines = key[edges[:-1]]
-    offs, h = lines.real, lines.imag
+    offs, h, weight = lines.offset, lines.h, lines.weight
     step = spec.beta_step
     off_max = float(np.abs(offs).max()) if offs.size else 0.0
     half_line = (r_beta + off_max) / step
@@ -137,26 +124,25 @@ def _box_sum(spec: LatticeSpec, disc, k: int, r_beta: float):
     # a row's window |beta| <= r_beta runs from its first beta >= -r_beta
     # to its first beta > r_beta, and its first beta >= 0 splits it
     window = np.array((-r_beta, 0.0, math.nextafter(r_beta, math.inf)))
-    columns = edges.tolist()
-    classes = _runs(offs).tolist()
     total = 0.0
     count = 0
-    for lo, hi in zip(classes[:-1], classes[1:]):
-        beta = offs[lo] + l_step
-        start, split, stop = np.searchsorted(beta, window).tolist()
-        count += (columns[hi] - columns[lo]) * (stop - start)
-        beta_abs, mult = _fold(beta[start:stop], split - start)
-        beta_sq = beta_abs * beta_abs
-        chunk = max(1, 2_000_000 // max(beta_sq.size, 1))
-        for i in range(lo, hi, chunk):
-            j = min(i + chunk, hi)
-            x = h_part[i:j, None] + beta_sq
-            x /= a0 * a0
-            np.log1p(x, out=x)
-            x *= -(k / 2.0)
-            np.exp(x, out=x)
-            x *= mult
-            total += float(weight[i:j] @ x.sum(axis=1))
+    with np.errstate(over="ignore"):
+        for lo, hi, columns in lines.classes:
+            beta = offs[lo] + l_step
+            start, split, stop = np.searchsorted(beta, window).tolist()
+            count += columns * (stop - start)
+            beta_abs, mult = _fold(beta[start:stop], split - start)
+            beta_sq = beta_abs * beta_abs
+            chunk = max(1, 2_000_000 // max(beta_sq.size, 1))
+            for i in range(lo, hi, chunk):
+                j = min(i + chunk, hi)
+                x = h_part[i:j, None] + beta_sq
+                x /= a0 * a0
+                np.log1p(x, out=x)
+                x *= -(k / 2.0)
+                np.exp(x, out=x)
+                x *= mult
+                total += float(weight[i:j] @ x.sum(axis=1))
     return total, count
 
 
@@ -240,12 +226,13 @@ def cusp_lattice_sum(
     Each radius is solved as the smallest whose closed-form tail majorant
     meets rel_tol * goal / 2, where goal starts at a lower estimate of the
     sum; a box that does not certify itself lowers goal to the partial sum,
-    or to half of goal if that is smaller.  Radii never shrink, and the disc
-    is rebuilt only when r_alpha grows.
+    or to half of goal if that is smaller.  Radii never shrink, and the
+    disc's beta lines, which the spec keeps (`LatticeSpec._lines`), are
+    fetched again only when r_alpha grows.
     """
+    _check_exact_int(k, "k")
     if k < 6:
         raise PreconditionError("k must be >= 6 for the sum to have margin")
-    _check_exact_int(k, "k")
     # below the double epsilon the tail could not change the computed sum
     if not (np.finfo(float).eps <= rel_tol <= 1e-3):
         raise PreconditionError("rel_tol must lie in [2.2e-16, 1e-3]")
@@ -256,15 +243,15 @@ def cusp_lattice_sum(
     alpha_tail = _alpha_tail(spec, k, beta_integral)
     r_alpha = 2.0 + spec.alpha_cell_diameter
     r_beta = 4.0 * spec.beta_step
-    disc_radius = None
+    lines_radius = None
     for _ in range(60):
         target = math.log(rel_tol * goal / 2.0)
         r_alpha = _solve_radius(alpha_tail, r_alpha, target)
-        if r_alpha != disc_radius:
-            disc, disc_radius = spec.disc(r_alpha), r_alpha
-            beta_tail = _beta_tail(spec, k, disc.m.size)
+        if r_alpha != lines_radius:
+            lines, lines_radius = spec._lines(r_alpha), r_alpha
+            beta_tail = _beta_tail(spec, k, lines.columns)
         r_beta = _solve_radius(beta_tail, r_beta, target)
-        partial, count = _box_sum(spec, disc, k, r_beta)
+        partial, count = _box_sum(spec, lines, k, r_beta)
         tail = math.exp(min(np.logaddexp(alpha_tail(r_alpha), beta_tail(r_beta)), 700.0))
         if tail <= rel_tol * partial:
             return CuspSumResult(
@@ -294,6 +281,7 @@ def cusp_bound(
     attached as the sharper computed alternative, together with a flag
     recording that the closed form dominates it.
     """
+    _check_exact_int(k, "k")
     if k < 6:
         raise PreconditionError("k must be >= 6")
     base = cocompact_bound(2, k, r_x, cm)

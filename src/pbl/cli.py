@@ -314,13 +314,15 @@ def cmd_bound(ns, file_cfg):
     cm = ConstantModel(cfg["c_gamma"], cfg["c_exponent"])
     writer = Writer(ns.format or "jsonl", ns.out, cfg)
     rows = []
+    # one spec for the sweep, which derives its lattice's beta lines once
+    spec = _lattice_spec(cfg) if ns.which == "cusp" else None
     for k in ks:
         if ns.which == "cocompact":
             row = cocompact_bound(cfg["n"], k, cfg["rx"], cm).row()
         else:
             from .bounds import cusp_bound
 
-            rep = cusp_bound(k, cfg["rx"], cm, _lattice_spec(cfg), cfg["tol"])
+            rep = cusp_bound(k, cfg["rx"], cm, spec, cfg["tol"])
             row = rep.row()
             row["log_cusp_sum_scaled"] = rep.extras["cusp_sum_scaled"].log()
             row["cusp_dominates_sum"] = rep.extras["cusp_dominates_sum"]

@@ -30,5 +30,11 @@ _MAX_EXACT_INT = 2**53
 
 
 def _check_exact_int(n: int, name: str) -> None:
+    """PreconditionError unless n is an integer (a bool, float, str or None
+    is not) of at most 2^53 in magnitude; callers check it before comparing
+    n with anything."""
+    # numpy integers have __index__; floats, str, None and numpy bools do not
+    if type(n) is not int and (isinstance(n, bool) or not hasattr(type(n), "__index__")):
+        raise PreconditionError(f"{name}: must be an integer, not {type(n).__name__}")
     if abs(n) > _MAX_EXACT_INT:
         raise PreconditionError(f"{name}: must be at most 2^53 in magnitude")

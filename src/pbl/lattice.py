@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -48,6 +48,37 @@ def _check_terms(terms: float, what: str):
 # lexicographic in the indices
 AlphaDisc = namedtuple("AlphaDisc", "m n alpha offset")
 LatticePoints = namedtuple("LatticePoints", "m n l alpha beta")
+# the distinct beta lines of an alpha disc: each line's offset and
+# h = |alpha|^2/2, sorted by (offset, h), and how many columns share it
+# (as floats); (start, stop, columns) of each run of equal offsets; and the
+# number of columns.  Its arrays are read-only: a spec hands the same
+# BetaLines to every lattice sum on the same disc.
+BetaLines = namedtuple("BetaLines", "offset h weight classes columns")
+
+
+def _beta_lines(offset: np.ndarray, h: np.ndarray, weight: np.ndarray) -> BetaLines:
+    """BetaLines of the lines (offset, h), sorted by (offset, h), with
+    integer column weights."""
+    edges = np.flatnonzero(np.concatenate(([True], offset[1:] != offset[:-1], [True])))
+    cols = np.concatenate(([0], np.cumsum(weight)))[edges].tolist()
+    edges = edges.tolist()
+    classes = [
+        (lo, hi, c_hi - c_lo) for lo, hi, c_lo, c_hi in zip(edges, edges[1:], cols, cols[1:])
+    ]
+    weight = weight.astype(float)
+    for a in (offset, h, weight):
+        a.setflags(write=False)
+    return BetaLines(offset, h, weight, classes, cols[-1])
+
+
+# The columns of the largest alpha disc a spec was asked for lines of,
+# sorted by hypot(alpha): that hypot (rad), |m| and |n|, and the index of
+# the column's line in (line_offset, line_h), the distinct (offset, h) pairs
+# sorted; the dual basis row norms of its index box; and the BetaLines of
+# the discs asked for so far, by (columns, m_max, n_max).
+_LineTable = namedtuple("_LineTable", "radius rad m n line line_offset line_h dual_norms memo")
+# most discs one table keeps the BetaLines of
+_MAX_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -98,13 +129,17 @@ class LatticeSpec:
     Defaults to the Gaussian model a1=1, a2=i, step 1, zero offsets; other
     imaginary-quadratic shapes (e.g. Eisenstein a2 = exp(i pi/3)) are one
     field away.  A disc calls beta_offset_rule once on its index arrays
-    where the rule accepts arrays, and once per column otherwise.
+    where the rule accepts arrays, and once per column otherwise.  The rule
+    must be a pure function of (m, n): the spec keeps the beta lines it
+    derived from it and reuses them for every later lattice sum.
     """
 
     a1: complex = 1.0 + 0.0j
     a2: complex = 0.0 + 1.0j
     beta_step: float = 1.0
     beta_offset_rule: Optional[Callable[[int, int], float]] = None
+    # the columns of the largest disc whose lines were asked for; see _lines
+    _line_table: Optional[_LineTable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.a1) and np.isfinite(self.a2) and 0 < self.beta_step < math.inf):
@@ -134,20 +169,23 @@ class LatticeSpec:
     def param(self, m: int, n: int, l: int) -> HeisenbergParam:
         return HeisenbergParam(self.alpha(m, n), self.offset(m, n) + l * self.beta_step)
 
+    @property
+    def _dual_norms(self) -> tuple[float, float]:
+        """|a2|/area and |a1|/area, the row norms of the inverse of the basis
+        [[a1, a2]], so that |m| <= |alpha| |a2|/area, |n| <= |alpha| |a1|/area."""
+        area = self.cell_area
+        return abs(self.a2) / area, abs(self.a1) / area
+
     def disc(self, r_alpha: float) -> AlphaDisc:
         """Every column (m, n) with |alpha| <= r_alpha, lexicographic.
 
         The index box |m| <= m_max, |n| <= n_max around the disc comes from
-        the dual basis row norms, |a2|/area and |a1|/area (the rows of the
-        inverse of the basis [[a1, a2]]); NumericalError if it exceeds the
-        budget.
+        `_dual_norms`; NumericalError if it exceeds the budget.
         """
         if not r_alpha >= 0:
             raise PreconditionError("radii must be nonnegative")
-        area = self.cell_area
-        dual_norms = (abs(self.a2) / area, abs(self.a1) / area)
         # Python floats: a box past the double range is inf, not a warning
-        m_max, n_max = np.floor([r_alpha * d + 1e-9 for d in dual_norms]).tolist()
+        m_max, n_max = np.floor([r_alpha * d + 1e-9 for d in self._dual_norms]).tolist()
         _check_budget(
             (2 * m_max + 1) * (2 * n_max + 1), f"the alpha disc of radius {r_alpha:.3g}"
         )
@@ -160,6 +198,58 @@ class LatticeSpec:
         i, j = np.nonzero(keep)
         m, n = m[i], n[j]
         return AlphaDisc(m, n, alpha[keep], self._offsets(m, n))
+
+    def _lines(self, r_alpha: float) -> BetaLines:
+        """The distinct beta lines of disc(r_alpha), with disc's checks.
+
+        A column's beta line depends only on its exact (offset, h) pair,
+        h = |alpha|^2/2.  The spec keeps a `_LineTable` of the largest disc
+        asked for so far.  A request within its radius takes the table's
+        columns with hypot(alpha) <= r_alpha, a prefix, and of those the
+        ones in its own index box: the columns disc(r_alpha) would give.
+        So its lines are a fresh disc's, in the same order; the table keeps
+        them for the next request on the same columns.  A larger request
+        builds the table anew from its own disc, which checks the budget.
+        """
+        table = self._line_table
+        if table is None or not r_alpha <= table.radius:
+            disc = self.disc(r_alpha)
+            alpha = disc.alpha
+            # each column's (offset, h) as offset + i h, which sorts by offset,
+            # then h; re^2 + im^2 is exact on integer alphas
+            pair = disc.offset + 1j * ((alpha.real**2 + alpha.imag**2) / 2.0)
+            distinct, line = np.unique(pair, return_inverse=True)
+            rad = np.hypot(alpha.real, alpha.imag)
+            order = np.argsort(rad)
+            table = _LineTable(
+                r_alpha,
+                rad[order],
+                np.abs(disc.m[order]),
+                np.abs(disc.n[order]),
+                line[order],
+                distinct.real.copy(),
+                distinct.imag.copy(),
+                self._dual_norms,
+                {},
+            )
+            object.__setattr__(self, "_line_table", table)
+        elif not r_alpha >= 0:
+            raise PreconditionError("radii must be nonnegative")
+        count = int(np.searchsorted(table.rad, r_alpha, side="right"))
+        # disc's own index box, in the same Python floats; the radius is
+        # finite and within a box that passed the budget
+        box = tuple(math.floor(r_alpha * d + 1e-9) for d in table.dual_norms)
+        key = (count, *box)
+        lines = table.memo.get(key)
+        if lines is None:
+            m_max, n_max = box
+            keep = (table.m[:count] <= m_max) & (table.n[:count] <= n_max)
+            weight = np.bincount(table.line[:count][keep], minlength=table.line_h.size)
+            used = np.flatnonzero(weight)
+            lines = _beta_lines(table.line_offset[used], table.line_h[used], weight[used])
+            if len(table.memo) < _MAX_MEMO:
+                table.memo[key] = lines
+        return lines
 
     def _offsets(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         """The beta offsets of the columns (m, n): one call of the rule on the

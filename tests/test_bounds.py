@@ -1,4 +1,7 @@
+import cmath
+import dataclasses
 import math
+import random
 import time
 
 import numpy as np
@@ -26,6 +29,7 @@ from pbl import (
 )
 from pbl.bounds import _box_sum
 from pbl.counting import tail_bound_terms, OrbitSource
+from pbl.lattice import _MAX_MEMO
 
 EISENSTEIN_OFFSET = LatticeSpec(
     a2=complex(0.5, math.sqrt(3) / 2),
@@ -35,6 +39,13 @@ EISENSTEIN_OFFSET = LatticeSpec(
 # offsets 0, 0.1, 0.2 by m mod 3: the columns (m, n) and (-m, -n) carry
 # different offsets, and 2 * 0.1 is not a multiple of the step
 SKEW_SPEC = LatticeSpec(beta_offset_rule=lambda m, n: 0.1 * (m % 3))
+OBLIQUE_SPEC = LatticeSpec(a1=1.0, a2=complex(0.5, math.sqrt(3) / 2), beta_step=0.5)
+# a rule on scalars only: the spec calls it once per column
+PER_COLUMN_SPEC = LatticeSpec(
+    a2=cmath.exp(1j * math.pi / 3),
+    beta_step=0.5,
+    beta_offset_rule=lambda m, n: 0.5 if m * n % 2 else 0.0,
+)
 
 
 def brute_lattice_sum(k, m_box, l_box):
@@ -174,6 +185,34 @@ def test_ints_beyond_2_53_rejected(call, k):
         call(k)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: cusp_lattice_sum(k, GAUSSIAN_SPEC),
+        lambda k: cusp_bound(k, 1.0, ConstantModel(), GAUSSIAN_SPEC),
+        gamma_integral_chain,
+        lambda k: cusp_term_log(k, ConstantModel()),
+    ],
+    ids=["lattice_sum", "cusp", "gamma_chain", "cusp_term"],
+)
+@pytest.mark.parametrize("k", [6.0, 100.0, 100.5, "6", None, True], ids=repr)
+def test_weights_that_are_not_integers_rejected(call, k):
+    # checked before k is compared with anything, so a str or None cannot
+    # raise TypeError, and 100.0 does not pass where 6.0 fails
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        call(k)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 2, np.int64(2)], ids=repr)
+def test_cusp_term_below_3_rejected(k):
+    with pytest.raises(PreconditionError, match=">= 3"):
+        cusp_term_log(k, ConstantModel())
+
+
+def test_cusp_term_takes_numpy_integers():
+    assert cusp_term_log(np.int64(3), ConstantModel()) == cusp_term_log(3, ConstantModel())
+
+
 class TestCuspLatticeSum:
     def test_origin_term_is_one(self):
         a0 = 24 / (2 * math.pi)
@@ -238,7 +277,7 @@ class TestCuspLatticeSum:
     @pytest.mark.parametrize("k", [6, 60, 1000])
     def test_grouped_box_equals_direct_sum(self, spec, k):
         res = cusp_lattice_sum(k, spec, 1e-8)
-        got, count = _box_sum(spec, spec.disc(res.r_alpha), k, res.r_beta)
+        got, count = _box_sum(spec, spec._lines(res.r_alpha), k, res.r_beta)
         want, want_count = direct_box_sum(spec, k, res.r_alpha, res.r_beta)
         assert got == pytest.approx(want, rel=1e-13)
         assert count == want_count == res.n_terms
@@ -250,7 +289,7 @@ class TestCuspLatticeSum:
     @pytest.mark.parametrize("r_beta", [2.0, 2.1, 2.25])
     def test_box_includes_the_betas_on_its_radius(self, spec, r_beta):
         # each radius is some line's |beta| at the top of its window
-        got, count = _box_sum(spec, spec.disc(3.0), 6, r_beta)
+        got, count = _box_sum(spec, spec._lines(3.0), 6, r_beta)
         want, want_count = direct_box_sum(spec, 6, 3.0, r_beta)
         assert count == want_count
         assert got == pytest.approx(want, rel=1e-15)
@@ -297,6 +336,114 @@ class TestCuspLatticeSum:
             cusp_lattice_sum(5, GAUSSIAN_SPEC)
         with pytest.raises(PreconditionError):
             cusp_lattice_sum(6, GAUSSIAN_SPEC, rel_tol=0.5)
+
+    def test_overflowing_beta_squares_are_zero_terms(self):
+        # with step 1e300 every beta but 0 squares to inf, a term of exactly
+        # 0, so the box sums the beta = 0 terms alone, without a warning
+        # (RuntimeWarnings are errors in this suite)
+        spec = LatticeSpec(beta_step=1e300)
+        res = cusp_lattice_sum(6, spec, 1e-8)
+        got, _ = _box_sum(spec, spec._lines(res.r_alpha), 6, res.r_beta)
+        a0 = 6 / (2 * math.pi)
+        disc = spec.disc(res.r_alpha)
+        h = (disc.m**2 + disc.n**2) / 2.0
+        want = math.fsum(np.exp(-3.0 * np.log1p(h * (2 * a0 + h) / a0**2)).tolist())
+        assert got == pytest.approx(want, rel=1e-15)
+        assert res.value.to_float() == pytest.approx(want, rel=1e-15)
+
+
+def _result_fields(res):
+    """Every field of a CuspSumResult, the value as its log's exact float."""
+    return (res.value.log_abs, res.k, res.r_alpha, res.r_beta, res.tail_majorant, res.n_terms)
+
+
+_TABLE_RUNS = [(k, tol) for k in (6, 8, 20, 60, 1000, 5000) for tol in (1e-4, 1e-8, 1e-12)]
+_SHUFFLED_RUNS = random.Random(0).sample(_TABLE_RUNS, len(_TABLE_RUNS))
+_TABLE_SPECS = [GAUSSIAN_SPEC, EISENSTEIN_OFFSET, SKEW_SPEC, OBLIQUE_SPEC, PER_COLUMN_SPEC]
+_TABLE_IDS = ["gaussian", "eisenstein", "skew", "oblique", "per_column"]
+
+
+class TestLineTable:
+    """A spec keeps the beta lines of the largest disc it was asked for and
+    serves smaller discs from them (`LatticeSpec._lines`)."""
+
+    @pytest.mark.parametrize("spec", _TABLE_SPECS, ids=_TABLE_IDS)
+    def test_reused_spec_equals_fresh_specs(self, spec):
+        # dataclasses.replace makes an equal spec with no table
+        fresh = {
+            run: _result_fields(cusp_lattice_sum(run[0], dataclasses.replace(spec), run[1]))
+            for run in _TABLE_RUNS
+        }
+        for runs in (_TABLE_RUNS, _TABLE_RUNS[::-1], _SHUFFLED_RUNS):
+            reused = dataclasses.replace(spec)
+            for k, tol in runs:
+                assert _result_fields(cusp_lattice_sum(k, reused, tol)) == fresh[k, tol], (k, tol)
+
+    @staticmethod
+    def assert_lines_group_the_disc(spec, radii):
+        """spec's lines at each radius against its disc's columns grouped
+        by (offset, h), on one spec whose table is built at max(radii)."""
+        spec = dataclasses.replace(spec)
+        spec._lines(max(radii))
+        for r in radii:
+            got = spec._lines(r)
+            disc = spec.disc(r)
+            h = (disc.alpha.real**2 + disc.alpha.imag**2) / 2.0
+            key, weight = np.unique(disc.offset + 1j * h, return_counts=True)
+            assert got.offset.tolist() == key.real.tolist()
+            assert got.h.tolist() == key.imag.tolist()
+            assert got.weight.tolist() == weight.tolist()
+            # the runs of equal offsets and their column counts
+            offsets, edges = key.real, [0]
+            for lo, hi, columns in got.classes:
+                assert (lo, columns) == (edges[-1], weight[lo:hi].sum())
+                assert (offsets[lo:hi] == offsets[lo]).all()
+                assert (offsets[hi : hi + 1] != offsets[lo]).all()
+                edges.append(hi)
+            assert (edges[-1], got.columns) == (key.size, disc.m.size)
+        return spec
+
+    @pytest.mark.parametrize("spec", _TABLE_SPECS, ids=_TABLE_IDS)
+    def test_lines_group_the_disc_at_every_radius(self, spec):
+        # more than _MAX_MEMO distinct discs, each asked for twice
+        reused = self.assert_lines_group_the_disc(spec, np.linspace(0.0, 16.0, 401).tolist() * 2)
+        assert reused._line_table.radius == 16.0
+        assert len(reused._line_table.memo) == _MAX_MEMO
+
+    @pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, OBLIQUE_SPEC], ids=["gaussian", "oblique"])
+    def test_lines_keep_to_the_index_box(self, spec, monkeypatch):
+        # a box too small for its disc, so that it cuts columns that pass
+        # hypot(alpha) <= r_alpha, as disc does
+        monkeypatch.setattr(LatticeSpec, "_dual_norms", property(lambda self: (0.5, 0.7)))
+        self.assert_lines_group_the_disc(spec, np.linspace(0.0, 12.0, 97).tolist())
+
+    def test_budget_message_and_radius_unchanged(self, monkeypatch):
+        built = []
+        disc = LatticeSpec.disc
+        monkeypatch.setattr(LatticeSpec, "disc", lambda self, r: built.append(r) or disc(self, r))
+        thin = LatticeSpec(a2=1e-3j)
+        for r in (0.5, 1.0, 0.75):
+            thin._lines(r)
+        # the index box of radius 40 has 81 x 80001 cells, over the 5e6 budget
+        with pytest.raises(NumericalError) as want:
+            disc(LatticeSpec(a2=1e-3j), 40.0)
+        with pytest.raises(NumericalError) as got:
+            thin._lines(40.0)
+        assert str(got.value) == str(want.value)
+        assert thin._line_table.radius == 1.0
+        # the table is only ever built at a radius that was asked for and grew
+        assert built == [0.5, 1.0, 40.0]
+        with pytest.raises(PreconditionError):
+            thin._lines(-1.0)
+
+    def test_lattice_sum_budget_message_unchanged(self):
+        with pytest.raises(NumericalError) as want:
+            cusp_lattice_sum(6, LatticeSpec(a2=1e-6j))
+        thin = LatticeSpec(a2=1e-6j)
+        thin._lines(0.01)
+        with pytest.raises(NumericalError) as got:
+            cusp_lattice_sum(6, thin)
+        assert str(got.value) == str(want.value)
 
 
 class TestGammaChain:

@@ -129,6 +129,19 @@ def test_numpy_loads_only_for_array_commands(tmp_path, argv, want_code, loads_nu
     assert proc.stdout.split() == [str(want_code), str(loads_numpy)]
 
 
+def test_overflowing_beta_squares_print_no_warning():
+    # with step 1e300 every beta but 0 squares to inf: a term of exactly 0
+    src = os.path.dirname(os.path.dirname(pbl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbl.cli", "lattice-sum", "--k", "6", "--beta-step", "1e300"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    row = json.loads(proc.stdout.splitlines()[-1])
+    assert math.isfinite(row["sum"]) and row["sum"] > 1.0
+
+
 def test_lazy_namespace():
     for name in pbl.__all__:
         getattr(pbl, name)
