@@ -120,13 +120,13 @@ def _box_sum(spec: LatticeSpec, lines, k: int, r_beta: float):
     _check_terms(h.size * (2 * half_line + 3), f"the lattice sum box ({h.size} beta lines)")
     l_max = int(math.floor(half_line)) + 1
     l_step = np.arange(-l_max, l_max + 1) * step
-    h_part = h * (2.0 * a0 + h)
     # a row's window |beta| <= r_beta runs from its first beta >= -r_beta
     # to its first beta > r_beta, and its first beta >= 0 splits it
     window = np.array((-r_beta, 0.0, math.nextafter(r_beta, math.inf)))
     total = 0.0
     count = 0
     with np.errstate(over="ignore"):
+        h_part = h * (2.0 * a0 + h)
         for lo, hi, columns in lines.classes:
             beta = offs[lo] + l_step
             start, split, stop = np.searchsorted(beta, window).tolist()
@@ -163,11 +163,14 @@ def _alpha_tail(spec: LatticeSpec, k: int, beta_integral: float) -> Callable[[fl
     def log_tail(r_alpha: float) -> float:
         u0 = r_alpha - diam
         a = a0 + u0 * u0 / 2.0
+        rate = 2.0 / (k - 1) + c * a / (k - 2)
+        # a * rate leaves the double range only where a passes ~1e154
+        log_rate = math.log(a * rate) if a * rate < math.inf else math.log(a) + math.log(rate)
         return (
             log_density
             + math.log1p(diam / (2.0 * u0))
             + k * (log_a0 - math.log(a))
-            + math.log(a * (2.0 / (k - 1) + c * a / (k - 2)))
+            + log_rate
         )
 
     return log_tail
@@ -226,9 +229,10 @@ def cusp_lattice_sum(
     Each radius is solved as the smallest whose closed-form tail majorant
     meets rel_tol * goal / 2, where goal starts at a lower estimate of the
     sum; a box that does not certify itself lowers goal to the partial sum,
-    or to half of goal if that is smaller.  Radii never shrink, and the
-    disc's beta lines, which the spec keeps (`LatticeSpec._lines`), are
-    fetched again only when r_alpha grows.
+    or to half of goal if that is smaller.  Radii never shrink.  Each pass
+    takes the beta lines of its alpha disc from `LatticeSpec._lines`, which
+    groups them from `LatticeSpec.disc` and memoises them per radius, so a
+    sweep over k on one spec does not rebuild a disc it has seen.
     """
     _check_exact_int(k, "k")
     if k < 6:
@@ -241,15 +245,16 @@ def cusp_lattice_sum(
     # the alpha = 0 line alone sums to within 1 of a0 * beta integral / step
     goal = max(1.0, a0 * beta_integral / spec.beta_step - 1.0)
     alpha_tail = _alpha_tail(spec, k, beta_integral)
-    r_alpha = 2.0 + spec.alpha_cell_diameter
+    # the alpha tail needs r_alpha - diam >= 2; past 2^54, 2 + diam can round
+    # to diam, and then the next double up is at least 4 above diam
+    diam = spec.alpha_cell_diameter
+    r_alpha = max(2.0 + diam, math.nextafter(diam, math.inf))
     r_beta = 4.0 * spec.beta_step
-    lines_radius = None
     for _ in range(60):
         target = math.log(rel_tol * goal / 2.0)
         r_alpha = _solve_radius(alpha_tail, r_alpha, target)
-        if r_alpha != lines_radius:
-            lines, lines_radius = spec._lines(r_alpha), r_alpha
-            beta_tail = _beta_tail(spec, k, lines.columns)
+        lines = spec._lines(r_alpha)
+        beta_tail = _beta_tail(spec, k, lines.columns)
         r_beta = _solve_radius(beta_tail, r_beta, target)
         partial, count = _box_sum(spec, lines, k, r_beta)
         tail = math.exp(min(np.logaddexp(alpha_tail(r_alpha), beta_tail(r_beta)), 700.0))

@@ -54,30 +54,7 @@ LatticePoints = namedtuple("LatticePoints", "m n l alpha beta")
 # number of columns.  Its arrays are read-only: a spec hands the same
 # BetaLines to every lattice sum on the same disc.
 BetaLines = namedtuple("BetaLines", "offset h weight classes columns")
-
-
-def _beta_lines(offset: np.ndarray, h: np.ndarray, weight: np.ndarray) -> BetaLines:
-    """BetaLines of the lines (offset, h), sorted by (offset, h), with
-    integer column weights."""
-    edges = np.flatnonzero(np.concatenate(([True], offset[1:] != offset[:-1], [True])))
-    cols = np.concatenate(([0], np.cumsum(weight)))[edges].tolist()
-    edges = edges.tolist()
-    classes = [
-        (lo, hi, c_hi - c_lo) for lo, hi, c_lo, c_hi in zip(edges, edges[1:], cols, cols[1:])
-    ]
-    weight = weight.astype(float)
-    for a in (offset, h, weight):
-        a.setflags(write=False)
-    return BetaLines(offset, h, weight, classes, cols[-1])
-
-
-# The columns of the largest alpha disc a spec was asked for lines of,
-# sorted by hypot(alpha): that hypot (rad), |m| and |n|, and the index of
-# the column's line in (line_offset, line_h), the distinct (offset, h) pairs
-# sorted; the dual basis row norms of its index box; and the BetaLines of
-# the discs asked for so far, by (columns, m_max, n_max).
-_LineTable = namedtuple("_LineTable", "radius rad m n line line_offset line_h dual_norms memo")
-# most discs one table keeps the BetaLines of
+# most radii a spec keeps the BetaLines of
 _MAX_MEMO = 64
 
 
@@ -131,15 +108,16 @@ class LatticeSpec:
     field away.  A disc calls beta_offset_rule once on its index arrays
     where the rule accepts arrays, and once per column otherwise.  The rule
     must be a pure function of (m, n): the spec keeps the beta lines it
-    derived from it and reuses them for every later lattice sum.
+    grouped from a disc, by radius, and reuses them for every later lattice
+    sum on that radius.
     """
 
     a1: complex = 1.0 + 0.0j
     a2: complex = 0.0 + 1.0j
     beta_step: float = 1.0
     beta_offset_rule: Optional[Callable[[int, int], float]] = None
-    # the columns of the largest disc whose lines were asked for; see _lines
-    _line_table: Optional[_LineTable] = field(default=None, init=False, repr=False, compare=False)
+    # BetaLines by the exact radius of their disc; see _lines
+    _line_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.a1) and np.isfinite(self.a2) and 0 < self.beta_step < math.inf):
@@ -203,52 +181,34 @@ class LatticeSpec:
         """The distinct beta lines of disc(r_alpha), with disc's checks.
 
         A column's beta line depends only on its exact (offset, h) pair,
-        h = |alpha|^2/2.  The spec keeps a `_LineTable` of the largest disc
-        asked for so far.  A request within its radius takes the table's
-        columns with hypot(alpha) <= r_alpha, a prefix, and of those the
-        ones in its own index box: the columns disc(r_alpha) would give.
-        So its lines are a fresh disc's, in the same order; the table keeps
-        them for the next request on the same columns.  A larger request
-        builds the table anew from its own disc, which checks the budget.
+        h = |alpha|^2/2, so the lines are disc's columns grouped by that
+        pair.  The spec keeps the lines of up to _MAX_MEMO radii, by the
+        exact radius, and hands them to every later request for it.
         """
-        table = self._line_table
-        if table is None or not r_alpha <= table.radius:
-            disc = self.disc(r_alpha)
-            alpha = disc.alpha
-            # each column's (offset, h) as offset + i h, which sorts by offset,
-            # then h; re^2 + im^2 is exact on integer alphas
-            pair = disc.offset + 1j * ((alpha.real**2 + alpha.imag**2) / 2.0)
-            distinct, line = np.unique(pair, return_inverse=True)
-            rad = np.hypot(alpha.real, alpha.imag)
-            order = np.argsort(rad)
-            table = _LineTable(
-                r_alpha,
-                rad[order],
-                np.abs(disc.m[order]),
-                np.abs(disc.n[order]),
-                line[order],
-                distinct.real.copy(),
-                distinct.imag.copy(),
-                self._dual_norms,
-                {},
-            )
-            object.__setattr__(self, "_line_table", table)
-        elif not r_alpha >= 0:
-            raise PreconditionError("radii must be nonnegative")
-        count = int(np.searchsorted(table.rad, r_alpha, side="right"))
-        # disc's own index box, in the same Python floats; the radius is
-        # finite and within a box that passed the budget
-        box = tuple(math.floor(r_alpha * d + 1e-9) for d in table.dual_norms)
-        key = (count, *box)
-        lines = table.memo.get(key)
-        if lines is None:
-            m_max, n_max = box
-            keep = (table.m[:count] <= m_max) & (table.n[:count] <= n_max)
-            weight = np.bincount(table.line[:count][keep], minlength=table.line_h.size)
-            used = np.flatnonzero(weight)
-            lines = _beta_lines(table.line_offset[used], table.line_h[used], weight[used])
-            if len(table.memo) < _MAX_MEMO:
-                table.memo[key] = lines
+        lines = self._line_memo.get(r_alpha)
+        if lines is not None:
+            return lines
+        disc = self.disc(r_alpha)
+        # re^2 + im^2 is exact on integer alphas, and inf past |alpha| ~ 1e154
+        with np.errstate(over="ignore"):
+            h = (disc.alpha.real**2 + disc.alpha.imag**2) / 2.0
+        # each column's (offset, h) as offset + i h, which sorts by offset,
+        # then h; built as a view, since 1j * inf would put a nan in it
+        pair = np.column_stack((disc.offset, h)).view(complex).ravel()
+        pair, weight = np.unique(pair, return_counts=True)
+        offset, h = pair.real.copy(), pair.imag.copy()
+        edges = np.flatnonzero(np.concatenate(([True], offset[1:] != offset[:-1], [True])))
+        cols = np.concatenate(([0], np.cumsum(weight)))[edges].tolist()
+        edges = edges.tolist()
+        classes = [
+            (lo, hi, c_hi - c_lo) for lo, hi, c_lo, c_hi in zip(edges, edges[1:], cols, cols[1:])
+        ]
+        weight = weight.astype(float)
+        for a in (offset, h, weight):
+            a.setflags(write=False)
+        lines = BetaLines(offset, h, weight, classes, cols[-1])
+        if len(self._line_memo) < _MAX_MEMO:
+            self._line_memo[r_alpha] = lines
         return lines
 
     def _offsets(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:

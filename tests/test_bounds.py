@@ -364,12 +364,12 @@ _TABLE_IDS = ["gaussian", "eisenstein", "skew", "oblique", "per_column"]
 
 
 class TestLineTable:
-    """A spec keeps the beta lines of the largest disc it was asked for and
-    serves smaller discs from them (`LatticeSpec._lines`)."""
+    """A spec groups the beta lines of a disc from `LatticeSpec.disc` and
+    keeps them by radius (`LatticeSpec._lines`)."""
 
     @pytest.mark.parametrize("spec", _TABLE_SPECS, ids=_TABLE_IDS)
     def test_reused_spec_equals_fresh_specs(self, spec):
-        # dataclasses.replace makes an equal spec with no table
+        # dataclasses.replace makes an equal spec with an empty memo
         fresh = {
             run: _result_fields(cusp_lattice_sum(run[0], dataclasses.replace(spec), run[1]))
             for run in _TABLE_RUNS
@@ -382,9 +382,8 @@ class TestLineTable:
     @staticmethod
     def assert_lines_group_the_disc(spec, radii):
         """spec's lines at each radius against its disc's columns grouped
-        by (offset, h), on one spec whose table is built at max(radii)."""
+        by (offset, h), on one reused spec."""
         spec = dataclasses.replace(spec)
-        spec._lines(max(radii))
         for r in radii:
             got = spec._lines(r)
             disc = spec.disc(r)
@@ -407,8 +406,7 @@ class TestLineTable:
     def test_lines_group_the_disc_at_every_radius(self, spec):
         # more than _MAX_MEMO distinct discs, each asked for twice
         reused = self.assert_lines_group_the_disc(spec, np.linspace(0.0, 16.0, 401).tolist() * 2)
-        assert reused._line_table.radius == 16.0
-        assert len(reused._line_table.memo) == _MAX_MEMO
+        assert len(reused._line_memo) == _MAX_MEMO
 
     @pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, OBLIQUE_SPEC], ids=["gaussian", "oblique"])
     def test_lines_keep_to_the_index_box(self, spec, monkeypatch):
@@ -422,7 +420,7 @@ class TestLineTable:
         disc = LatticeSpec.disc
         monkeypatch.setattr(LatticeSpec, "disc", lambda self, r: built.append(r) or disc(self, r))
         thin = LatticeSpec(a2=1e-3j)
-        for r in (0.5, 1.0, 0.75):
+        for r in (0.5, 1.0, 0.75, 1.0, 0.5):
             thin._lines(r)
         # the index box of radius 40 has 81 x 80001 cells, over the 5e6 budget
         with pytest.raises(NumericalError) as want:
@@ -430,11 +428,23 @@ class TestLineTable:
         with pytest.raises(NumericalError) as got:
             thin._lines(40.0)
         assert str(got.value) == str(want.value)
-        assert thin._line_table.radius == 1.0
-        # the table is only ever built at a radius that was asked for and grew
-        assert built == [0.5, 1.0, 40.0]
+        thin._lines(0.75)
+        # one disc per new radius, none for a memoised one
+        assert built == [0.5, 1.0, 0.75, 40.0]
+        assert sorted(thin._line_memo) == [0.5, 0.75, 1.0]
         with pytest.raises(PreconditionError):
             thin._lines(-1.0)
+
+    @pytest.mark.parametrize("spec", _TABLE_SPECS, ids=_TABLE_IDS)
+    def test_identity_ignores_the_memo(self, spec):
+        spec = dataclasses.replace(spec)
+        before = (dataclasses.replace(spec), hash(spec), repr(spec))
+        for r in (0.0, 2.5, 7.0):
+            spec._lines(r)
+        assert len(spec._line_memo) == 3
+        assert (spec, hash(spec), repr(spec)) == before
+        assert "_line_memo" not in repr(spec)
+        assert dataclasses.replace(spec)._line_memo == {}
 
     def test_lattice_sum_budget_message_unchanged(self):
         with pytest.raises(NumericalError) as want:

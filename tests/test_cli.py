@@ -353,6 +353,27 @@ def test_lattice_area_overflow_exits_2(capsys):
     assert len(err.strip().splitlines()) == 1 and "area" in err
 
 
+def test_huge_alpha_cell_sums_its_zero_line(capsys):
+    # past 2^54, 2 + diam rounds to diam; the cell area stays finite, and
+    # past 1e154 |alpha|^2 of the disc's other columns overflows
+    sums = []
+    for x in ("1e17", "1e150", "1e154"):
+        basis = ("--k", "6", "--tol", "1e-8", "--a1-re", x, "--a2-im", x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "lattice-sum", *basis)
+            assert (code, err) == (0, "")
+            (row,) = rows_of(out)
+            assert row["tail_bound"] <= 1e-8 * row["sum"]
+            code, out, err = run(capsys, "bound", "cusp", *basis)
+            assert (code, err) == (0, "")
+        # C(k) = 1, so the scaled sum is the lattice sum itself
+        assert rows_of(out)[0]["log_cusp_sum_scaled"] == row["log_sum"]
+        sums.append(row["log_sum"])
+    # every column but alpha = 0 adds (1 + x)^{-3} with x >= 1e33, below an ulp
+    assert sums[0] == sums[1] == sums[2]
+
+
 class TestLatticeSumCmd:
     def test_fields(self, capsys):
         code, out, _ = run(capsys, "lattice-sum", "--k", "6", "--tol", "1e-8")
@@ -564,8 +585,11 @@ class TestConfigFile:
 
 # -- fuzz ----------------------------------------------------------------------
 
-# "9" * 400 is an int beyond the double range
-VOCAB = ("0", "-1", "1e-300", "6", "1500", "3000", "1e308", "inf", "nan", "abc", "9" * 400)
+# "9" * 400 is an int beyond the double range; 1e17 and 1e150 make alpha
+# cells whose area is finite but whose diameter absorbs 2 (2 + diam == diam)
+VOCAB = (
+    "0", "-1", "1e-300", "6", "1500", "3000", "1e17", "1e150", "1e308", "inf", "nan", "abc", "9" * 400,
+)
 # sweeps of at most 5 values, and malformed ones
 RANGES = VOCAB + (
     "6..10", "6..3000:1000", "0..2:0.5", "-1..3", "10..6", "6..abc", "nan..6", "0..inf",
