@@ -238,7 +238,10 @@ def _gauss_legendre(n: int):
 # W(m) keeps t <= c / sqrt(m): as cos t <= exp(-t^2/2) on [0, pi/2], the
 # dropped part is at most exp(-c^2/2) / (c sqrt(m)), below 1e-18 of W(m)
 _WALLIS_CUT = 9.0
-_WALLIS_NODES = 24
+# every quadrature in pbl (here and the orbit tail integral of
+# pbl.counting) takes its value from the 2n-node Gauss-Legendre rule and
+# its error estimate from the difference to the n-node rule
+_GL_NODES = 24
 
 
 def _wallis(ms: Sequence[float]):
@@ -262,9 +265,9 @@ def _wallis(ms: Sequence[float]):
                 terms.append(w * math.exp(m * math.log1p(-2.0 * s * s)))
             return half * math.fsum(terms)
 
-        fine = rule(2 * _WALLIS_NODES)
+        fine = rule(2 * _GL_NODES)
         vals.append(fine)
-        errs.append(abs(fine - rule(_WALLIS_NODES)))
+        errs.append(abs(fine - rule(_GL_NODES)))
     return vals, errs
 
 

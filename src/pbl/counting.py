@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .closed_forms import _GL_NODES, _gauss_legendre
 from .errors import DomainError, NumericalError, PreconditionError
 from .geometry import _cosh2, _distance_from_cosh2, ball_volume_constant
 from .hermitian import Model, ModelPoint, model_indicator
@@ -86,19 +86,19 @@ def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
     """Distances d(z, gamma w) for the model-3 stabilizer elements with the
     given (alpha, beta) arrays, vectorized."""
     s0, z2, w2, qzw = _m3_pair(z, w)
-    s = s0 + alpha * np.conj(z2) - np.conj(alpha) * w2 - np.abs(alpha) ** 2 / 2.0 + 1j * beta
-    with np.errstate(over="ignore"):  # a cosh^2 past the double range is an infinite distance
+    # a |alpha|^2 or cosh^2 past the double range is an infinite distance
+    with np.errstate(over="ignore"):
+        s = s0 + alpha * np.conj(z2) - np.conj(alpha) * w2 - np.abs(alpha) ** 2 / 2.0 + 1j * beta
         return _distance_from_cosh2(np.abs(s) ** 2 / qzw)
 
 
-def _seed_box(spec: LatticeSpec):
-    """(alpha, beta) arrays of the nontrivial lattice points with m, n, l
-    in {-1, 0, 1}, whose minima seed the certified searches."""
-    m, n, l = np.indices((3, 3, 3)).reshape(3, -1) - 1
-    alpha = spec.alpha(m, n)
-    beta = spec._offsets(m, n) + l * spec.beta_step
-    keep = (alpha != 0) | (beta != 0)
-    return alpha[keep], beta[keep]
+def _seed_points(spec: LatticeSpec):
+    """(alpha, beta) arrays of the nontrivial lattice points with
+    |alpha| <= the alpha cell diameter and |beta| <= beta_step, whose
+    minima seed the certified searches."""
+    pts = spec.points(spec.alpha_cell_diameter, spec.beta_step)
+    keep = (pts.alpha != 0) | (pts.beta != 0)
+    return pts.alpha[keep], pts.beta[keep]
 
 
 def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: float):
@@ -158,72 +158,52 @@ def _check_decreasing(f: Callable[[float], float], lo: float, hi: float):
         raise PreconditionError("f is not monotonically decreasing on the sampled grid")
 
 
-# QUADPACK's G7/K15 pair on [-1, 1] (Piessens et al., QUADPACK, Springer
-# 1983, routine qk15): (node, Kronrod weight, Gauss weight) for the centre,
-# then for each positive node, whose negative carries the same weights
-_GK15_CENTRE = (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
-_GK15_POS = (
-    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
-    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
-     0.129484966168869693270611432679082),
-    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
-    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
-     0.279705391489276667901467771423780),
-    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
-    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
-     0.381830050505118944950369775488975),
-    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
-)
-_K15_X = (_GK15_CENTRE[0],) + tuple(s * x for x, _, _ in _GK15_POS for s in (-1.0, 1.0))
-_K15_W = (_GK15_CENTRE[1],) + tuple(w for _, w, _ in _GK15_POS for _ in (-1, 1))
-_G7_W = (_GK15_CENTRE[2],) + tuple(g for _, _, g in _GK15_POS for _ in (-1, 1))
-_EPS = float(np.finfo(float).eps)
+_TAIL_EPSABS = 1.49e-8
+_TAIL_EPSREL = 1e-10
+_TAIL_PANELS = 200
 
 
-def _k15(f: Callable[[float], float], lo: float, a: float, b: float):
+def _gl_panel(f: Callable[[float], float], lo: float, a: float, b: float):
     """(-error estimate, a, b, value) of the integral over t in [a, b] of
     f(lo + t / (1 - t)) / (1 - t)^2, the integral of f over [lo + a/(1-a),
-    lo + b/(1-b)], by the G7/K15 pair with QUADPACK's error estimate:
-    |K15 - G7| scaled by min(1, (200 |K15 - G7| / resasc)^1.5), resasc the
-    K15 integral of |g - mean g|, and at least 50 eps times that of |g|."""
+    lo + b/(1-b)], by the Gauss-Legendre pair of pbl.closed_forms: the
+    2n-node rule gives the value and |Q_2n - Q_n| the error estimate, each
+    rule summed with fsum."""
+    if a == b:  # a halving whose midpoint rounded onto an end: no width
+        return 0.0, a, b, 0.0
     h = 0.5 * (b - a)
-    e = 1.0 - 0.5 * (a + b)
-    gs = []
-    for x in _K15_X:
-        u = e - h * x  # 1 - t; with v = 1/u, rho = lo - 1 + v and drho = v^2 dt
-        if u > 0:
-            v = 1.0 / u
-            gs.append(f(lo - 1.0 + v) * v * v)
-        else:  # t rounded onto 1 (rho = inf), where the decaying f vanishes
-            gs.append(0.0)
-    resk = sum(map(operator.mul, _K15_W, gs))
-    mean = 0.5 * resk
-    resabs = h * sum(map(operator.mul, _K15_W, map(abs, gs)))
-    resasc = h * sum(map(operator.mul, _K15_W, [abs(g - mean) for g in gs]))
-    err = abs((resk - sum(map(operator.mul, _G7_W, gs))) * h)
-    if resasc != 0 and err != 0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return -max(50.0 * _EPS * resabs, err), a, b, resk * h
+    c = 1.0 - b
+
+    def rule(n):
+        terms = []
+        for x, w in zip(*_gauss_legendre(n)):
+            # t = b - h (1 - x), so v = 1 / (1 - t) stays finite and positive
+            # up to t = 1; rho = lo - 1 + v and drho = v^2 dt
+            v = 1.0 / (c + h * (1.0 - x))
+            terms.append(w * f(lo - 1.0 + v) * v * v)
+        return h * math.fsum(terms)
+
+    fine = rule(2 * _GL_NODES)
+    return -abs(fine - rule(_GL_NODES)), a, b, fine
 
 
-def _integrate_to_inf(
-    f: Callable[[float], float], lo: float, epsabs: float, epsrel: float, limit: int
-):
-    """(int_lo^inf f, error estimate) by adaptive G7/K15 quadrature on
-    t in [0, 1) with rho = lo + t / (1 - t): the panel with the largest error
-    estimate is halved until the estimates sum to at most
-    max(epsabs, epsrel |value|), or `limit` panels are in use."""
-    panels = [_k15(f, lo, 0.0, 1.0)]
+def _integrate_to_inf(f: Callable[[float], float], lo: float):
+    """(int_lo^inf f, error estimate) by adaptive Gauss-Legendre quadrature
+    on t in [0, 1) with rho = lo + t / (1 - t): the panel with the largest
+    error estimate is halved until the estimates sum to at most
+    max(_TAIL_EPSABS, _TAIL_EPSREL |value|), or _TAIL_PANELS panels are in
+    use."""
+    panels = [_gl_panel(f, lo, 0.0, 1.0)]
     neg_err, val = panels[0][0], panels[0][3]
-    while -neg_err > max(epsabs, epsrel * abs(val)) and len(panels) < limit:
+    while -neg_err > max(_TAIL_EPSABS, _TAIL_EPSREL * abs(val)) and len(panels) < _TAIL_PANELS:
         worst = heapq.heappop(panels)
         mid = 0.5 * (worst[1] + worst[2])
-        halves = _k15(f, lo, worst[1], mid), _k15(f, lo, mid, worst[2])
+        halves = _gl_panel(f, lo, worst[1], mid), _gl_panel(f, lo, mid, worst[2])
         for half in halves:
             heapq.heappush(panels, half)
         neg_err += halves[0][0] + halves[1][0] - worst[0]
         val += halves[0][3] + halves[1][3] - worst[3]
-    return math.fsum(p[3] for p in panels), -math.fsum(p[0] for p in panels)
+    return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
 
 
 @dataclass(frozen=True)
@@ -255,10 +235,12 @@ def tail_bound_terms(
         + 4 pi / ((n-1)! sinh^{2n}(r_x/4))
           * int_delta^inf f(rho) sinh^{2n-1}((2 rho + r_x)/4) cosh((2 rho + r_x)/4) drho
 
-    The first term is an exact finite sum over the certified enumeration;
-    the integral is evaluated by adaptive Gauss-Kronrod to 1e-10 relative.
-    Raises if the tail integrand does not decay (f slower than the sinh^{2n}
-    growth), in which case the estimate does not exist.
+    The first term is an exact finite sum over the certified enumeration.
+    The integral is an estimate, not a bound: adaptive Gauss-Legendre on
+    rho = delta + t/(1-t) (see _integrate_to_inf), with an error estimate
+    above 1e-6 of the value raising NumericalError.  Raises too if the tail
+    integrand does not decay (f slower than the sinh^{2n} growth), in which
+    case the estimate does not exist.
     """
     if n < 1 or r_x <= 0:
         raise PreconditionError("need n >= 1 and a positive injectivity radius")
@@ -309,9 +291,10 @@ def tail_bound_terms(
         return math.exp(v) if v > -745.0 else 0.0
 
     # the scaled integral is O(1), so the absolute 1.49e-8 stops refinement
-    # near 1e-8 relative by the error estimate; the values themselves are
-    # within a few eps of 30-digit mpmath.quad
-    val, err = _integrate_to_inf(scaled, delta, epsabs=1.49e-8, epsrel=1e-10, limit=200)
+    # near 1e-8 relative by the error estimate, which estimates the
+    # 24-node rule's error; the 48-node values are within 1e-14 of 30-digit
+    # mpmath.quad on cosh^-p(rho/2) for p from 8 to 200
+    val, err = _integrate_to_inf(scaled, delta)
     if not math.isfinite(val) or (val != 0 and err > 1e-6 * abs(val)):
         raise NumericalError(f"tail quadrature did not converge (err {err:.3g})")
     integral = math.exp(log_coeff + log_scale + math.log(max(val, 1e-300)))
@@ -334,12 +317,13 @@ def tail_bound(
 def min_displacement(src: OrbitSource, z: ModelPoint) -> float:
     """Certified min over nontrivial gamma of d(z, gamma z).
 
-    For lattice sources a seed box provides a candidate, and the certified
-    enumeration for that candidate radius then rules out everything outside.
+    For lattice sources the points within one alpha cell diameter and one
+    beta step provide a candidate, and the certified enumeration for that
+    candidate radius then rules out everything outside.
     """
     cand = math.inf
     if src.lattice is not None:
-        cand = float(_stabilizer_distances(*_seed_box(src.lattice), z, z).min())
+        cand = float(_stabilizer_distances(*_seed_points(src.lattice), z, z).min())
     d, nontrivial = _orbit_distances(src, z, z, cand)
     best = float(d[nontrivial].min(initial=cand))
     if not math.isfinite(best):
@@ -362,11 +346,12 @@ def stabilizer_injectivity_radius(
 
     def slice_cosh2(alpha, beta):
         a, b = np.hypot(alpha.real, alpha.imag), np.abs(beta)
-        return (1 + a * a / (2 * q_max)) ** 2 + (
-            np.maximum(0.0, b - 2 * a * p_max) / q_max
-        ) ** 2
+        with np.errstate(over="ignore"):  # past the double range is infinitely far
+            return (1 + a * a / (2 * q_max)) ** 2 + (
+                np.maximum(0.0, b - 2 * a * p_max) / q_max
+            ) ** 2
 
-    cand = float(slice_cosh2(*_seed_box(spec)).min())
+    cand = float(slice_cosh2(*_seed_points(spec)).min())
     # enumeration radii outside which the slice minimum already exceeds cand
     r_alpha = math.sqrt(max(2 * q_max * (math.sqrt(cand) - 1), 0.0)) + spec.alpha_cell_diameter
     r_beta = q_max * math.sqrt(cand) + 2 * r_alpha * p_max + spec.beta_step

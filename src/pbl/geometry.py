@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .closed_forms import ridge_log_objective
-from .errors import DimensionError, DomainError, PreconditionError, _check_exact_int
+from .errors import DomainError, PreconditionError, _check_exact_int
 from .hermitian import Model, ModelPoint, lift, model_indicator
 from .logreal import LogReal, exp_or_raise, log_sinh
 
@@ -83,21 +83,15 @@ def ball_volume_constant(n: int) -> float:
     return 4 * math.pi / math.factorial(n)
 
 
-def ball_volume(n: int, r: float, c_n: float | None = None) -> float:
-    """Volume 4 pi sinh^{2n}(r/2) / n! of a geodesic ball of radius r.
-
-    c_n overrides the leading constant so alternative normalizations can be
-    compared without touching the formula.
-    """
+def ball_volume(n: int, r: float) -> float:
+    """Volume 4 pi sinh^{2n}(r/2) / n! of a geodesic ball of radius r."""
     if n < 2:
         raise PreconditionError("n >= 2 required")
     if not r >= 0:
         raise PreconditionError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
-    if c_n is None:
-        c_n = ball_volume_constant(n)
-    return c_n * exp_or_raise(2 * n * log_sinh(r / 2.0), "ball volume")
+    return ball_volume_constant(n) * exp_or_raise(2 * n * log_sinh(r / 2.0), "ball volume")
 
 
 def petersson_norm_factor(p: ModelPoint, k: int) -> LogReal:
@@ -184,7 +178,7 @@ def _curvature_det_once(zs: list, n: int, h: float) -> float:
     return det / math.exp(log_den)
 
 
-def curvature_determinant(z: ModelPoint, n: int | None = None, h: float = 1e-4) -> float:
+def curvature_determinant(z: ModelPoint, h: float = 1e-4) -> float:
     """Determinant of the curvature matrix -(1/2 pi) ddbar log(1-|z|^2),
     relative to the hyperbolic volume form; equals (4 pi)^-n at every
     interior point.
@@ -195,10 +189,7 @@ def curvature_determinant(z: ModelPoint, n: int | None = None, h: float = 1e-4) 
     if z.model is not Model.BALL:
         raise DomainError("curvature check runs in the ball model")
     coords = z.coords
-    if n is None:
-        n = coords.shape[0]
-    elif n != coords.shape[0]:
-        raise DimensionError("n does not match the point's dimension")
+    n = coords.shape[0]
     if not (h > 0 and h * h > 0):
         raise PreconditionError("stencil step h must be positive, with h^2 > 0")
     radius = float(np.linalg.norm(coords))

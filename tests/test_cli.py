@@ -358,7 +358,8 @@ def test_huge_alpha_cell_sums_its_zero_line(capsys):
     # past 1e154 |alpha|^2 of the disc's other columns overflows
     sums = []
     for x in ("1e17", "1e150", "1e154"):
-        basis = ("--k", "6", "--tol", "1e-8", "--a1-re", x, "--a2-im", x)
+        cell = ("--a1-re", x, "--a2-im", x)
+        basis = ("--k", "6", "--tol", "1e-8", *cell)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "lattice-sum", *basis)
@@ -367,8 +368,11 @@ def test_huge_alpha_cell_sums_its_zero_line(capsys):
             assert row["tail_bound"] <= 1e-8 * row["sum"]
             code, out, err = run(capsys, "bound", "cusp", *basis)
             assert (code, err) == (0, "")
+            cusp = rows_of(out)[0]
+            code, out, err = run(capsys, "count", "--delta", "2", "--k", "6", *cell)
+            assert (code, err) == (0, "")
         # C(k) = 1, so the scaled sum is the lattice sum itself
-        assert rows_of(out)[0]["log_cusp_sum_scaled"] == row["log_sum"]
+        assert cusp["log_cusp_sum_scaled"] == row["log_sum"]
         sums.append(row["log_sum"])
     # every column but alpha = 0 adds (1 + x)^{-3} with x >= 1e33, below an ulp
     assert sums[0] == sums[1] == sums[2]
@@ -585,10 +589,12 @@ class TestConfigFile:
 
 # -- fuzz ----------------------------------------------------------------------
 
-# "9" * 400 is an int beyond the double range; 1e17 and 1e150 make alpha
-# cells whose area is finite but whose diameter absorbs 2 (2 + diam == diam)
+# "9" * 400 is an int beyond the double range; 1e17, 1e150 and 1e154 make
+# alpha cells whose area is finite but whose diameter absorbs 2
+# (2 + diam == diam), and past 1e154 |alpha|^2 overflows
 VOCAB = (
-    "0", "-1", "1e-300", "6", "1500", "3000", "1e17", "1e150", "1e308", "inf", "nan", "abc", "9" * 400,
+    "0", "-1", "1e-300", "6", "1500", "3000", "1e17", "1e150", "1e154", "1e308", "inf", "nan",
+    "abc", "9" * 400,
 )
 # sweeps of at most 5 values, and malformed ones
 RANGES = VOCAB + (

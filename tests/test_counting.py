@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -24,7 +23,8 @@ from pbl import (
     tail_bound,
     tail_bound_terms,
 )
-from pbl.counting import _G7_W, _K15_W, _K15_X, _integrate_to_inf, _seed_box
+from pbl.closed_forms import _GL_NODES
+from pbl.counting import _TAIL_EPSABS, _TAIL_EPSREL, _TAIL_PANELS, _integrate_to_inf
 from pbl.transforms import Isometry
 
 
@@ -229,16 +229,6 @@ class TestTailBound:
 
 
 class TestGaussKronrod:
-    def test_rules_integrate_polynomials_exactly(self):
-        # K15 is exact through degree 22 and G7 through degree 13 on [-1, 1]
-        x, wk, wg = np.array(_K15_X), np.array(_K15_W), np.array(_G7_W)
-        for j in range(23):
-            want = 2.0 / (j + 1) if j % 2 == 0 else 0.0
-            assert wk @ x**j == pytest.approx(want, abs=1e-15), j
-            if j <= 13:
-                assert wg @ x**j == pytest.approx(want, abs=1e-15), j
-        assert np.count_nonzero(wg) == 7
-
     @pytest.mark.parametrize(
         "f, lo, want",
         [
@@ -249,14 +239,23 @@ class TestGaussKronrod:
         ],
     )
     def test_known_integrals(self, f, lo, want):
-        val, err = _integrate_to_inf(f, lo, epsabs=0.0, epsrel=1e-12, limit=200)
-        assert err <= 1e-12 * val
+        val, err = _integrate_to_inf(f, lo)
+        assert err <= max(_TAIL_EPSABS, _TAIL_EPSREL * val)
         assert val == pytest.approx(want, rel=1e-13)
 
     def test_panel_limit_stops_refinement(self):
-        # r^-1.01 has a heavy tail: 5 panels cannot meet 1e-12
-        val, err = _integrate_to_inf(lambda r: r**-1.01, 1.0, epsabs=0.0, epsrel=1e-12, limit=5)
-        assert math.isfinite(val) and err > 1e-12 * val
+        # r^-1.01 has a heavy tail, a singularity at t = 1 that halving
+        # cannot resolve: the panel cap stops refinement short of the target
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return r**-1.01
+
+        val, err = _integrate_to_inf(f, 1.0)
+        assert math.isfinite(val) and err > max(_TAIL_EPSABS, _TAIL_EPSREL * val)
+        # each panel takes 2n + n nodes, and each halving adds two panels
+        assert len(calls) <= 3 * _GL_NODES * (2 * _TAIL_PANELS - 1)
 
 
 class TestDisplacement:
@@ -301,18 +300,12 @@ class TestDisplacement:
         r2 = stabilizer_injectivity_radius(GAUSSIAN_SPEC, q_max=4.0)
         assert r2 < r1
 
-    @pytest.mark.parametrize(
-        "rule",
-        [None, lambda m, n: 0.25 * ((m * n) % 2), lambda m, n: 0.1 * (m % 3)],
-        ids=["gaussian", "eisenstein", "skew"],
-    )
-    def test_seed_box_is_the_nontrivial_unit_box(self, rule):
-        # the 26 nontrivial points with m, n, l in {-1, 0, 1}, in the order
-        # and with the values spec.param gives them one at a time
-        spec = LatticeSpec(a2=cmath.exp(1j * math.pi / 3), beta_step=0.5, beta_offset_rule=rule)
-        params = [spec.param(m, n, l) for m in (-1, 0, 1) for n in (-1, 0, 1) for l in (-1, 0, 1)]
-        params = [p for p in params if (p.alpha, p.beta) != (0, 0)]
-        alpha, beta = _seed_box(spec)
-        assert len(params) == 26
-        assert alpha.tolist() == [p.alpha for p in params]
-        assert beta.tolist() == [p.beta for p in params]
+    def test_huge_alpha_cell_minimum_on_its_zero_line(self):
+        # |alpha|^2 overflows for every nonzero alpha, so the minimum comes
+        # from alpha = 0, beta = +-1, as on the Gaussian ridge
+        spec = LatticeSpec(a1=1e154, a2=1e154j)
+        got = min_displacement(OrbitSource.from_lattice(spec), ridge_point(6))
+        assert got == min_displacement(OrbitSource.from_lattice(GAUSSIAN_SPEC), ridge_point(6))
+        # the slice q <= 1, p = 0: cosh^2(d/2) = 1 + 1/q^2
+        got = stabilizer_injectivity_radius(spec, q_max=1.0)
+        assert got == pytest.approx(2 * math.acosh(math.sqrt(2.0)), rel=1e-15)

@@ -130,7 +130,7 @@ class TestBallVolume:
             ball_volume(2, float("nan"))
 
     def test_constant_swap(self):
-        assert ball_volume(2, 1.0, c_n=1.0) == pytest.approx(math.sinh(0.5) ** 4)
+        assert ball_volume(2, 1.0) / ball_volume_constant(2) == pytest.approx(math.sinh(0.5) ** 4)
         assert ball_volume_constant(2) == pytest.approx(2 * math.pi)
 
 

@@ -202,20 +202,22 @@ def test_cocompact_terms_match_50_digit_logs(r_x, k):
                 assert abs(got - value) <= 4 * sys.float_info.epsilon * scale, (name, got, value)
 
 
-def test_tail_integral_matches_mpmath_quad():
-    """The tail estimate's integral term against mpmath.quad of
+@pytest.mark.parametrize("p, delta", [(12, 3.0), (200, 0.6)])
+def test_tail_integral_matches_mpmath_quad(p, delta):
+    """The tail estimate's integral term for f = cosh^-p(rho/2) against
+    mpmath.quad of
     4 pi / ((n-1)! sinh^{2n}(r/4)) int_delta^inf f(rho) sinh^{2n-1} cosh((2 rho + r)/4)."""
     src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
     z = ModelPoint.m3(-1.0, 0.0)
     r_x = min_displacement(src, z)
-    n, delta = 2, 3.0
-    got = tail_bound_terms(lambda r: math.cosh(r / 2) ** -12, n, r_x, delta, src, z, z).integral
+    n = 2
+    got = tail_bound_terms(lambda r: math.cosh(r / 2) ** -p, n, r_x, delta, src, z, z).integral
     with mp.workdps(30):
         r = mp.mpf(r_x)
 
         def integrand(rho):
             u = (2 * rho + r) / 4
-            return mp.cosh(rho / 2) ** -12 * mp.sinh(u) ** (2 * n - 1) * mp.cosh(u)
+            return mp.cosh(rho / 2) ** -p * mp.sinh(u) ** (2 * n - 1) * mp.cosh(u)
 
         coeff = 4 * mp.pi / (mp.factorial(n - 1) * mp.sinh(r / 4) ** (2 * n))
         want = coeff * mp.quad(integrand, [delta, delta + 10, delta + 40, mp.inf])
