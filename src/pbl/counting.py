@@ -92,13 +92,14 @@ def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
         return _distance_from_cosh2(np.abs(s) ** 2 / qzw)
 
 
-def _seed_points(spec: LatticeSpec):
-    """(alpha, beta) arrays of the nontrivial lattice points with
-    |alpha| <= the alpha cell diameter and |beta| <= beta_step, whose
-    minima seed the certified searches."""
-    pts = spec.points(spec.alpha_cell_diameter, spec.beta_step)
-    keep = (pts.alpha != 0) | (pts.beta != 0)
-    return pts.alpha[keep], pts.beta[keep]
+def _seed_box(spec: LatticeSpec):
+    """(alpha, beta) arrays of the nontrivial lattice points with m, n, l
+    in {-1, 0, 1}, whose minima seed the certified searches."""
+    m, n, l = np.indices((3, 3, 3)).reshape(3, -1) - 1
+    alpha = spec.alpha(m, n)
+    beta = spec._offsets(m, n) + l * spec.beta_step
+    keep = (alpha != 0) | (beta != 0)
+    return alpha[keep], beta[keep]
 
 
 def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: float):
@@ -293,7 +294,8 @@ def tail_bound_terms(
     # the scaled integral is O(1), so the absolute 1.49e-8 stops refinement
     # near 1e-8 relative by the error estimate, which estimates the
     # 24-node rule's error; the 48-node values are within 1e-14 of 30-digit
-    # mpmath.quad on cosh^-p(rho/2) for p from 8 to 200
+    # mpmath.quad on cosh^-p(rho/2) at p = 12, delta = 3 and at p = 200,
+    # delta = 0.6 (tests/test_oracles.py)
     val, err = _integrate_to_inf(scaled, delta)
     if not math.isfinite(val) or (val != 0 and err > 1e-6 * abs(val)):
         raise NumericalError(f"tail quadrature did not converge (err {err:.3g})")
@@ -317,13 +319,12 @@ def tail_bound(
 def min_displacement(src: OrbitSource, z: ModelPoint) -> float:
     """Certified min over nontrivial gamma of d(z, gamma z).
 
-    For lattice sources the points within one alpha cell diameter and one
-    beta step provide a candidate, and the certified enumeration for that
-    candidate radius then rules out everything outside.
+    For lattice sources a seed box provides a candidate, and the certified
+    enumeration for that candidate radius then rules out everything outside.
     """
     cand = math.inf
     if src.lattice is not None:
-        cand = float(_stabilizer_distances(*_seed_points(src.lattice), z, z).min())
+        cand = float(_stabilizer_distances(*_seed_box(src.lattice), z, z).min())
     d, nontrivial = _orbit_distances(src, z, z, cand)
     best = float(d[nontrivial].min(initial=cand))
     if not math.isfinite(best):
@@ -351,7 +352,7 @@ def stabilizer_injectivity_radius(
                 np.maximum(0.0, b - 2 * a * p_max) / q_max
             ) ** 2
 
-    cand = float(slice_cosh2(*_seed_points(spec)).min())
+    cand = float(slice_cosh2(*_seed_box(spec)).min())
     # enumeration radii outside which the slice minimum already exceeds cand
     r_alpha = math.sqrt(max(2 * q_max * (math.sqrt(cand) - 1), 0.0)) + spec.alpha_cell_diameter
     r_beta = q_max * math.sqrt(cand) + 2 * r_alpha * p_max + spec.beta_step

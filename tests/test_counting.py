@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -24,7 +25,13 @@ from pbl import (
     tail_bound_terms,
 )
 from pbl.closed_forms import _GL_NODES
-from pbl.counting import _TAIL_EPSABS, _TAIL_EPSREL, _TAIL_PANELS, _integrate_to_inf
+from pbl.counting import (
+    _TAIL_EPSABS,
+    _TAIL_EPSREL,
+    _TAIL_PANELS,
+    _integrate_to_inf,
+    _seed_box,
+)
 from pbl.transforms import Isometry
 
 
@@ -299,6 +306,31 @@ class TestDisplacement:
         r1 = stabilizer_injectivity_radius(GAUSSIAN_SPEC, q_max=1.0)
         r2 = stabilizer_injectivity_radius(GAUSSIAN_SPEC, q_max=4.0)
         assert r2 < r1
+
+    @pytest.mark.parametrize(
+        "rule",
+        [None, lambda m, n: 0.25 * ((m * n) % 2), lambda m, n: 0.1 * (m % 3)],
+        ids=["gaussian", "eisenstein", "skew"],
+    )
+    def test_seed_box_is_the_nontrivial_unit_box(self, rule):
+        # the 26 nontrivial points with m, n, l in {-1, 0, 1}, in the order
+        # and with the values spec.param gives them one at a time
+        spec = LatticeSpec(a2=cmath.exp(1j * math.pi / 3), beta_step=0.5, beta_offset_rule=rule)
+        params = [spec.param(m, n, l) for m in (-1, 0, 1) for n in (-1, 0, 1) for l in (-1, 0, 1)]
+        params = [p for p in params if (p.alpha, p.beta) != (0, 0)]
+        alpha, beta = _seed_box(spec)
+        assert len(params) == 26
+        assert alpha.tolist() == [p.alpha for p in params]
+        assert beta.tolist() == [p.beta for p in params]
+
+    @pytest.mark.parametrize("height", [1e5, 1e6])
+    def test_elongated_cell_keeps_its_gaussian_minimum(self, height):
+        # the minimum on the ridge comes from alpha = 0, beta = +-1, which
+        # every a2 keeps; a seed whose size grows with the cell diameter
+        # would instead enumerate ~6 height points and exceed the budget
+        spec = LatticeSpec(a2=complex(0, height))
+        got = min_displacement(OrbitSource.from_lattice(spec), ridge_point(6))
+        assert got == min_displacement(OrbitSource.from_lattice(GAUSSIAN_SPEC), ridge_point(6))
 
     def test_huge_alpha_cell_minimum_on_its_zero_line(self):
         # |alpha|^2 overflows for every nonzero alpha, so the minimum comes
