@@ -2,12 +2,19 @@
 stabilizer-lattice orbit or an explicit list of isometries, the closed-form
 volume-ratio upper bound, and the integrated tail estimate for sums of a
 decreasing function over an orbit.
+
+A lattice orbit is counted column by column: for gamma = (alpha, beta),
+<gamma w, z> = A(alpha) + i beta, so the elements within delta of each
+alpha column form one beta interval, whose lattice points are counted from
+their index range.  Only the points within a rounding bound of an interval
+end have their distance evaluated.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -17,7 +24,7 @@ from .closed_forms import _GL_NODES, _gauss_legendre
 from .errors import DomainError, NumericalError, PreconditionError
 from .geometry import _cosh2, _distance_from_cosh2, ball_volume_constant
 from .hermitian import Model, ModelPoint, model_indicator
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, _check_budget, _index_ranges
 from .logreal import exp_or_raise, log_cosh, log_sinh
 from .transforms import Isometry, _isometry_stack
 
@@ -66,20 +73,10 @@ def _m3_pair(z: ModelPoint, w: ModelPoint):
     return w1 + np.conj(z1) + w2 * np.conj(z2), z2, w2, model_indicator(z) * model_indicator(w)
 
 
-def _certified_radii(z: ModelPoint, w: ModelPoint, delta: float):
-    """Radii (r_alpha, r_beta) such that every stabilizer element moving w
-    within distance delta of z has |alpha| <= r_alpha and |beta| <= r_beta.
-
-    Uses |<gamma w, z>| >= sqrt(|alpha|^4/4 + beta^2) - c0 - c1 |alpha| and
-    cosh(d/2) = |<gamma w, z>| / sqrt(qz qw).
-    """
-    s0, z2, w2, qzw = _m3_pair(z, w)
-    c0 = abs(s0)
-    c1 = abs(z2) + abs(w2)
-    t = exp_or_raise(0.5 * math.log(qzw) + log_cosh(delta / 2.0), "the orbit radius")
-    r_alpha = c1 + math.sqrt(c1 * c1 + 2.0 * (c0 + t))
-    r_beta = t + c0 + c1 * r_alpha
-    return r_alpha, r_beta
+def _pairing_offsets(alpha, s0, z2, w2):
+    """A(alpha) = s0 + alpha conj(z2) - conj(alpha) w2 - |alpha|^2/2, so that
+    <gamma w, z> = A(alpha) + i beta for gamma = (alpha, beta)."""
+    return s0 + alpha * np.conj(z2) - np.conj(alpha) * w2 - np.abs(alpha) ** 2 / 2.0
 
 
 def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
@@ -88,7 +85,7 @@ def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
     s0, z2, w2, qzw = _m3_pair(z, w)
     # a |alpha|^2 or cosh^2 past the double range is an infinite distance
     with np.errstate(over="ignore"):
-        s = s0 + alpha * np.conj(z2) - np.conj(alpha) * w2 - np.abs(alpha) ** 2 / 2.0 + 1j * beta
+        s = _pairing_offsets(alpha, s0, z2, w2) + 1j * beta
         return _distance_from_cosh2(np.abs(s) ** 2 / qzw)
 
 
@@ -102,14 +99,101 @@ def _seed_box(spec: LatticeSpec):
     return alpha[keep], beta[keep]
 
 
+# Rounding bounds of the column intervals, generous against the few units
+# of eps = 2^-52 each step rounds by.  _ROUND_COSH2 (32 eps) per unit of
+# 4 + delta + |log qz qw| bounds the relative error of T^2 against the
+# |<gamma w, z>|^2 at which the computed d(z, gamma w) <= delta flips (the
+# computed distance is within ~8 eps relative of 2 arccosh of a cosh(d/2)
+# within ~4 eps, and T = exp(log sqrt(qz qw) + log cosh(delta/2)) is within
+# ~4 eps per unit of its log).  _ROUND_TERMS (16 eps) per unit of the terms
+# summed bounds the error of A(alpha), and of the beta ends and their
+# division by the step.
+_ROUND_COSH2 = 2.0**-47
+_ROUND_TERMS = 2.0**-48
+# largest |l| a column interval may reach: l is exact in a double, and
+# _MAX_ENUM columns of 2^40 points each still sum exactly in an int64
+_MAX_L = 2.0**39
+
+# the columns of an alpha disc that hold an element within delta, in disc
+# order: alpha, beta offset, the l range [out_lo, out_hi] outside which
+# d(z, gamma w) > delta, and the range [in_lo, in_hi] inside which
+# d(z, gamma w) <= delta (in_hi = in_lo - 1 where it is empty), as int64
+Columns = namedtuple("Columns", "alpha offset out_lo out_hi in_lo in_hi")
+
+
+def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> Columns:
+    """The column intervals of the stabilizer elements moving w within
+    delta of z.
+
+    With <gamma w, z> = A + i beta (A = _pairing_offsets) and
+    T = sqrt(qz qw) cosh(delta/2), d(z, gamma w) <= delta is
+    (Re A)^2 + (Im A + beta)^2 <= T^2: one beta interval per column with
+    |Re A| <= T, centred on -Im A.  Since |Re A| >= |alpha|^2/2 - c0 -
+    c1 |alpha| (c0 = |s0|, c1 = |z2| + |w2|), these columns lie in the disc
+    |alpha| <= c1 + sqrt(c1^2 + 2 (c0 + T)).  Each interval is taken once
+    with T^2 and A widened by their rounding bounds (out) and once narrowed
+    by them (in), so that the computed distances of the points between the
+    two decide, and the points inside the narrow one all count.
+    """
+    s0, z2, w2, qzw = _m3_pair(z, w)
+    c0, c1 = abs(s0), abs(z2) + abs(w2)
+    t = exp_or_raise(0.5 * math.log(qzw) + log_cosh(delta / 2.0), "the orbit radius")
+    disc = spec.disc(c1 + math.sqrt(c1 * c1 + 2.0 * (c0 + t)))
+    eta = _ROUND_COSH2 * (4.0 + delta + abs(math.log(qzw)))
+    # past the double range A is infinite or nan, and such a column fails
+    # the comparison and is dropped, as its distances are infinite or nan;
+    # an infinite T^2 fails the index check
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _pairing_offsets(disc.alpha, s0, z2, w2)
+        r = np.abs(disc.alpha)
+        err = _ROUND_TERMS * (c0 + r * (c1 + r))
+        x = np.abs(a.real)
+        out2 = t * t * (1.0 + eta) - np.maximum(x - err, 0.0) ** 2
+        keep = out2 >= 0.0
+        x, y, err, offset = x[keep], a.imag[keep], err[keep], disc.offset[keep]
+        in2 = t * t * (1.0 - eta) - (x + err) ** 2
+        # half-widths of the wide and the narrow interval, each padded for
+        # the rounding of its ends and of the points' beta
+        hw_out = np.sqrt(out2[keep]) + err
+        pad = _ROUND_TERMS * (hw_out + np.abs(y) + np.abs(offset))
+        half = np.stack((hw_out + pad, np.sqrt(np.maximum(in2, 0.0)) - err - pad))
+        centre = -y - offset
+        if not (np.abs(centre) + half[0] <= _MAX_L * spec.beta_step).all():
+            raise NumericalError(
+                f"the orbit ball of radius {delta:.6g} reaches beta indices past 2^39"
+            )
+    lo = np.ceil((centre - half) / spec.beta_step)
+    hi = np.floor((centre + half) / spec.beta_step)
+    # an empty narrow interval becomes [in_lo, in_lo - 1], so that the points
+    # outside it are the wide interval, once
+    hi[1] = np.maximum(hi[1], lo[1] - 1.0)
+    out_lo, in_lo = lo.astype(np.int64)
+    out_hi, in_hi = hi.astype(np.int64)
+    return Columns(disc.alpha[keep], offset, out_lo, out_hi, in_lo, in_hi)
+
+
+def _column_points(spec: LatticeSpec, cols: Columns, which, start, count):
+    """(alpha, beta) of the points l = start[i] .. start[i] + count[i] - 1 of
+    the columns cols[which[i]], in that order; NumericalError past the
+    enumeration budget."""
+    _check_budget(count.sum(), "the orbit ball")
+    i, l = _index_ranges(start, count)
+    col = which[i]
+    return cols.alpha[col], cols.offset[col] + l * spec.beta_step
+
+
 def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: float):
-    """(d(z, gamma w), gamma nontrivial) over the certified lattice ball that
-    holds every gamma within delta, or over all elements of a list, where
-    gamma is trivial when |gamma - I|max < 1e-12."""
+    """(d(z, gamma w), gamma nontrivial) over a set of elements that holds
+    every gamma within delta: all elements of a list, where gamma is trivial
+    when |gamma - I|max < 1e-12, or the lattice points of the column
+    intervals [out_lo, out_hi] of _columns, in (m, n, l) order."""
     if src.lattice is not None:
-        pts = src.lattice.points(*_certified_radii(z, w, delta))
-        d = _stabilizer_distances(pts.alpha, pts.beta, z, w)
-        return d, (pts.alpha != 0) | (pts.beta != 0)
+        spec = src.lattice
+        cols = _columns(spec, z, w, delta)
+        alpha, beta = _column_points(
+            spec, cols, np.arange(cols.alpha.size), cols.out_lo, cols.out_hi - cols.out_lo + 1
+        )
+        return _stabilizer_distances(alpha, beta, z, w), (alpha != 0) | (beta != 0)
     mats = _isometry_stack(src.elements, w)
     d = _distance_from_cosh2(_cosh2(z, w, mats))
     return d, np.abs(mats - np.eye(z.n + 1)).max(axis=(1, 2)) >= 1e-12
@@ -120,13 +204,33 @@ def counting_function(
 ) -> int:
     """#{gamma in the source : d(z, gamma w) <= delta}.
 
-    For lattice sources the enumeration box is certified to contain every
-    contributing element, so the count is exact.
+    For lattice sources the count runs column by column (see _columns):
+    the points inside each column's narrow interval are counted by their
+    index range, and only those between the narrow and the wide interval
+    are evaluated, with the same distance formula and the same test
+    d <= delta as every other element.  The count is exact for that test,
+    ties included, and costs O(columns), not O(points).
     """
     if not delta >= 0:
         raise PreconditionError("delta must be nonnegative")
-    d, _ = _orbit_distances(src, z, w, delta)
-    return int(np.count_nonzero(d <= delta))
+    if src.lattice is None:
+        d, _ = _orbit_distances(src, z, w, delta)
+        return int(np.count_nonzero(d <= delta))
+    spec = src.lattice
+    cols = _columns(spec, z, w, delta)
+    count = int((cols.in_hi - cols.in_lo + 1).sum())
+    band = np.concatenate((cols.in_lo - cols.out_lo, cols.out_hi - cols.in_hi))
+    if band.any():
+        which = np.arange(cols.alpha.size)
+        alpha, beta = _column_points(
+            spec,
+            cols,
+            np.concatenate((which, which)),
+            np.concatenate((cols.out_lo, cols.in_hi + 1)),
+            band,
+        )
+        count += int(np.count_nonzero(_stabilizer_distances(alpha, beta, z, w) <= delta))
+    return count
 
 
 def counting_upper_bound(n: int, r_x: float, delta: float) -> float:
@@ -236,7 +340,8 @@ def tail_bound_terms(
         + 4 pi / ((n-1)! sinh^{2n}(r_x/4))
           * int_delta^inf f(rho) sinh^{2n-1}((2 rho + r_x)/4) cosh((2 rho + r_x)/4) drho
 
-    The first term is an exact finite sum over the certified enumeration.
+    The first term is an exact finite sum over the orbit points within
+    delta (for a lattice, the points of its column intervals).
     The integral is an estimate, not a bound: adaptive Gauss-Legendre on
     rho = delta + t/(1-t) (see _integrate_to_inf), with an error estimate
     above 1e-6 of the value raising NumericalError.  Raises too if the tail
@@ -319,8 +424,8 @@ def tail_bound(
 def min_displacement(src: OrbitSource, z: ModelPoint) -> float:
     """Certified min over nontrivial gamma of d(z, gamma z).
 
-    For lattice sources a seed box provides a candidate, and the certified
-    enumeration for that candidate radius then rules out everything outside.
+    For lattice sources a seed box provides a candidate, and the column
+    intervals for that candidate radius then rule out everything outside.
     """
     cand = math.inf
     if src.lattice is not None:
@@ -342,8 +447,8 @@ def stabilizer_injectivity_radius(
     cosh^2(d/2) = (1 + |alpha|^2 / (2 q_max))^2
                   + (max(0, |beta| - 2 |alpha| p_max) / q_max)^2.
     """
-    if q_max <= 0 or p_max < 0:
-        raise PreconditionError("need q_max > 0 and p_max >= 0")
+    if not (q_max > 0 and 0 <= p_max < math.inf):
+        raise PreconditionError("need q_max > 0 and a finite p_max >= 0")
 
     def slice_cosh2(alpha, beta):
         a, b = np.hypot(alpha.real, alpha.imag), np.abs(beta)
@@ -353,10 +458,22 @@ def stabilizer_injectivity_radius(
             ) ** 2
 
     cand = float(slice_cosh2(*_seed_box(spec)).min())
-    # enumeration radii outside which the slice minimum already exceeds cand
-    r_alpha = math.sqrt(max(2 * q_max * (math.sqrt(cand) - 1), 0.0)) + spec.alpha_cell_diameter
-    r_beta = q_max * math.sqrt(cand) + 2 * r_alpha * p_max + spec.beta_step
-    pts = spec.points(r_alpha, r_beta)
-    nontrivial = (pts.alpha != 0) | (pts.beta != 0)
-    best = float(slice_cosh2(pts.alpha, pts.beta)[nontrivial].min(initial=cand))
+    # the slice cosh^2 is at least (1 + |alpha|^2 / (2 q_max))^2, so only a
+    # column with |alpha|^2 / (2 q_max) < sqrt(cand) - 1 can go below cand;
+    # 4 eps sqrt(cand) (eps = 2^-52) and the factor 1 + 1e-12 cover the
+    # rounding of both sides
+    root = math.sqrt(cand)
+    disc = spec.disc(math.sqrt(2 * q_max * (root - 1 + 2.0**-50 * root)) * (1 + 1e-12))
+    # per column the slice cosh^2 grows with |beta|, so its minimum sits at
+    # the lattice beta nearest 0, or the nearest nonzero one on alpha = 0;
+    # floor(-offset / step) is within one of the last l with beta <= 0
+    l = np.floor(-disc.offset / spec.beta_step)[:, None] + np.arange(-1.0, 3.0)
+    beta = disc.offset[:, None] + l * spec.beta_step
+    alpha = np.broadcast_to(disc.alpha[:, None], beta.shape)
+    nontrivial = (alpha != 0) | (beta != 0)
+    best = float(slice_cosh2(alpha, beta)[nontrivial].min(initial=cand))
+    # every nontrivial element has cosh^2 > 1; one that rounds to 1 has lost
+    # its distance to the double resolution
+    if not best > 1.0:
+        raise NumericalError(f"the slice minimum cosh^2(d/2) rounds to 1 at q_max={q_max:.3g}")
     return float(_distance_from_cosh2(best))

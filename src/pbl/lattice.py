@@ -43,6 +43,14 @@ def _check_terms(terms: float, what: str):
         raise NumericalError(f"{what} needs ~{terms:.3g} terms (> {_MAX_TERMS})")
 
 
+def _index_ranges(start: np.ndarray, count: np.ndarray):
+    """(i, l) for every l in start[i] .. start[i] + count[i] - 1, ordered by
+    i, then l; start and count are int64 arrays, count >= 0."""
+    i = np.repeat(np.arange(count.size), count)
+    l = np.arange(i.size) + (start - (np.cumsum(count) - count))[i]
+    return i, l
+
+
 # columns (m, n) of an alpha disc with alpha = m a1 + n a2 and their beta
 # offsets, and lattice points (m, n, l) with their (alpha, beta); both
 # lexicographic in the indices
@@ -240,10 +248,7 @@ class LatticeSpec:
         _check_budget(
             counts.sum(), f"the lattice ball r_alpha={r_alpha:.3g}, r_beta={r_beta:.3g}"
         )
-        counts = counts.astype(np.int64)
-        col = np.repeat(np.arange(disc.m.size), counts)
-        first = np.cumsum(counts) - counts
-        l = np.arange(col.size) + (l_lo.astype(np.int64) - first)[col]
+        col, l = _index_ranges(l_lo.astype(np.int64), counts.astype(np.int64))
         beta = disc.offset[col] + l * step
         return LatticePoints(disc.m[col], disc.n[col], l, disc.alpha[col], beta)
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from pbl.counting import (
     _TAIL_EPSREL,
     _TAIL_PANELS,
     _integrate_to_inf,
+    _m3_pair,
     _seed_box,
+    _stabilizer_distances,
 )
 from pbl.transforms import Isometry
 
@@ -104,6 +107,68 @@ class TestCountingFunction:
         # cosh(delta / 2) itself leaves double range here
         with pytest.raises(NumericalError):
             counting_function(src, ridge_point(6), ridge_point(6), 1500.0)
+
+
+SPECS = {
+    "gaussian": GAUSSIAN_SPEC,
+    "eisenstein": LatticeSpec(
+        a2=cmath.exp(1j * math.pi / 3),
+        beta_step=0.5,
+        beta_offset_rule=lambda m, n: 0.25 * ((m * n) % 2),
+    ),
+    "skew": LatticeSpec(
+        a1=1.3 + 0.2j, a2=0.4 + 0.9j, beta_step=0.7, beta_offset_rule=lambda m, n: 0.1 * (m % 3)
+    ),
+}
+
+
+class TestColumnCount:
+    """The column count against an independent scan of a box that holds the
+    whole orbit ball, with the predicate of record d(z, gamma w) <= delta."""
+
+    # q_z q_w ~ 0.08 keeps the delta = 12 box near 10^5 points
+    Z = ModelPoint.m3(complex(-0.2, 0.3), 0.2 + 0.1j)
+    W = ModelPoint.m3(complex(-0.12, -0.4), -0.1j)
+    DELTA_MAX = 12.0
+
+    @staticmethod
+    def box_distances(spec, z, w, delta):
+        """d(z, gamma w) over the box |alpha| <= r_alpha + 1, |beta| <=
+        r_beta + 1 in (m, n, l) order, where |<gamma w, z>| >= |alpha|^2/2 -
+        c0 - c1 |alpha| and >= |beta| - c0 - c1 |alpha| bound the orbit ball."""
+        s0, z2, w2, qzw = _m3_pair(z, w)
+        c0, c1 = abs(s0), abs(z2) + abs(w2)
+        t = math.sqrt(qzw) * math.cosh(delta / 2)
+        r_alpha = c1 + math.sqrt(c1 * c1 + 2 * (c0 + t))
+        pts = spec.points(r_alpha + 1, t + c0 + c1 * r_alpha + 1)
+        d = _stabilizer_distances(pts.alpha, pts.beta, z, w)
+        return d, (pts.alpha != 0) | (pts.beta != 0)
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_counts_match_the_box_scan(self, name):
+        spec, z, w = SPECS[name], self.Z, self.W
+        src = OrbitSource.from_lattice(spec)
+        d, _ = self.box_distances(spec, z, w, self.DELTA_MAX)
+        for delta in np.arange(0.0, self.DELTA_MAX + 0.125, 0.25).tolist():
+            assert counting_function(src, z, w, delta) == np.count_nonzero(d <= delta), delta
+        # ties built on purpose: delta a realised distance, and the doubles
+        # on either side of it
+        realised = np.unique(d[d <= self.DELTA_MAX])
+        for x in realised[:: max(realised.size // 40, 1)].tolist():
+            for delta in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+                assert counting_function(src, z, w, delta) == np.count_nonzero(d <= delta)
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_displacement_and_head_match_the_box_scan(self, name):
+        spec, z, w = SPECS[name], self.Z, self.W
+        src = OrbitSource.from_lattice(spec)
+        d, nontrivial = self.box_distances(spec, z, z, self.DELTA_MAX)
+        assert min_displacement(src, z) == d[nontrivial].min()
+        f = lambda r: math.cosh(r / 2) ** -12.0
+        d, _ = self.box_distances(spec, z, w, 9.0)
+        for delta in (3.0, 6.0, 9.0):
+            want = float(np.sum([f(x) for x in d[d <= delta].tolist()]))
+            assert tail_bound_terms(f, 2, 0.5, delta, src, z, w).head == want
 
 
 class TestElementSources:
@@ -331,6 +396,33 @@ class TestDisplacement:
         spec = LatticeSpec(a2=complex(0, height))
         got = min_displacement(OrbitSource.from_lattice(spec), ridge_point(6))
         assert got == min_displacement(OrbitSource.from_lattice(GAUSSIAN_SPEC), ridge_point(6))
+
+    @pytest.mark.parametrize(
+        "spec, p_max",
+        [(LatticeSpec(a1=1e17, a2=1e17j), 0.3), (LatticeSpec(a2=1e6j), 0.0)],
+        ids=["huge-cell", "elongated-cell"],
+    )
+    def test_slice_radius_takes_each_column_in_closed_form(self, spec, p_max):
+        # alpha = 0, beta = +-1 gives the minimum cosh^2(d/2) = 1 + 1/q^2; a
+        # box around the candidate held ~1.5e18 and ~6e6 points here
+        got = stabilizer_injectivity_radius(spec, q_max=1.0, p_max=p_max)
+        assert got == pytest.approx(2 * math.acosh(math.sqrt(2.0)), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "q_max, p_max, error",
+        [
+            (0.0, 0.0, PreconditionError),
+            (1.0, math.inf, PreconditionError),
+            (1.0, math.nan, PreconditionError),
+            # cosh^2(d/2) = 1 + 1e-40 rounds to 1, a distance of 0
+            (1e20, 0.0, NumericalError),
+        ],
+    )
+    def test_slice_radius_rejects_what_it_cannot_resolve(self, q_max, p_max, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                stabilizer_injectivity_radius(GAUSSIAN_SPEC, q_max, p_max)
 
     def test_huge_alpha_cell_minimum_on_its_zero_line(self):
         # |alpha|^2 overflows for every nonzero alpha, so the minimum comes

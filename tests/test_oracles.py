@@ -22,6 +22,7 @@ from pbl import (
     OrbitSource,
     ball_form,
     cocompact_bound,
+    counting_function,
     cusp_lattice_sum,
     cusp_term_log,
     maxima_locate,
@@ -386,3 +387,45 @@ def test_cli_log_objective_is_petersson_objective_bit_for_bit():
         row = json.loads(out.getvalue().splitlines()[1])
         want = petersson_objective(maxima_locate(k), k).log()
         assert row["log_objective"] == want, (k, row["log_objective"], want)
+
+
+def _ridge_count_oracle(k, delta):
+    """#{(m, n, l) : (q + (m^2 + n^2)/2)^2 + l^2 <= q^2 cosh^2(delta/2)} at
+    40 digits, with q = k/(2 pi) as the ridge point's double has it: the
+    Gaussian orbit count on the ridge, as sum over each distinct m^2 + n^2
+    of its columns times 2 floor(sqrt(rest)) + 1.  Also returns the least
+    distance, relative to q cosh(delta/2), of a boundary to a lattice point."""
+    with mp.workdps(40):
+        q = -2 * mp.mpf(-k / (4 * math.pi))
+        t = q * mp.cosh(mp.mpf(delta) / 2)
+        r = int(mp.sqrt(2 * (t - q))) + 1
+        m = np.arange(-r, r + 1)
+        norms, columns = np.unique((m[:, None] ** 2 + m**2).ravel(), return_counts=True)
+        total, margin = 0, mp.inf
+        for s, c in zip(norms.tolist(), columns.tolist()):
+            rest = t * t - (q + mp.mpf(s) / 2) ** 2
+            if rest < 0:  # and for every larger norm
+                return total, min(margin, -rest / t**2)
+            root = mp.sqrt(rest)
+            l = int(mp.floor(root))
+            margin = min(margin, (root - l) / t, (l + 1 - root) / t)
+            total += c * (2 * l + 1)
+    raise AssertionError("the norm table ends inside the orbit ball")
+
+
+@pytest.mark.parametrize("delta", [14.0, 20.0])
+def test_ridge_count_matches_40_digit_column_count(delta):
+    """The lattice count on the k = 6 ridge, where a box scan needs 7.2e6
+    and 1.4e9 points, against the 40-digit column count; no lattice point
+    lies within 1e-12 of the boundary, so the doubles must agree exactly.
+    `pbl count --delta 20` prints the same count."""
+    want, margin = _ridge_count_oracle(6, delta)
+    assert margin > 1e-12
+    z = ModelPoint.m3(complex(-6 / (4 * math.pi), 0.0), 0.0)
+    assert counting_function(OrbitSource.from_lattice(GAUSSIAN_SPEC), z, z, delta) == want
+    if delta == 20.0:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["count", "--delta", "20"]) == 0
+        row = json.loads(out.getvalue().splitlines()[1])
+        assert row["delta"] == 20.0 and row["counted"] == want
