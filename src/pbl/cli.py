@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: verify, bound (cocompact|cusp), lattice-sum, gamma-chain,
-count, maxima, fit.  Output is JSON Lines by default (CSV with
---format csv), with the effective configuration echoed in a header so a
-report is reproducible from its own first line.  Floats are printed with 17
-significant digits; identical configs produce byte-identical output.
+count, maxima, fit, each declared once in _COMMANDS with its flags and their
+defaults.  The flag --a-b is the config key a_b, with its default's type (a
+bool makes a switch); a flag beats the --config file, which beats the
+default.  Output is JSON Lines by default (CSV with --format csv), with the
+effective configuration echoed in a header so a report is reproducible from
+its own first line.  Floats are printed with 17 significant digits;
+identical configs produce byte-identical output.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/precondition,
 3 internal numerical failure.  PBL_LOG={error,info,debug} controls
@@ -264,12 +267,9 @@ def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
         yield (f"maxima_location_k{k}", err, 1e-6)
 
 
-def cmd_verify(ns, file_cfg):
-    defaults = {"curvature_step": 1e-4, "perturb_gamma3": False, "seed": 0}
-    cfg = _resolve(ns, file_cfg, defaults)
+def cmd_verify(ns, cfg, writer):
     if cfg["seed"] < 0:
         raise PreconditionError("--seed: must be nonnegative")
-    writer = Writer(ns.format or "jsonl", ns.out, cfg)
     ok = True
     for name, residual, tol in _verify_checks(
         cfg["curvature_step"], cfg["perturb_gamma3"], cfg["seed"]
@@ -279,25 +279,13 @@ def cmd_verify(ns, file_cfg):
         writer.row(
             {"name": name, "residual": residual, "tolerance": tol, "pass": passed}
         )
-    writer.close()
     return 0 if ok else 1
 
 
 # -- bound -------------------------------------------------------------------
 
 
-def cmd_bound(ns, file_cfg):
-    defaults = {
-        "n": 2,
-        "k": "6",
-        "rx": 1.0,
-        "c_gamma": 1.0,
-        "c_exponent": 0,
-        "tol": 1e-6,
-        "fit": False,
-        **_LATTICE_DEFAULTS,
-    }
-    cfg = _resolve(ns, file_cfg, defaults)
+def cmd_bound(ns, cfg, writer):
     cfg["which"] = ns.which
     ks = _parse_range("--k", cfg["k"], int)
     _check_exact_int(ks[-1], "--k")
@@ -312,7 +300,6 @@ def cmd_bound(ns, file_cfg):
     _check_exact_int(cfg["c_exponent"], "--c-exponent")
     _info(f"bound sweep over {len(ks)} weights")
     cm = ConstantModel(cfg["c_gamma"], cfg["c_exponent"])
-    writer = Writer(ns.format or "jsonl", ns.out, cfg)
     rows = []
     # one spec for the sweep, which derives its lattice's beta lines once
     spec = _lattice_spec(cfg) if ns.which == "cusp" else None
@@ -343,16 +330,13 @@ def cmd_bound(ns, file_cfg):
                     "fit_residual_rms": fit.residual_rms,
                 }
             )
-    writer.close()
     return 0
 
 
 # -- lattice-sum, gamma-chain, count, maxima, fit ----------------------------
 
 
-def cmd_lattice_sum(ns, file_cfg):
-    defaults = {"k": 6, "tol": 1e-8, **_LATTICE_DEFAULTS}
-    cfg = _resolve(ns, file_cfg, defaults)
+def cmd_lattice_sum(ns, cfg, writer):
     if cfg["k"] < 6:
         raise PreconditionError("--k: lattice sum requires k >= 6")
     _check_exact_int(cfg["k"], "--k")
@@ -361,7 +345,6 @@ def cmd_lattice_sum(ns, file_cfg):
     from .bounds import cusp_lattice_sum
 
     res = cusp_lattice_sum(cfg["k"], _lattice_spec(cfg), cfg["tol"])
-    writer = Writer(ns.format or "jsonl", ns.out, cfg)
     writer.row(
         {
             "k": res.k,
@@ -373,18 +356,14 @@ def cmd_lattice_sum(ns, file_cfg):
             "n_terms": res.n_terms,
         }
     )
-    writer.close()
     return 0
 
 
-def cmd_gamma_chain(ns, file_cfg):
-    defaults = {"k": "6"}
-    cfg = _resolve(ns, file_cfg, defaults)
+def cmd_gamma_chain(ns, cfg, writer):
     ks = _parse_range("--k", cfg["k"], int)
     _check_exact_int(ks[-1], "--k")
     if min(ks) < 6:
         raise PreconditionError("--k: gamma chain requires k >= 6")
-    writer = Writer(ns.format or "jsonl", ns.out, cfg)
     for k in ks:
         gc = gamma_integral_chain(k)
         writer.row(
@@ -399,16 +378,13 @@ def cmd_gamma_chain(ns, file_cfg):
                 "log_chained": gc.chained.log(),
             }
         )
-    writer.close()
     return 0
 
 
-def cmd_count(ns, file_cfg):
+def cmd_count(ns, cfg, writer):
     from .counting import OrbitSource, counting_function, counting_upper_bound, min_displacement
     from .hermitian import ModelPoint
 
-    defaults = {"k": 6, "delta": "0..4:0.5", "rx": "auto", **_LATTICE_DEFAULTS}
-    cfg = _resolve(ns, file_cfg, defaults)
     _check_exact_int(cfg["k"], "--k")
     spec = _lattice_spec(cfg)
     z = ModelPoint.m3(complex(-cfg["k"] / (4 * math.pi), 0.0), 0.0)
@@ -420,18 +396,16 @@ def cmd_count(ns, file_cfg):
         if not 0 < rx < math.inf:
             raise PreconditionError("--rx: injectivity radius must be positive and finite")
     deltas = _parse_range("--delta", str(cfg["delta"]), float)
-    writer = Writer(ns.format or "jsonl", ns.out, {**cfg, "rx_effective": rx})
+    # the header, written with the first row, ends with the radius used
+    cfg["rx_effective"] = rx
     for delta in deltas:
         counted = counting_function(src, z, z, delta)
         bound = counting_upper_bound(2, rx, delta)
         writer.row({"delta": delta, "counted": counted, "bound": bound})
-    writer.close()
     return 0
 
 
-def cmd_maxima(ns, file_cfg):
-    defaults = {"k": 6, "tol": 1e-6}
-    cfg = _resolve(ns, file_cfg, defaults)
+def cmd_maxima(ns, cfg, writer):
     if cfg["k"] < 1:
         raise PreconditionError("--k: weight must be >= 1")
     _check_exact_int(cfg["k"], "--k")
@@ -439,7 +413,6 @@ def cmd_maxima(ns, file_cfg):
         raise PreconditionError("--tol: tolerance must be positive")
     x1, x2, y2 = ridge_locate(cfg["k"], cfg["tol"])
     x_star = cfg["k"] / (4 * math.pi)
-    writer = Writer(ns.format or "jsonl", ns.out, cfg)
     writer.row(
         {
             "k": cfg["k"],
@@ -450,7 +423,6 @@ def cmd_maxima(ns, file_cfg):
             "log_objective": ridge_log_objective(cfg["k"], -2.0 * x1 - x2 * x2 - y2 * y2, x1),
         }
     )
-    writer.close()
     return 0
 
 
@@ -463,9 +435,7 @@ def _read_rows(path: str):
     return list(csv.DictReader(line for line in lines if not line.startswith("#")))
 
 
-def cmd_fit(ns, file_cfg):
-    defaults = {"x": "k", "y": "log_total"}
-    cfg = _resolve(ns, file_cfg, defaults)
+def cmd_fit(ns, cfg, writer):
     if not ns.input:
         raise PreconditionError("--in: an input report path is required")
     cfg["in"] = ns.input
@@ -486,7 +456,6 @@ def cmd_fit(ns, file_cfg):
     if not all(map(math.isfinite, ys)):
         raise PreconditionError(f"--in: {cfg['y']} values must be finite")
     fit = scaling_fit(ks, lambda k: LogReal.from_log(ys[ks.index(k)]))
-    writer = Writer(ns.format or "jsonl", ns.out, cfg)
     writer.row(
         {
             "slope": fit.slope,
@@ -495,22 +464,56 @@ def cmd_fit(ns, file_cfg):
             "n_points": len(ks),
         }
     )
-    writer.close()
     return 0
 
 
 # -- parser ------------------------------------------------------------------
 
+# name -> (handler, help line, flag defaults), in --help order; the defaults
+# are also the report header's key order.  A handler takes the parsed flags,
+# the effective configuration and the report writer, writes its rows and
+# returns the exit code.
+_COMMANDS = {
+    "verify": (
+        cmd_verify,
+        "run the identity suite",
+        {"curvature_step": 1e-4, "perturb_gamma3": False, "seed": 0},
+    ),
+    "bound": (
+        cmd_bound,
+        "bound sweeps over the weight",
+        {
+            "n": 2,
+            "k": "6",
+            "rx": 1.0,
+            "c_gamma": 1.0,
+            "c_exponent": 0,
+            "tol": 1e-6,
+            "fit": False,
+            **_LATTICE_DEFAULTS,
+        },
+    ),
+    "lattice-sum": (
+        cmd_lattice_sum,
+        "certified stabilizer lattice sum",
+        {"k": 6, "tol": 1e-8, **_LATTICE_DEFAULTS},
+    ),
+    "gamma-chain": (cmd_gamma_chain, "closed form vs quadrature integrals", {"k": "6"}),
+    "count": (
+        cmd_count,
+        "orbit counts vs the closed-form bound",
+        {"k": 6, "delta": "0..4:0.5", "rx": "auto", **_LATTICE_DEFAULTS},
+    ),
+    "maxima": (cmd_maxima, "locate the cusp-objective ridge", {"k": 6, "tol": 1e-6}),
+    "fit": (cmd_fit, "fit a growth exponent to a report", {"x": "k", "y": "log_total"}),
+}
 
-def _add_common(sp):
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("jsonl", "csv"), default=None)
-    sp.add_argument("--config", default=None)
-
-
-def _add_lattice_flags(sp):
-    for key in _LATTICE_DEFAULTS:
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float, default=None)
+_FLAG_HELP = {
+    ("verify", "perturb_gamma3"): "negative control: corrupt a Cayley matrix",
+    ("bound", "k"): "weight or range, e.g. 6, 6..60, 50..400:25",
+    ("count", "delta"): "value or range, e.g. 0..4:0.5",
+    ("count", "rx"): "radius or 'auto'",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,56 +522,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hyperbolic-ball identity checks, lattice sums, and bound sweeps.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run the identity suite")
-    p.add_argument("--curvature-step", dest="curvature_step", type=float, default=None)
-    p.add_argument(
-        "--perturb-gamma3", dest="perturb_gamma3", action="store_const", const=True,
-        default=None, help="negative control: corrupt a Cayley matrix"
-    )
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("bound", help="bound sweeps over the weight")
-    p.add_argument("which", choices=("cocompact", "cusp"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", default=None, help="weight or range, e.g. 6, 6..60, 50..400:25")
-    p.add_argument("--rx", type=float, default=None)
-    p.add_argument("--c-gamma", dest="c_gamma", type=float, default=None)
-    p.add_argument("--c-exponent", dest="c_exponent", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--fit", action="store_const", const=True, default=None)
-    _add_lattice_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("lattice-sum", help="certified stabilizer lattice sum")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    _add_lattice_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("gamma-chain", help="closed form vs quadrature integrals")
-    p.add_argument("--k", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("count", help="orbit counts vs the closed-form bound")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--delta", default=None, help="value or range, e.g. 0..4:0.5")
-    p.add_argument("--rx", default=None, help="radius or 'auto'")
-    _add_lattice_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("maxima", help="locate the cusp-objective ridge")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("fit", help="fit a growth exponent to a report")
-    p.add_argument("--in", dest="input", default=None)
-    p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
-    _add_common(p)
-
+    for name, (_, help_line, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == "bound":
+            p.add_argument("which", choices=("cocompact", "cusp"))
+        if name == "fit":
+            p.add_argument("--in", dest="input", default=None)
+        for key, default in defaults.items():
+            if isinstance(default, bool):
+                kind = {"action": "store_const", "const": True}
+            else:
+                kind = {} if isinstance(default, str) else {"type": type(default)}
+            flag = f"--{key.replace('_', '-')}"
+            p.add_argument(flag, dest=key, default=None, help=_FLAG_HELP.get((name, key)), **kind)
+        p.add_argument("--out", default=None)
+        p.add_argument("--format", choices=("jsonl", "csv"), default=None)
+        p.add_argument("--config", default=None)
     return ap
 
 
@@ -579,22 +548,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_COMMANDS = {
-    "verify": cmd_verify,
-    "bound": cmd_bound,
-    "lattice-sum": cmd_lattice_sum,
-    "gamma-chain": cmd_gamma_chain,
-    "count": cmd_count,
-    "maxima": cmd_maxima,
-    "fit": cmd_fit,
-}
-
-
 def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
+    handler, _, defaults = _COMMANDS[ns.command]
     try:
         file_cfg = _read_config_file(ns.config) if ns.config else {}
-        return _COMMANDS[ns.command](ns, file_cfg)
+        cfg = _resolve(ns, file_cfg, defaults)
+        writer = Writer(ns.format or "jsonl", ns.out, cfg)
+        code = handler(ns, cfg, writer)
+        writer.close()
+        return code
     except (PreconditionError,) as exc:
         print(f"pbl: precondition violated: {exc}", file=sys.stderr)
         return 2

@@ -240,34 +240,42 @@ def _gauss_legendre(n: int):
 _WALLIS_CUT = 9.0
 # every quadrature in pbl (here and the orbit tail integral of
 # pbl.counting) takes its value from the 2n-node Gauss-Legendre rule and
-# its error estimate from the difference to the n-node rule
+# its error estimate from the difference to the n-node rule (_gl_pair)
 _GL_NODES = 24
+
+
+def _gl_pair(term: Callable[[float, float], float], h: float):
+    """(Q_2n, |Q_2n - Q_n|) for n = _GL_NODES, with Q_j = h fsum(term(x, w))
+    over the nodes x and weights w of the j-node Gauss-Legendre rule: the
+    value of a quadrature of half-width h and its error estimate."""
+    fine, coarse = (
+        h * math.fsum(term(x, w) for x, w in zip(*_gauss_legendre(n)))
+        for n in (2 * _GL_NODES, _GL_NODES)
+    )
+    return fine, abs(fine - coarse)
 
 
 def _wallis(ms: Sequence[float]):
     """W(m) = int_0^{pi/2} cos^m t dt for each m >= 1, and an error estimate.
 
     The integral runs over [0, min(pi/2, c / sqrt(m))], where cos^m t is
-    exp(m log1p(-2 sin^2(t/2))), accurate at every m.  Gauss-Legendre with
-    2n = 48 nodes gives the value and |Q_2n - Q_n|, with n = 24, the error
-    estimate; each rule is summed with fsum.  In the scaled variable
-    t sqrt(m) the integrand tends to exp(-u^2/2), so one rule fits every m.
+    exp(m log1p(-2 sin^2(t/2))), accurate at every m.  The Gauss-Legendre
+    pair of _gl_pair gives the value and the error estimate.  In the scaled
+    variable t sqrt(m) the integrand tends to exp(-u^2/2), so one rule fits
+    every m.
     """
     vals, errs = [], []
     for m in ms:
         m = float(m)
         half = min(math.pi / 2, _WALLIS_CUT / math.sqrt(m)) / 2.0
 
-        def rule(n):
-            terms = []
-            for x, w in zip(*_gauss_legendre(n)):
-                s = math.sin(half * (x + 1.0) / 2.0)
-                terms.append(w * math.exp(m * math.log1p(-2.0 * s * s)))
-            return half * math.fsum(terms)
+        def term(x, w):
+            s = math.sin(half * (x + 1.0) / 2.0)
+            return w * math.exp(m * math.log1p(-2.0 * s * s))
 
-        fine = rule(2 * _GL_NODES)
-        vals.append(fine)
-        errs.append(abs(fine - rule(_GL_NODES)))
+        val, err = _gl_pair(term, half)
+        vals.append(val)
+        errs.append(err)
     return vals, errs
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .closed_forms import _GL_NODES, _gauss_legendre
+from .closed_forms import _gl_pair
 from .errors import DomainError, NumericalError, PreconditionError
 from .geometry import _cosh2, _distance_from_cosh2, ball_volume_constant
 from .hermitian import Model, ModelPoint, model_indicator
@@ -128,9 +128,10 @@ def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> C
     With <gamma w, z> = A + i beta (A = _pairing_offsets) and
     T = sqrt(qz qw) cosh(delta/2), d(z, gamma w) <= delta is
     (Re A)^2 + (Im A + beta)^2 <= T^2: one beta interval per column with
-    |Re A| <= T, centred on -Im A.  Since |Re A| >= |alpha|^2/2 - c0 -
-    c1 |alpha| (c0 = |s0|, c1 = |z2| + |w2|), these columns lie in the disc
-    |alpha| <= c1 + sqrt(c1^2 + 2 (c0 + T)).  Each interval is taken once
+    |Re A| <= T, centred on -Im A.  Since Re(alpha conj(z2) - conj(alpha) w2)
+    = Re(alpha conj(z2 - w2)), Re A >= -T gives |alpha|^2/2 - c |alpha| <=
+    T + Re s0 (c = |z2 - w2|), so these columns lie in the disc that bound
+    defines, widened by the rounding bounds below.  Each interval is taken once
     with T^2 and A widened by their rounding bounds (out) and once narrowed
     by them (in), so that the computed distances of the points between the
     two decide, and the points inside the narrow one all count.
@@ -138,8 +139,13 @@ def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> C
     s0, z2, w2, qzw = _m3_pair(z, w)
     c0, c1 = abs(s0), abs(z2) + abs(w2)
     t = exp_or_raise(0.5 * math.log(qzw) + log_cosh(delta / 2.0), "the orbit radius")
-    disc = spec.disc(c1 + math.sqrt(c1 * c1 + 2.0 * (c0 + t)))
     eta = _ROUND_COSH2 * (4.0 + delta + abs(math.log(qzw)))
+    # a kept column has Re A >= -T (1 + eta) - 2 err(|alpha|), with err the
+    # rounding bound of A below, so r = |alpha| has (1/2 - p) r^2 - lin r <= rhs
+    p = 2.0 * _ROUND_TERMS
+    lin = abs(z2 - w2) + p * c1
+    rhs = max(t * (1.0 + eta) + s0.real + p * c0, 0.0)
+    disc = spec.disc((lin + math.sqrt(lin * lin + (2.0 - 4.0 * p) * rhs)) / (1.0 - 2.0 * p))
     # past the double range A is infinite or nan, and such a column fails
     # the comparison and is dropped, as its distances are infinite or nan;
     # an infinite T^2 fails the index check
@@ -271,25 +277,20 @@ _TAIL_PANELS = 200
 def _gl_panel(f: Callable[[float], float], lo: float, a: float, b: float):
     """(-error estimate, a, b, value) of the integral over t in [a, b] of
     f(lo + t / (1 - t)) / (1 - t)^2, the integral of f over [lo + a/(1-a),
-    lo + b/(1-b)], by the Gauss-Legendre pair of pbl.closed_forms: the
-    2n-node rule gives the value and |Q_2n - Q_n| the error estimate, each
-    rule summed with fsum."""
+    lo + b/(1-b)], by the Gauss-Legendre pair of pbl.closed_forms._gl_pair."""
     if a == b:  # a halving whose midpoint rounded onto an end: no width
         return 0.0, a, b, 0.0
     h = 0.5 * (b - a)
     c = 1.0 - b
 
-    def rule(n):
-        terms = []
-        for x, w in zip(*_gauss_legendre(n)):
-            # t = b - h (1 - x), so v = 1 / (1 - t) stays finite and positive
-            # up to t = 1; rho = lo - 1 + v and drho = v^2 dt
-            v = 1.0 / (c + h * (1.0 - x))
-            terms.append(w * f(lo - 1.0 + v) * v * v)
-        return h * math.fsum(terms)
+    def term(x, w):
+        # t = b - h (1 - x), so v = 1 / (1 - t) stays finite and positive
+        # up to t = 1; rho = lo - 1 + v and drho = v^2 dt
+        v = 1.0 / (c + h * (1.0 - x))
+        return w * f(lo - 1.0 + v) * v * v
 
-    fine = rule(2 * _GL_NODES)
-    return -abs(fine - rule(_GL_NODES)), a, b, fine
+    fine, err = _gl_pair(term, h)
+    return -err, a, b, fine
 
 
 def _integrate_to_inf(f: Callable[[float], float], lo: float):
@@ -444,36 +445,36 @@ def stabilizer_injectivity_radius(
     compact model-3 slice {0 < -<z,z> <= q_max, |z2| <= p_max}.
 
     Per element the slice minimum has the closed form
-    cosh^2(d/2) = (1 + |alpha|^2 / (2 q_max))^2
-                  + (max(0, |beta| - 2 |alpha| p_max) / q_max)^2.
+    cosh^2(d/2) = (1 + u)^2 + v^2 with u = |alpha|^2 / (2 q_max) and
+    v = max(0, |beta| - 2 |alpha| p_max) / q_max, taken as
+    sinh^2(d/2) = u (2 + u) + v^2 and d = 2 asinh(sqrt(sinh^2(d/2))), so
+    that a small distance keeps its digits.
     """
     if not (q_max > 0 and 0 <= p_max < math.inf):
         raise PreconditionError("need q_max > 0 and a finite p_max >= 0")
 
-    def slice_cosh2(alpha, beta):
+    def slice_sinh2(alpha, beta):
         a, b = np.hypot(alpha.real, alpha.imag), np.abs(beta)
         with np.errstate(over="ignore"):  # past the double range is infinitely far
-            return (1 + a * a / (2 * q_max)) ** 2 + (
-                np.maximum(0.0, b - 2 * a * p_max) / q_max
-            ) ** 2
+            u = a * a / (2 * q_max)
+            return u * (2 + u) + (np.maximum(0.0, b - 2 * a * p_max) / q_max) ** 2
 
-    cand = float(slice_cosh2(*_seed_box(spec)).min())
-    # the slice cosh^2 is at least (1 + |alpha|^2 / (2 q_max))^2, so only a
-    # column with |alpha|^2 / (2 q_max) < sqrt(cand) - 1 can go below cand;
-    # 4 eps sqrt(cand) (eps = 2^-52) and the factor 1 + 1e-12 cover the
-    # rounding of both sides
-    root = math.sqrt(cand)
-    disc = spec.disc(math.sqrt(2 * q_max * (root - 1 + 2.0**-50 * root)) * (1 + 1e-12))
-    # per column the slice cosh^2 grows with |beta|, so its minimum sits at
+    cand = float(slice_sinh2(*_seed_box(spec)).min())
+    # the slice sinh^2 is at least u (2 + u), so only a column with
+    # u < sqrt(1 + cand) - 1 = cand / (1 + sqrt(1 + cand)) can go below cand;
+    # the factor 1 + 1e-12 covers the few roundings of both sides
+    u_max = cand / (1 + math.sqrt(1 + cand)) if cand < math.inf else math.inf
+    disc = spec.disc(math.sqrt(2 * q_max * u_max) * (1 + 1e-12))
+    # per column the slice sinh^2 grows with |beta|, so its minimum sits at
     # the lattice beta nearest 0, or the nearest nonzero one on alpha = 0;
     # floor(-offset / step) is within one of the last l with beta <= 0
     l = np.floor(-disc.offset / spec.beta_step)[:, None] + np.arange(-1.0, 3.0)
     beta = disc.offset[:, None] + l * spec.beta_step
     alpha = np.broadcast_to(disc.alpha[:, None], beta.shape)
     nontrivial = (alpha != 0) | (beta != 0)
-    best = float(slice_cosh2(alpha, beta)[nontrivial].min(initial=cand))
-    # every nontrivial element has cosh^2 > 1; one that rounds to 1 has lost
-    # its distance to the double resolution
-    if not best > 1.0:
-        raise NumericalError(f"the slice minimum cosh^2(d/2) rounds to 1 at q_max={q_max:.3g}")
-    return float(_distance_from_cosh2(best))
+    best = float(slice_sinh2(alpha, beta)[nontrivial].min(initial=cand))
+    # every nontrivial element has sinh^2 > 0; one that underflows to 0 has
+    # lost its distance to the double range
+    if not best > 0.0:
+        raise NumericalError(f"the slice minimum sinh^2(d/2) underflows at q_max={q_max:.3g}")
+    return 2.0 * math.asinh(math.sqrt(best))

@@ -447,6 +447,14 @@ class TestCountCmd:
         assert code == 0
         assert len(rows_of(out)) == 1
 
+    def test_skewed_basis_counts_from_delta_zero(self, capsys):
+        # a2 = 0.999 + 0.01i: the alpha disc is sized by the ridge's own
+        # Re <gamma z, z>, not by |s0|, which asked for ~5e6 columns here
+        argv = ("count", "--k", "200", "--a2-re", "0.999", "--a2-im", "0.01")
+        code, out, err = run(capsys, *argv, "--delta", "0..1:0.5", "--rx", "1")
+        assert code == 0, err
+        assert [r["counted"] for r in rows_of(out)] == [1, 7141, 56561]
+
 
 class TestMaximaCmd:
     def test_location(self, capsys):

@@ -170,6 +170,21 @@ class TestColumnCount:
             want = float(np.sum([f(x) for x in d[d <= delta].tolist()]))
             assert tail_bound_terms(f, 2, 0.5, delta, src, z, w).head == want
 
+    @pytest.mark.parametrize("k, delta_max", [(60, 1.5), (200, 1.0)])
+    def test_skewed_basis_on_the_ridge_matches_the_box_scan(self, k, delta_max):
+        # a2 = 0.999 + 0.01i puts ~100 columns in each unit of alpha area.
+        # On the ridge <gamma z, z> = -(q + |alpha|^2/2) + i beta, so the
+        # ball within delta lies in |alpha|^2 <= 2 (T - q), |beta| <= T
+        spec, z = LatticeSpec(a2=0.999 + 0.01j), ridge_point(k)
+        src = OrbitSource.from_lattice(spec)
+        q = k / (2 * math.pi)
+        t = q * math.cosh(delta_max / 2)
+        pts = spec.points(math.sqrt(2 * (t - q)) + 1, t + 1)
+        d = _stabilizer_distances(pts.alpha, pts.beta, z, z)
+        for delta in np.arange(0.0, delta_max + 0.125, 0.25).tolist():
+            assert counting_function(src, z, z, delta) == np.count_nonzero(d <= delta), delta
+        assert min_displacement(src, z) == d[(pts.alpha != 0) | (pts.beta != 0)].min()
+
 
 class TestElementSources:
     """Element-list orbits keep the checks apply and cosh2_half_distance make."""
@@ -414,8 +429,8 @@ class TestDisplacement:
             (0.0, 0.0, PreconditionError),
             (1.0, math.inf, PreconditionError),
             (1.0, math.nan, PreconditionError),
-            # cosh^2(d/2) = 1 + 1e-40 rounds to 1, a distance of 0
-            (1e20, 0.0, NumericalError),
+            # sinh^2(d/2) = 1e-400 underflows to 0, a distance of 0
+            (1e200, 0.0, NumericalError),
         ],
     )
     def test_slice_radius_rejects_what_it_cannot_resolve(self, q_max, p_max, error):

@@ -1,16 +1,19 @@
 """The stdout of the deterministic CLI calls of a paper-reproduction
 session, byte for byte, against the files in tests/golden/.
 
-After a deliberate output change, rewrite the files with
+tests/golden/help.out pins the --help text of pbl and of each subcommand
+at 80 columns.  After a deliberate output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 which rewrites only the files whose bytes changed and prints their names.
 """
 
+import argparse
 import contextlib
 import difflib
 import io
+import os
 import pathlib
 
 import pytest
@@ -39,14 +42,30 @@ def stdout_of(argv) -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("name", list(CALLS))
-def test_cli_stdout_matches_golden(name):
-    want = (GOLDEN / f"{name}.out").read_text()
-    got = stdout_of(CALLS[name])
+def help_text() -> str:
+    """format_help() of the pbl parser, then of each subparser in turn;
+    the width follows COLUMNS."""
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return "".join([ap.format_help(), *(p.format_help() for p in sub.choices.values())])
+
+
+def assert_same(got: str, want: str, what: str):
     diff = "".join(
         difflib.unified_diff(want.splitlines(True), got.splitlines(True), "golden", "now")
     )
-    assert got == want, f"pbl {' '.join(CALLS[name])} changed its output:\n{diff}"
+    assert got == want, f"{what} changed its output:\n{diff}"
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_cli_stdout_matches_golden(name):
+    want = (GOLDEN / f"{name}.out").read_text()
+    assert_same(stdout_of(CALLS[name]), want, f"pbl {' '.join(CALLS[name])}")
+
+
+def test_help_matches_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_same(help_text(), (GOLDEN / "help.out").read_text(), "pbl --help")
 
 
 def test_interleaved_calls_match_golden(capsys):
@@ -76,27 +95,33 @@ def test_main_builds_the_parser_once(monkeypatch):
 
 def rewrite(golden=GOLDEN, calls=CALLS) -> list:
     """Rewrite each golden file whose bytes differ from its call's stdout,
-    and return the paths rewritten."""
+    then help.out if it differs from help_text(), and return the paths
+    rewritten."""
+    texts = {name: stdout_of(argv) for name, argv in calls.items()}
+    texts["help"] = help_text()
     changed = []
-    for name, argv in calls.items():
+    for name, got in texts.items():
         path = golden / f"{name}.out"
-        got = stdout_of(argv)
         if not path.exists() or path.read_text() != got:
             path.write_text(got)
             changed.append(path)
     return changed
 
 
-def test_rewrite_touches_only_changed_files(tmp_path):
+def test_rewrite_touches_only_changed_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     calls = {name: CALLS[name] for name in ("maxima", "gamma_chain")}
-    for name in calls:
+    for name in (*calls, "help"):
         (tmp_path / f"{name}.out").write_text((GOLDEN / f"{name}.out").read_text())
     (tmp_path / "maxima.out").write_text("stale\n")
-    assert rewrite(tmp_path, calls) == [tmp_path / "maxima.out"]
-    assert (tmp_path / "maxima.out").read_text() == (GOLDEN / "maxima.out").read_text()
+    (tmp_path / "help.out").write_text("stale\n")
+    assert rewrite(tmp_path, calls) == [tmp_path / "maxima.out", tmp_path / "help.out"]
+    for name in ("maxima", "help"):
+        assert (tmp_path / f"{name}.out").read_text() == (GOLDEN / f"{name}.out").read_text()
     assert rewrite(tmp_path, calls) == []
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     for path in rewrite():
         print(f"rewrote {path.relative_to(GOLDEN.parent.parent)}")

@@ -31,6 +31,7 @@ from pbl import (
     model3_form,
     petersson_objective,
     scaling_fit,
+    stabilizer_injectivity_radius,
     tail_bound_terms,
 )
 from pbl.bounds import _alpha_tail, _beta_integral, _beta_tail, _box_sum, _log_gamma_ratio, _wallis
@@ -411,6 +412,28 @@ def _ridge_count_oracle(k, delta):
             margin = min(margin, (root - l) / t, (l + 1 - root) / t)
             total += c * (2 * l + 1)
     raise AssertionError("the norm table ends inside the orbit ball")
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, EISENSTEIN], ids=["gaussian", "eisenstein"])
+@pytest.mark.parametrize("q_max", [1e3, 1e5, 1e7, 1e20])
+def test_slice_radius_matches_40_digit_minimum(spec, q_max):
+    # at p_max = 0 the slice minimum of d(z, gamma z) has cosh^2(d/2) =
+    # (1 + |alpha|^2 / 2q)^2 + (beta / q)^2; its minimum over the nontrivial
+    # points with m, n, l in -2..2 holds the alpha = 0 line's smallest beta.
+    # cosh^2(d/2) - 1 ~ 1/q^2 cancels 2 log10(q) digits, so those are added
+    # to keep d to 40 digits
+    idx = range(-2, 3)
+    params = [spec.param(m, n, l) for m in idx for n in idx for l in idx]
+    with mp.workdps(40 + 2 * round(math.log10(q_max))):
+        q = mp.mpf(q_max)
+        cosh2 = min(
+            (1 + abs(mp.mpc(p.alpha)) ** 2 / (2 * q)) ** 2 + (mp.mpf(p.beta) / q) ** 2
+            for p in params
+            if (p.alpha, p.beta) != (0, 0)
+        )
+        want = 2 * mp.acosh(mp.sqrt(cosh2))
+    got = stabilizer_injectivity_radius(spec, q_max)
+    assert abs(got - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("delta", [14.0, 20.0])
