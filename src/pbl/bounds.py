@@ -234,9 +234,7 @@ def cusp_lattice_sum(
     groups them from `LatticeSpec.disc` and memoises them per radius, so a
     sweep over k on one spec does not rebuild a disc it has seen.
     """
-    _check_exact_int(k, "k")
-    if k < 6:
-        raise PreconditionError("k must be >= 6 for the sum to have margin")
+    _check_exact_int(k, "k", at_least=6)
     # below the double epsilon the tail could not change the computed sum
     if not (np.finfo(float).eps <= rel_tol <= 1e-3):
         raise PreconditionError("rel_tol must lie in [2.2e-16, 1e-3]")
@@ -286,9 +284,7 @@ def cusp_bound(
     attached as the sharper computed alternative, together with a flag
     recording that the closed form dominates it.
     """
-    _check_exact_int(k, "k")
-    if k < 6:
-        raise PreconditionError("k must be >= 6")
+    _check_exact_int(k, "k", at_least=6)
     base = cocompact_bound(2, k, r_x, cm)
     covol = lattice_covolume(spec)
     cusp = LogReal.from_log(cusp_term_log(k, cm, covol))

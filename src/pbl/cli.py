@@ -34,7 +34,7 @@ from .closed_forms import (
     ridge_log_objective,
     scaling_fit,
 )
-from .errors import NumericalError, PblError, PreconditionError, _check_exact_int
+from .errors import NumericalError, PblError, PreconditionError, _check_exact_int, _check_positive
 from .logreal import LogReal
 
 
@@ -289,14 +289,9 @@ def cmd_bound(ns, cfg, writer):
     cfg["which"] = ns.which
     ks = _parse_range("--k", cfg["k"], int)
     _check_exact_int(ks[-1], "--k")
-    if ns.which == "cusp" and min(ks) < 6:
-        raise PreconditionError("--k: cusp bound requires k >= 6")
-    if ns.which == "cocompact" and min(ks) < 2 * cfg["n"] + 2:
-        raise PreconditionError(f"--k: cocompact bound requires k >= 2n+2 = {2 * cfg['n'] + 2}")
-    if not 0 < cfg["rx"] < math.inf:
-        raise PreconditionError("--rx: injectivity radius must be positive and finite")
-    if not 0 < cfg["c_gamma"] < math.inf:
-        raise PreconditionError("--c-gamma: the constant must be positive and finite")
+    _check_exact_int(min(ks), "--k", at_least=6 if ns.which == "cusp" else 2 * cfg["n"] + 2)
+    _check_positive(cfg["rx"], "--rx")
+    _check_positive(cfg["c_gamma"], "--c-gamma")
     _check_exact_int(cfg["c_exponent"], "--c-exponent")
     _info(f"bound sweep over {len(ks)} weights")
     cm = ConstantModel(cfg["c_gamma"], cfg["c_exponent"])
@@ -337,9 +332,7 @@ def cmd_bound(ns, cfg, writer):
 
 
 def cmd_lattice_sum(ns, cfg, writer):
-    if cfg["k"] < 6:
-        raise PreconditionError("--k: lattice sum requires k >= 6")
-    _check_exact_int(cfg["k"], "--k")
+    _check_exact_int(cfg["k"], "--k", at_least=6)
     if not (sys.float_info.epsilon <= cfg["tol"] <= 1e-3):
         raise PreconditionError("--tol: certified tolerance must lie in [2.2e-16, 1e-3]")
     from .bounds import cusp_lattice_sum
@@ -362,8 +355,7 @@ def cmd_lattice_sum(ns, cfg, writer):
 def cmd_gamma_chain(ns, cfg, writer):
     ks = _parse_range("--k", cfg["k"], int)
     _check_exact_int(ks[-1], "--k")
-    if min(ks) < 6:
-        raise PreconditionError("--k: gamma chain requires k >= 6")
+    _check_exact_int(min(ks), "--k", at_least=6)
     for k in ks:
         gc = gamma_integral_chain(k)
         writer.row(
@@ -393,8 +385,7 @@ def cmd_count(ns, cfg, writer):
         rx = min_displacement(src, z)
     else:
         rx = _number("--rx", cfg["rx"])
-        if not 0 < rx < math.inf:
-            raise PreconditionError("--rx: injectivity radius must be positive and finite")
+        _check_positive(rx, "--rx")
     deltas = _parse_range("--delta", str(cfg["delta"]), float)
     # the header, written with the first row, ends with the radius used
     cfg["rx_effective"] = rx
@@ -406,9 +397,7 @@ def cmd_count(ns, cfg, writer):
 
 
 def cmd_maxima(ns, cfg, writer):
-    if cfg["k"] < 1:
-        raise PreconditionError("--k: weight must be >= 1")
-    _check_exact_int(cfg["k"], "--k")
+    _check_exact_int(cfg["k"], "--k", at_least=1)
     if not cfg["tol"] > 0:
         raise PreconditionError("--tol: tolerance must be positive")
     x1, x2, y2 = ridge_locate(cfg["k"], cfg["tol"])
@@ -558,7 +547,7 @@ def main(argv=None) -> int:
         code = handler(ns, cfg, writer)
         writer.close()
         return code
-    except (PreconditionError,) as exc:
+    except PreconditionError as exc:
         print(f"pbl: precondition violated: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

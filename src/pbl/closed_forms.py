@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .errors import NumericalError, PreconditionError, _check_exact_int
+from .errors import NumericalError, PreconditionError, _check_exact_int, _check_positive
 from .logreal import LogReal, log_cosh, log_sinh, log_sum
 
 __all__ = [
@@ -41,8 +41,7 @@ class ConstantModel:
     exponent: int = 0
 
     def __post_init__(self):
-        if not 0 < self.c_gamma < math.inf:
-            raise PreconditionError("c_gamma must be positive and finite")
+        _check_positive(self.c_gamma, "c_gamma")
         _check_exact_int(self.exponent, "exponent")
 
     def __call__(self, k: int) -> float:
@@ -88,13 +87,10 @@ def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundRepor
 
     Requires k >= 2n+2 so the middle denominator stays positive.
     """
-    _check_exact_int(k, "k")
     if n < 2:
         raise PreconditionError("n >= 2 required")
-    if k < 2 * n + 2:
-        raise PreconditionError(f"k must be >= 2n+2 = {2 * n + 2}, got {k}")
-    if not 0 < r_x < math.inf:
-        raise PreconditionError("injectivity radius must be positive and finite")
+    _check_exact_int(k, "k", at_least=2 * n + 2)
+    _check_positive(r_x, "r_x")
     log_c = cm.log_value(k).log()
     # r_x / 8 first keeps 5 r_x / 8 finite; the two products overflow together
     # only for r_x near the double range, where k >= 2n+2 sends the term to 0
@@ -293,9 +289,7 @@ def gamma_integral_chain(k: int) -> GammaChain:
     turn both integrals into Wallis integrals W(m) = int_0^{pi/2} cos^m t dt:
     the beta integral is 2 W(k - 2) and the r integral's s part is W(2k - 4).
     """
-    _check_exact_int(k, "k")
-    if k < 6:
-        raise PreconditionError("k must be >= 6")
+    _check_exact_int(k, "k", at_least=6)
     a0 = k / (2 * math.pi)
     log_gamma_r = _log_gamma_ratio(2 * k - 2)
     vals, errs = _wallis((k - 2.0, 2.0 * k - 4.0))
@@ -334,11 +328,8 @@ def cusp_term_log(k: int, cm: ConstantModel, covolume: float = 1.0) -> float:
         * C(k) * k^{3/2} / covolume,
 
     the chained integral bound for the lattice sum times C(k), for k >= 3."""
-    _check_exact_int(k, "k")
-    if k < 3:
-        raise PreconditionError("k must be >= 3")
-    if not 0 < covolume < math.inf:
-        raise PreconditionError("covolume must be positive and finite")
+    _check_exact_int(k, "k", at_least=3)
+    _check_positive(covolume, "covolume")
     return (
         cm.log_value(k).log()
         + 1.5 * math.log(k)
@@ -400,9 +391,7 @@ def ridge_locate(k: int, tol: float = 1e-6):
     Raises if the result is not within tol (relative in x1, absolute in z2),
     or if tol is below the 1e-14 the check can resolve.
     """
-    _check_exact_int(k, "k")
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
+    _check_exact_int(k, "k", at_least=1)
     if not tol > 0:
         raise PreconditionError("tol must be positive")
     # the check below compares two rounded values, each a few eps from the
@@ -450,11 +439,9 @@ def scaling_fit(ks: Sequence[int], bound: Callable[[int], LogReal]) -> ScalingFi
     by least squares in closed form on the centred logs."""
     ks = list(ks)
     for k in ks:
-        _check_exact_int(k, "k")
+        _check_exact_int(k, "k", at_least=1)
     if len(set(ks)) < 5:
         raise PreconditionError("at least 5 distinct k values are required")
-    if min(ks) <= 0:
-        raise PreconditionError("k values must be positive")
     xs = [math.log(k) for k in ks]
     ys = []
     for k in ks:

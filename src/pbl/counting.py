@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .closed_forms import _gl_pair
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError, NumericalError, PreconditionError, _check_positive
 from .geometry import _cosh2, _distance_from_cosh2, ball_volume_constant
 from .hermitian import Model, ModelPoint, model_indicator
 from .lattice import LatticeSpec, _check_budget, _index_ranges
@@ -242,8 +242,7 @@ def counting_function(
 def counting_upper_bound(n: int, r_x: float, delta: float) -> float:
     """4 pi sinh^{2n}((2 delta + r_x)/4) / (n! sinh^{2n}(r_x/4)): the number
     of disjoint radius-r_x/2 balls fitting in a ball of radius delta + r_x/2."""
-    if not 0 < r_x < math.inf:
-        raise PreconditionError("injectivity radius must be positive and finite")
+    _check_positive(r_x, "r_x")
     if not delta >= 0:
         raise PreconditionError("delta must be nonnegative")
     log_val = (
@@ -349,8 +348,9 @@ def tail_bound_terms(
     integrand does not decay (f slower than the sinh^{2n} growth), in which
     case the estimate does not exist.
     """
-    if n < 1 or r_x <= 0:
-        raise PreconditionError("need n >= 1 and a positive injectivity radius")
+    if n < 1:
+        raise PreconditionError("need n >= 1")
+    _check_positive(r_x, "r_x")
     if not delta > r_x / 2:
         raise PreconditionError("delta must exceed r_x / 2")
     _check_decreasing(f, min(delta, r_x) * 1e-6 + 1e-12, 2 * delta + 5.0)
@@ -447,34 +447,39 @@ def stabilizer_injectivity_radius(
     Per element the slice minimum has the closed form
     cosh^2(d/2) = (1 + u)^2 + v^2 with u = |alpha|^2 / (2 q_max) and
     v = max(0, |beta| - 2 |alpha| p_max) / q_max, taken as
-    sinh^2(d/2) = u (2 + u) + v^2 and d = 2 asinh(sqrt(sinh^2(d/2))), so
-    that a small distance keeps its digits.
+    s = sinh(d/2) = hypot(sqrt(u) sqrt(2 + u), v) and d = 2 asinh(s), with
+    sqrt(u) = |alpha| / sqrt(2 q_max), so that a small distance keeps its
+    digits, a tiny |alpha| is not squared into the subnormals, and a large
+    distance does not overflow where s^2 would.
     """
     if not (q_max > 0 and 0 <= p_max < math.inf):
         raise PreconditionError("need q_max > 0 and a finite p_max >= 0")
 
-    def slice_sinh2(alpha, beta):
+    def slice_sinh(alpha, beta):
         a, b = np.hypot(alpha.real, alpha.imag), np.abs(beta)
         with np.errstate(over="ignore"):  # past the double range is infinitely far
-            u = a * a / (2 * q_max)
-            return u * (2 + u) + (np.maximum(0.0, b - 2 * a * p_max) / q_max) ** 2
+            root_u = a / math.sqrt(2 * q_max)
+            v = np.maximum(0.0, b - 2 * a * p_max) / q_max
+            return np.hypot(root_u * np.sqrt(2 + root_u * root_u), v)
 
-    cand = float(slice_sinh2(*_seed_box(spec)).min())
-    # the slice sinh^2 is at least u (2 + u), so only a column with
-    # u < sqrt(1 + cand) - 1 = cand / (1 + sqrt(1 + cand)) can go below cand;
-    # the factor 1 + 1e-12 covers the few roundings of both sides
-    u_max = cand / (1 + math.sqrt(1 + cand)) if cand < math.inf else math.inf
-    disc = spec.disc(math.sqrt(2 * q_max * u_max) * (1 + 1e-12))
-    # per column the slice sinh^2 grows with |beta|, so its minimum sits at
+    cand = float(slice_sinh(*_seed_box(spec)).min())
+    # the slice sinh is at least sqrt(u (2 + u)), so only a column with
+    # u < hypot(1, cand) - 1 = cand^2 / (1 + hypot(1, cand)) can go below
+    # cand, that is |alpha| < sqrt(2 q_max) cand / sqrt(1 + hypot(1, cand)),
+    # formed without squaring cand, which leaves the double range at both
+    # ends; the factor 1 + 1e-12 covers the few roundings of both sides
+    root_u_max = cand / math.sqrt(1 + math.hypot(1, cand)) if cand < math.inf else cand
+    disc = spec.disc(math.sqrt(2 * q_max) * root_u_max * (1 + 1e-12))
+    # per column the slice sinh grows with |beta|, so its minimum sits at
     # the lattice beta nearest 0, or the nearest nonzero one on alpha = 0;
     # floor(-offset / step) is within one of the last l with beta <= 0
     l = np.floor(-disc.offset / spec.beta_step)[:, None] + np.arange(-1.0, 3.0)
     beta = disc.offset[:, None] + l * spec.beta_step
     alpha = np.broadcast_to(disc.alpha[:, None], beta.shape)
     nontrivial = (alpha != 0) | (beta != 0)
-    best = float(slice_sinh2(alpha, beta)[nontrivial].min(initial=cand))
-    # every nontrivial element has sinh^2 > 0; one that underflows to 0 has
+    best = float(slice_sinh(alpha, beta)[nontrivial].min(initial=cand))
+    # every nontrivial element has sinh > 0; one that underflows to 0 has
     # lost its distance to the double range
     if not best > 0.0:
-        raise NumericalError(f"the slice minimum sinh^2(d/2) underflows at q_max={q_max:.3g}")
-    return 2.0 * math.asinh(math.sqrt(best))
+        raise NumericalError(f"the slice minimum sinh(d/2) underflows at q_max={q_max:.3g}")
+    return 2.0 * math.asinh(best)

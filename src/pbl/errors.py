@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the precondition
+checks the library and the CLI share: `_check_exact_int` for integers such
+as weights, `_check_positive` for positive finite parameters."""
+
+import math
 
 
 class PblError(Exception):
@@ -29,12 +33,20 @@ class NumericalError(PblError):
 _MAX_EXACT_INT = 2**53
 
 
-def _check_exact_int(n: int, name: str) -> None:
+def _check_exact_int(n: int, name: str, at_least=None) -> None:
     """PreconditionError unless n is an integer (a bool, float, str or None
-    is not) of at most 2^53 in magnitude; callers check it before comparing
-    n with anything."""
+    is not) of at most 2^53 in magnitude and, when at_least is given, at
+    least at_least; the type is checked before n is compared with anything."""
     # numpy integers have __index__; floats, str, None and numpy bools do not
     if type(n) is not int and (isinstance(n, bool) or not hasattr(type(n), "__index__")):
         raise PreconditionError(f"{name}: must be an integer, not {type(n).__name__}")
     if abs(n) > _MAX_EXACT_INT:
         raise PreconditionError(f"{name}: must be at most 2^53 in magnitude")
+    if at_least is not None and n < at_least:
+        raise PreconditionError(f"{name}: need {name.lstrip('-')} >= {at_least}, got {n}")
+
+
+def _check_positive(x: float, name: str) -> None:
+    """PreconditionError unless 0 < x < inf (NaN fails too)."""
+    if not 0 < x < math.inf:
+        raise PreconditionError(f"{name}: need 0 < {name.lstrip('-')} < inf, got {x}")

@@ -97,9 +97,7 @@ def ball_volume(n: int, r: float) -> float:
 def petersson_norm_factor(p: ModelPoint, k: int) -> LogReal:
     """(-<lift p, lift p>)^k: (1-|z|^2)^k on the ball, (-2 Re z1 - |z2|^2)^k
     in model 3, (2 Im z1 - |z2|^2)^k in model 2."""
-    _check_exact_int(k, "k")
-    if k < 1:
-        raise PreconditionError("weight k must be >= 1")
+    _check_exact_int(k, "k", at_least=1)
     q = -model_indicator(p)
     if q <= 0.0:
         raise DomainError("boundary or exterior point")
@@ -113,9 +111,7 @@ def petersson_objective(p: ModelPoint, k: int) -> LogReal:
     """
     if p.model is not Model.M3:
         raise DomainError("objective is defined on model-3 points")
-    _check_exact_int(k, "k")
-    if k < 1:
-        raise PreconditionError("weight k must be >= 1")
+    _check_exact_int(k, "k", at_least=1)
     q = -model_indicator(p)
     if q <= 0.0:
         raise DomainError("boundary or exterior point")

@@ -345,6 +345,48 @@ def test_int_beyond_2_53_exits_2(capsys, argv, flag):
     assert flag in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bound", "cusp", "--k", "5"), "--k: need k >= 6, got 5"),
+        (("bound", "cocompact", "--k", "5..9"), "--k: need k >= 6, got 5"),
+        (("bound", "cocompact", "--n", "3", "--k", "7"), "--k: need k >= 8, got 7"),
+        (("lattice-sum", "--k", "5"), "--k: need k >= 6, got 5"),
+        (("gamma-chain", "--k", "5"), "--k: need k >= 6, got 5"),
+        (("maxima", "--k", "0"), "--k: need k >= 1, got 0"),
+        (("bound", "cocompact", "--rx", "0"), "--rx: need 0 < rx < inf, got 0.0"),
+        (("bound", "cusp", "--rx=-1e-300"), "--rx: need 0 < rx < inf, got -1e-300"),
+        (("count", "--delta", "2", "--rx", "0"), "--rx: need 0 < rx < inf, got 0.0"),
+        (("bound", "cocompact", "--c-gamma", "0"), "--c-gamma: need 0 < c-gamma < inf, got 0.0"),
+    ],
+    ids=[
+        "cusp-k", "cocompact-k-range", "cocompact-n3-k", "lattice-sum-k", "gamma-chain-k",
+        "maxima-k", "cocompact-rx", "cusp-rx", "count-rx", "c-gamma",
+    ],
+)
+def test_bounded_flag_just_out_of_range_names_flag_and_bound(capsys, argv, message):
+    # every command states a bound in the one shared form of pbl.errors
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"pbl: precondition violated: {message}\n"
+
+
+def test_csv_fit_is_the_last_line_with_the_jsonl_digits(capsys):
+    argv = ("bound", "cocompact", "--k", "6..20", "--fit")
+    code, jsonl, _ = run(capsys, *argv)
+    assert code == 0
+    # the JSONL fit row's own text, so no digit is lost to a float round trip
+    fit_row = jsonl.splitlines()[-1]
+    digits = [part.split(": ")[1] for part in fit_row.strip("{}").split(", ")]
+    code, csv_out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = csv_out.splitlines()
+    assert lines[-1] == "# fit: slope={} intercept={} residual_rms={}".format(*digits)
+    assert list(json.loads(fit_row)) == ["fit_slope", "fit_intercept", "fit_residual_rms"]
+    # the config comment, the column header, then one row per weight
+    assert len(lines) == 2 + 15 + 1
+
+
 def test_lattice_area_overflow_exits_2(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

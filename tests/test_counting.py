@@ -429,8 +429,6 @@ class TestDisplacement:
             (0.0, 0.0, PreconditionError),
             (1.0, math.inf, PreconditionError),
             (1.0, math.nan, PreconditionError),
-            # sinh^2(d/2) = 1e-400 underflows to 0, a distance of 0
-            (1e200, 0.0, NumericalError),
         ],
     )
     def test_slice_radius_rejects_what_it_cannot_resolve(self, q_max, p_max, error):
@@ -438,6 +436,26 @@ class TestDisplacement:
             warnings.simplefilter("error")
             with pytest.raises(error):
                 stabilizer_injectivity_radius(GAUSSIAN_SPEC, q_max, p_max)
+
+    def test_slice_radius_keeps_the_digits_of_a_tiny_cell(self):
+        # |alpha|^2 = 1.5e-320 is subnormal, with about 4 digits, so
+        # sqrt(u) is |alpha| / sqrt(2 q_max); with u = 7.6e-21 the distance
+        # 2 asinh(sqrt(u (2 + u))) is 2 |alpha| / sqrt(q_max) to 1e-20
+        a, q_max = 1.2345e-160, 1e-300
+        spec = LatticeSpec(a1=a, a2=a * 1j, beta_step=1e10)
+        got = stabilizer_injectivity_radius(spec, q_max)
+        assert got == pytest.approx(2 * a / math.sqrt(q_max), rel=1e-15)
+
+    def test_slice_radius_rejects_an_underflowing_sinh(self):
+        # on the alpha = 0 line beta = +-1e-300 at q_max = 1e30 gives
+        # sinh(d/2) = v = 1e-330, which underflows to 0, a distance of 0 (on
+        # the Gaussian lattice q_max = 1e200 still resolves: sinh(d/2) =
+        # 1e-100, where sinh^2(d/2) was 1e-200 and 1e-400)
+        spec = LatticeSpec(a1=1e-160, a2=1e-160j, beta_step=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="underflows"):
+                stabilizer_injectivity_radius(spec, 1e30)
 
     def test_huge_alpha_cell_minimum_on_its_zero_line(self):
         # |alpha|^2 overflows for every nonzero alpha, so the minimum comes

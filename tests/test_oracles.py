@@ -19,6 +19,7 @@ from pbl import (
     LatticeSpec,
     LogReal,
     ModelPoint,
+    NumericalError,
     OrbitSource,
     ball_form,
     cocompact_bound,
@@ -34,6 +35,7 @@ from pbl import (
     stabilizer_injectivity_radius,
     tail_bound_terms,
 )
+from pbl import bounds
 from pbl.bounds import _alpha_tail, _beta_integral, _beta_tail, _box_sum, _log_gamma_ratio, _wallis
 from pbl.cli import main
 from pbl.closed_forms import _gauss_legendre, _ridge_step
@@ -303,6 +305,60 @@ def test_box_sum_matches_40_digit_sum(k):
         assert abs(mp.mpf(got) / want - 1) <= 1e-15
 
 
+# every |beta| is at least 5, far above a0 ~ 1, so the sum (1.2e-3 at k = 6)
+# lies far below the starting goal of 1: the first box does not certify
+# against its partial sum, and the sum takes a second pass
+OFFSET_HALF_STEP = LatticeSpec(beta_step=10.0, beta_offset_rule=lambda m, n: 5.0)
+
+
+def _offset_half_step_oracle(k, r=40, l_max=20):
+    """The 30-digit lattice sum of (a0^2 / (a^2 + beta^2))^{k/2} on
+    OFFSET_HALF_STEP, a = a0 + (m^2 + n^2)/2, beta = 5 + 10 l.  Each column
+    with m^2 + n^2 <= r^2 is summed directly over |beta| < 10 l_max, plus its
+    beta tail as the midpoint rule of the integral past 10 l_max (an
+    incomplete Beta function) with its h^2/24 correction.  The columns past
+    r add a0^k J_k a^{1-k} / 10 each (Poisson), integrated over the plane
+    outside the disc of the counted columns' area.  Raising r to 90 and
+    l_max to 60 moves the result by under 1e-12 of it, while a direct box
+    with r = l_max = 40 alone falls short by 4.6e-9 of it at k = 6."""
+    norms = Counter(
+        m * m + n * n for m in range(-r, r + 1) for n in range(-r, r + 1) if m * m + n * n <= r * r
+    )
+    with mp.workdps(30):
+        a0 = mp.mpf(k) / (2 * mp.pi)
+        half_k = mp.mpf(k) / 2
+        b = 10 * l_max
+        total = mp.mpf(0)
+        for s, count in norms.items():
+            a = a0 + mp.mpf(s) / 2
+            head = mp.fsum((a0 * a0 / (a * a + (5 + 10 * l) ** 2)) ** half_k for l in range(l_max))
+            tail = (a0 / a) ** k * a / 20 * mp.betainc(half_k - 0.5, 0.5, 0, a * a / (a * a + b * b))
+            tail -= mp.mpf(10) / 24 * k * b * a0**k * (a * a + b * b) ** (-half_k - 1)
+            total += count * 2 * (head + tail)
+        r_sq = sum(norms.values()) / mp.pi
+        j_k = mp.beta(half_k - 0.5, 0.5)
+        far = a0**k * j_k / 10 * 2 * mp.pi * (a0 + r_sq / 2) ** (2 - k) / (k - 2)
+        return total + far
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_retry_pass_stays_within_its_certificate(monkeypatch, k):
+    """The second pass of cusp_lattice_sum, which lowers its goal to the
+    first pass's partial sum, certifies a sum below the 30-digit oracle by
+    at most its tail majorant."""
+    passes = []
+
+    def counted_box_sum(*args):
+        passes.append(args)
+        return _box_sum(*args)
+
+    monkeypatch.setattr(bounds, "_box_sum", counted_box_sum)
+    res = cusp_lattice_sum(k, OFFSET_HALF_STEP, 1e-8)
+    assert len(passes) == 2
+    gap = _offset_half_step_oracle(k) - mp.mpf(res.value.to_float())
+    assert 0 <= gap <= res.tail_majorant
+
+
 @pytest.mark.parametrize("spec", [EISENSTEIN, SKEW], ids=["eisenstein", "skew"])
 @pytest.mark.parametrize("k, rel_tol", [(6, 1e-3), (60, 1e-8)])
 def test_grouped_box_sum_matches_40_digit_sum(spec, k, rel_tol):
@@ -415,16 +471,18 @@ def _ridge_count_oracle(k, delta):
 
 
 @pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, EISENSTEIN], ids=["gaussian", "eisenstein"])
-@pytest.mark.parametrize("q_max", [1e3, 1e5, 1e7, 1e20])
+@pytest.mark.parametrize("q_max", [1e-300, 1e-160, 1e3, 1e5, 1e7, 1e20, 1e200])
 def test_slice_radius_matches_40_digit_minimum(spec, q_max):
     # at p_max = 0 the slice minimum of d(z, gamma z) has cosh^2(d/2) =
     # (1 + |alpha|^2 / 2q)^2 + (beta / q)^2; its minimum over the nontrivial
-    # points with m, n, l in -2..2 holds the alpha = 0 line's smallest beta.
-    # cosh^2(d/2) - 1 ~ 1/q^2 cancels 2 log10(q) digits, so those are added
-    # to keep d to 40 digits
+    # points with m, n, l in -2..2 holds the alpha = 0 line's smallest beta
+    # at large q, and the alpha = +-1 columns at tiny q, where sinh^2(d/2)
+    # ~ 1/(4 q^2) leaves the double range.  At large q, cosh^2(d/2) - 1 ~
+    # 1/q^2 cancels 2 log10(q) digits, so those are added to keep d to 40
+    # digits
     idx = range(-2, 3)
     params = [spec.param(m, n, l) for m in idx for n in idx for l in idx]
-    with mp.workdps(40 + 2 * round(math.log10(q_max))):
+    with mp.workdps(40 + 2 * max(0, round(math.log10(q_max)))):
         q = mp.mpf(q_max)
         cosh2 = min(
             (1 + abs(mp.mpc(p.alpha)) ** 2 / (2 * q)) ** 2 + (mp.mpf(p.beta) / q) ** 2
@@ -434,6 +492,36 @@ def test_slice_radius_matches_40_digit_minimum(spec, q_max):
         want = 2 * mp.acosh(mp.sqrt(cosh2))
     got = stabilizer_injectivity_radius(spec, q_max)
     assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-8])
+def test_slice_radius_finds_the_short_column_of_a_skewed_tiny_cell(scale):
+    # on a1 = scale, a2 = (5 + 0.1i) scale the shortest column a2 - 5 a1 =
+    # 0.1i scale lies outside the 3x3 seed box, whose best column a1 is 10
+    # times longer.  At q_max = 1e300 the seed box gives sinh(d/2) ~ 1e-170
+    # and 1e-158, whose squares are 0 and subnormal, so the alpha disc must
+    # be sized without squaring it.  The oracle takes sinh^2(d/2) = u (2 + u)
+    # + v^2 at 40 digits over m, n in -8..8, l in -2..2
+    spec = LatticeSpec(a1=scale, a2=(5 + 0.1j) * scale, beta_step=1e200)
+    q_max = 1e300
+    idx = range(-8, 9)
+    params = [spec.param(m, n, l) for m in idx for n in idx for l in range(-2, 3)]
+    with mp.workdps(40):
+        q = mp.mpf(q_max)
+        sinh2 = min(
+            (abs(mp.mpc(p.alpha)) ** 2 / (2 * q)) * (2 + abs(mp.mpc(p.alpha)) ** 2 / (2 * q))
+            + (mp.mpf(p.beta) / q) ** 2
+            for p in params
+            if (p.alpha, p.beta) != (0, 0)
+        )
+        want = 2 * mp.asinh(mp.sqrt(sinh2))
+    got = stabilizer_injectivity_radius(spec, q_max)
+    assert abs(got - want) <= 1e-15 * want
+    # a cell 100 times flatter needs a disc of 2e7 points: it raises rather
+    # than answer from the seed box
+    flat = LatticeSpec(a1=scale, a2=(5 + 1e-3j) * scale, beta_step=1e200)
+    with pytest.raises(NumericalError, match="alpha disc"):
+        stabilizer_injectivity_radius(flat, q_max)
 
 
 @pytest.mark.parametrize("delta", [14.0, 20.0])
