@@ -3,7 +3,7 @@ truncation, the combined one-cusp bound, the ridge locator for the cusp
 objective as a model-3 point, and the truncated orbit sum.  The closed-form
 pipelines (the cocompact estimate, the Gamma-function chain, the ridge in
 floats, the exponent fitter) live in `pbl.closed_forms`, which needs no
-numpy, and are re-exported here.
+numpy.
 """
 
 from __future__ import annotations
@@ -14,24 +14,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# the closed forms are part of this module's interface, _log_gamma_ratio and
-# _wallis included
 from .closed_forms import (
     BoundReport,
     ConstantModel,
-    GammaChain,
-    ScalingFit,
     _beta_integral,
-    _log_gamma_ratio,
-    _wallis,
     cocompact_bound,
     cusp_term_log,
-    gamma_integral_chain,
     ridge_locate,
-    ridge_log_objective,
-    scaling_fit,
 )
-from .errors import NumericalError, PreconditionError, _check_exact_int
+from .errors import NumericalError, _check_exact_int, _check_rel_tol
 from .geometry import _cosh2
 from .hermitian import ModelPoint
 from .lattice import LatticeSpec, _check_budget, _check_terms, lattice_covolume
@@ -39,21 +30,7 @@ from .logreal import LogReal, log_sum, log_sum_exp
 from .transforms import Isometry, _isometry_stack
 
 __all__ = [
-    "ConstantModel",
-    "BoundReport",
-    "CuspSumResult",
-    "GammaChain",
-    "ScalingFit",
-    "cocompact_bound",
-    "cusp_lattice_sum",
-    "cusp_term_log",
-    "gamma_integral_chain",
-    "cusp_bound",
-    "maxima_locate",
-    "ridge_locate",
-    "ridge_log_objective",
-    "scaling_fit",
-    "orbit_cosh_power_sum",
+    "CuspSumResult", "cusp_lattice_sum", "cusp_bound", "maxima_locate", "orbit_cosh_power_sum"
 ]
 
 
@@ -232,12 +209,11 @@ def cusp_lattice_sum(
     or to half of goal if that is smaller.  Radii never shrink.  Each pass
     takes the beta lines of its alpha disc from `LatticeSpec._lines`, which
     groups them from `LatticeSpec.disc` and memoises them per radius, so a
-    sweep over k on one spec does not rebuild a disc it has seen.
+    repeated call on one spec does not rebuild its discs; the weights of a
+    sweep each solve a radius of their own, and share none.
     """
     _check_exact_int(k, "k", at_least=6)
-    # below the double epsilon the tail could not change the computed sum
-    if not (np.finfo(float).eps <= rel_tol <= 1e-3):
-        raise PreconditionError("rel_tol must lie in [2.2e-16, 1e-3]")
+    _check_rel_tol(rel_tol)
     a0 = k / (2 * math.pi)
     beta_integral = _beta_integral(k)
     # the alpha = 0 line alone sums to within 1 of a0 * beta integral / step

@@ -34,7 +34,15 @@ from .closed_forms import (
     ridge_log_objective,
     scaling_fit,
 )
-from .errors import NumericalError, PblError, PreconditionError, _check_exact_int, _check_positive
+from .errors import (
+    DomainError,
+    NumericalError,
+    PblError,
+    PreconditionError,
+    _check_exact_int,
+    _check_positive,
+    _check_rel_tol,
+)
 from .logreal import LogReal
 
 
@@ -69,44 +77,27 @@ def _jsonl(row: dict) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-class Writer:
-    def __init__(self, fmt: str, out_path, config: dict):
-        self.fmt = fmt
-        self.lines = []
-        self.out_path = out_path
-        self.header_done = False
-        self.config = config
-
-    def _emit_header(self, columns=None):
-        cfg = ", ".join(f"{k}={_fmt(v)}" for k, v in self.config.items())
-        if self.fmt == "csv":
-            self.lines.append(f"# config: {cfg}")
-            if columns:
-                self.lines.append(",".join(columns))
-        else:
-            self.lines.append(_jsonl({"config": cfg}))
-        self.header_done = True
-
-    def row(self, row: dict):
-        if not self.header_done:
-            self._emit_header(list(row.keys()))
-        if self.fmt == "csv":
-            self.lines.append(",".join(_fmt(v).strip('"') for v in row.values()))
-        else:
-            self.lines.append(_jsonl(row))
-
-    def close(self):
-        if not self.header_done:
-            self._emit_header()
-        text = "\n".join(self.lines) + "\n"
-        if self.out_path:
-            try:
-                with open(self.out_path, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise PblError(f"--out: {exc}") from None
-        else:
-            sys.stdout.write(text)
+def _write_report(fmt: str, out_path, config: dict, rows: list) -> None:
+    """The config header, in CSV the columns of the first row, then one line
+    per row; a str row (a CSV comment) is written as it is."""
+    cfg = ", ".join(f"{k}={_fmt(v)}" for k, v in config.items())
+    if fmt == "csv":
+        lines = [f"# config: {cfg}", *(",".join(row) for row in rows[:1])]
+        lines += [
+            row if isinstance(row, str) else ",".join(_fmt(v).strip('"') for v in row.values())
+            for row in rows
+        ]
+    else:
+        lines = [_jsonl({"config": cfg}), *map(_jsonl, rows)]
+    text = "\n".join(lines) + "\n"
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PblError(f"--out: {exc}") from None
+    else:
+        sys.stdout.write(text)
 
 
 # -- config handling ---------------------------------------------------------
@@ -164,11 +155,19 @@ def _resolve(ns, file_cfg: dict, defaults: dict) -> dict:
 def _lattice_spec(cfg: dict):
     from .lattice import LatticeSpec
 
-    return LatticeSpec(
-        a1=complex(cfg["a1_re"], cfg["a1_im"]),
-        a2=complex(cfg["a2_re"], cfg["a2_im"]),
-        beta_step=cfg["beta_step"],
-    )
+    for key in ("a1_re", "a1_im", "a2_re", "a2_im"):
+        if not math.isfinite(cfg[key]):
+            flag = "--" + key.replace("_", "-")
+            raise PreconditionError(f"{flag}: need a finite value, got {cfg[key]}")
+    _check_positive(cfg["beta_step"], "--beta-step")
+    try:
+        return LatticeSpec(
+            a1=complex(cfg["a1_re"], cfg["a1_im"]),
+            a2=complex(cfg["a2_re"], cfg["a2_im"]),
+            beta_step=cfg["beta_step"],
+        )
+    except DomainError as exc:
+        raise PreconditionError(f"--a1-re, --a1-im, --a2-re, --a2-im: {exc}") from None
 
 
 # most values one --k or --delta range may hold
@@ -256,7 +255,10 @@ def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
         for _ in range(5):
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             v *= 0.6 * rng.uniform(0.1, 1.0) / np.linalg.norm(v)
-            det = curvature_determinant(ModelPoint.ball(v), h=curvature_step)
+            try:
+                det = curvature_determinant(ModelPoint.ball(v), h=curvature_step)
+            except (DomainError, PreconditionError) as exc:  # the step is at fault
+                raise PreconditionError(f"--curvature-step: {exc}") from None
             worst = max(worst, abs(det - target) / target)
         yield (f"curvature_determinant_n{n}", worst, curv_tol)
 
@@ -267,28 +269,27 @@ def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
         yield (f"maxima_location_k{k}", err, 1e-6)
 
 
-def cmd_verify(ns, cfg, writer):
+def cmd_verify(ns, cfg):
     if cfg["seed"] < 0:
         raise PreconditionError("--seed: must be nonnegative")
-    ok = True
-    for name, residual, tol in _verify_checks(
-        cfg["curvature_step"], cfg["perturb_gamma3"], cfg["seed"]
-    ):
-        passed = residual <= tol
-        ok = ok and passed
-        writer.row(
-            {"name": name, "residual": residual, "tolerance": tol, "pass": passed}
+    rows = [
+        {"name": name, "residual": residual, "tolerance": tol, "pass": residual <= tol}
+        for name, residual, tol in _verify_checks(
+            cfg["curvature_step"], cfg["perturb_gamma3"], cfg["seed"]
         )
-    return 0 if ok else 1
+    ]
+    return (0 if all(row["pass"] for row in rows) else 1), rows
 
 
 # -- bound -------------------------------------------------------------------
 
 
-def cmd_bound(ns, cfg, writer):
+def cmd_bound(ns, cfg):
     cfg["which"] = ns.which
     ks = _parse_range("--k", cfg["k"], int)
     _check_exact_int(ks[-1], "--k")
+    if ns.which == "cocompact":
+        _check_exact_int(cfg["n"], "--n", at_least=2)
     _check_exact_int(min(ks), "--k", at_least=6 if ns.which == "cusp" else 2 * cfg["n"] + 2)
     _check_positive(cfg["rx"], "--rx")
     _check_positive(cfg["c_gamma"], "--c-gamma")
@@ -296,49 +297,43 @@ def cmd_bound(ns, cfg, writer):
     _info(f"bound sweep over {len(ks)} weights")
     cm = ConstantModel(cfg["c_gamma"], cfg["c_exponent"])
     rows = []
-    # one spec for the sweep, which derives its lattice's beta lines once
-    spec = _lattice_spec(cfg) if ns.which == "cusp" else None
+    if ns.which == "cusp":
+        from .bounds import cusp_bound
+
+        # one lattice for the whole sweep
+        spec = _lattice_spec(cfg)
+        _check_rel_tol(cfg["tol"], "--tol")
     for k in ks:
         if ns.which == "cocompact":
             row = cocompact_bound(cfg["n"], k, cfg["rx"], cm).row()
         else:
-            from .bounds import cusp_bound
-
             rep = cusp_bound(k, cfg["rx"], cm, spec, cfg["tol"])
             row = rep.row()
             row["log_cusp_sum_scaled"] = rep.extras["cusp_sum_scaled"].log()
             row["cusp_dominates_sum"] = rep.extras["cusp_dominates_sum"]
         rows.append(row)
-        writer.row(row)
     if cfg["fit"]:
-        fit = scaling_fit(ks, lambda k: LogReal.from_log(rows[ks.index(k)]["log_total"]))
-        if writer.fmt == "csv":
-            writer.lines.append(
-                f"# fit: slope={_fmt(fit.slope)} intercept={_fmt(fit.intercept)} "
-                f"residual_rms={_fmt(fit.residual_rms)}"
-            )
+        if len(ks) < 5:
+            raise PreconditionError(f"--fit: need at least 5 weights in --k, got {len(ks)}")
+        totals = {row["k"]: row["log_total"] for row in rows}
+        fit = vars(scaling_fit(ks, lambda k: LogReal.from_log(totals[k])))
+        if ns.format == "csv":
+            rows.append("# fit: " + " ".join(f"{key}={_fmt(v)}" for key, v in fit.items()))
         else:
-            writer.row(
-                {
-                    "fit_slope": fit.slope,
-                    "fit_intercept": fit.intercept,
-                    "fit_residual_rms": fit.residual_rms,
-                }
-            )
-    return 0
+            rows.append({f"fit_{key}": v for key, v in fit.items()})
+    return 0, rows
 
 
 # -- lattice-sum, gamma-chain, count, maxima, fit ----------------------------
 
 
-def cmd_lattice_sum(ns, cfg, writer):
+def cmd_lattice_sum(ns, cfg):
     _check_exact_int(cfg["k"], "--k", at_least=6)
-    if not (sys.float_info.epsilon <= cfg["tol"] <= 1e-3):
-        raise PreconditionError("--tol: certified tolerance must lie in [2.2e-16, 1e-3]")
+    _check_rel_tol(cfg["tol"], "--tol")
     from .bounds import cusp_lattice_sum
 
     res = cusp_lattice_sum(cfg["k"], _lattice_spec(cfg), cfg["tol"])
-    writer.row(
+    return 0, [
         {
             "k": res.k,
             "log_sum": res.value.log(),
@@ -348,36 +343,33 @@ def cmd_lattice_sum(ns, cfg, writer):
             "tail_bound": res.tail_majorant,
             "n_terms": res.n_terms,
         }
-    )
-    return 0
+    ]
 
 
-def cmd_gamma_chain(ns, cfg, writer):
+def cmd_gamma_chain(ns, cfg):
     ks = _parse_range("--k", cfg["k"], int)
     _check_exact_int(ks[-1], "--k")
     _check_exact_int(min(ks), "--k", at_least=6)
-    for k in ks:
-        gc = gamma_integral_chain(k)
-        writer.row(
-            {
-                "k": gc.k,
-                "beta_closed": gc.beta_closed,
-                "beta_quad": gc.beta_quad,
-                "beta_ratio": gc.beta_ratio,
-                "log_r_closed": gc.r_closed.log(),
-                "log_r_quad": gc.r_quad.log(),
-                "r_ratio": gc.r_ratio,
-                "log_chained": gc.chained.log(),
-            }
-        )
-    return 0
+    return 0, [
+        {
+            "k": gc.k,
+            "beta_closed": gc.beta_closed,
+            "beta_quad": gc.beta_quad,
+            "beta_ratio": gc.beta_ratio,
+            "log_r_closed": gc.r_closed.log(),
+            "log_r_quad": gc.r_quad.log(),
+            "r_ratio": gc.r_ratio,
+            "log_chained": gc.chained.log(),
+        }
+        for gc in map(gamma_integral_chain, ks)
+    ]
 
 
-def cmd_count(ns, cfg, writer):
+def cmd_count(ns, cfg):
     from .counting import OrbitSource, counting_function, counting_upper_bound, min_displacement
     from .hermitian import ModelPoint
 
-    _check_exact_int(cfg["k"], "--k")
+    _check_exact_int(cfg["k"], "--k", at_least=1)
     spec = _lattice_spec(cfg)
     z = ModelPoint.m3(complex(-cfg["k"] / (4 * math.pi), 0.0), 0.0)
     src = OrbitSource.from_lattice(spec)
@@ -387,22 +379,26 @@ def cmd_count(ns, cfg, writer):
         rx = _number("--rx", cfg["rx"])
         _check_positive(rx, "--rx")
     deltas = _parse_range("--delta", str(cfg["delta"]), float)
-    # the header, written with the first row, ends with the radius used
+    if deltas[0] < 0:
+        raise PreconditionError(f"--delta: need delta >= 0, got {deltas[0]}")
     cfg["rx_effective"] = rx
-    for delta in deltas:
-        counted = counting_function(src, z, z, delta)
-        bound = counting_upper_bound(2, rx, delta)
-        writer.row({"delta": delta, "counted": counted, "bound": bound})
-    return 0
+    return 0, [
+        {
+            "delta": d,
+            "counted": counting_function(src, z, z, d),
+            "bound": counting_upper_bound(2, rx, d),
+        }
+        for d in deltas
+    ]
 
 
-def cmd_maxima(ns, cfg, writer):
+def cmd_maxima(ns, cfg):
     _check_exact_int(cfg["k"], "--k", at_least=1)
     if not cfg["tol"] > 0:
         raise PreconditionError("--tol: tolerance must be positive")
     x1, x2, y2 = ridge_locate(cfg["k"], cfg["tol"])
     x_star = cfg["k"] / (4 * math.pi)
-    writer.row(
+    return 0, [
         {
             "k": cfg["k"],
             "x1": x1,
@@ -411,8 +407,7 @@ def cmd_maxima(ns, cfg, writer):
             "z2_abs": abs(complex(x2, y2)),
             "log_objective": ridge_log_objective(cfg["k"], -2.0 * x1 - x2 * x2 - y2 * y2, x1),
         }
-    )
-    return 0
+    ]
 
 
 def _read_rows(path: str):
@@ -424,7 +419,7 @@ def _read_rows(path: str):
     return list(csv.DictReader(line for line in lines if not line.startswith("#")))
 
 
-def cmd_fit(ns, cfg, writer):
+def cmd_fit(ns, cfg):
     if not ns.input:
         raise PreconditionError("--in: an input report path is required")
     cfg["in"] = ns.input
@@ -444,24 +439,19 @@ def cmd_fit(ns, cfg, writer):
         raise PreconditionError(f"--in: {cfg['x']} values must be distinct integers")
     if not all(map(math.isfinite, ys)):
         raise PreconditionError(f"--in: {cfg['y']} values must be finite")
-    fit = scaling_fit(ks, lambda k: LogReal.from_log(ys[ks.index(k)]))
-    writer.row(
-        {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual_rms": fit.residual_rms,
-            "n_points": len(ks),
-        }
-    )
-    return 0
+    bad = [k for k in ks if not 1 <= k <= 2**53]
+    if bad:
+        raise PreconditionError(f"--in: {cfg['x']} values must be in [1, 2^53], got {bad[0]:.17g}")
+    by_k = dict(zip(ks, ys))
+    fit = scaling_fit(ks, lambda k: LogReal.from_log(by_k[k]))
+    return 0, [{**vars(fit), "n_points": len(ks)}]
 
 
 # -- parser ------------------------------------------------------------------
 
 # name -> (handler, help line, flag defaults), in --help order; the defaults
-# are also the report header's key order.  A handler takes the parsed flags,
-# the effective configuration and the report writer, writes its rows and
-# returns the exit code.
+# are also the report header's key order.  A handler takes the parsed flags
+# and the effective configuration, and returns its exit code and report rows.
 _COMMANDS = {
     "verify": (
         cmd_verify,
@@ -543,9 +533,8 @@ def main(argv=None) -> int:
     try:
         file_cfg = _read_config_file(ns.config) if ns.config else {}
         cfg = _resolve(ns, file_cfg, defaults)
-        writer = Writer(ns.format or "jsonl", ns.out, cfg)
-        code = handler(ns, cfg, writer)
-        writer.close()
+        code, rows = handler(ns, cfg)
+        _write_report(ns.format or "jsonl", ns.out, cfg, rows)
         return code
     except PreconditionError as exc:
         print(f"pbl: precondition violated: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@ the Gamma-function ratios and integral chain, the closed-form cusp term, the
 ridge locator for the cusp objective, and the log-log exponent fitter.
 
 Everything here works on plain floats, so importing this module loads no
-numpy; `pbl.bounds` re-exports every public name.
+numpy.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundRepor
     Requires k >= 2n+2 so the middle denominator stays positive.
     """
     if n < 2:
-        raise PreconditionError("n >= 2 required")
+        raise PreconditionError(f"n: need n >= 2, got {n}")
     _check_exact_int(k, "k", at_least=2 * n + 2)
     _check_positive(r_x, "r_x")
     log_c = cm.log_value(k).log()

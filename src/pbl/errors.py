@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the precondition
 checks the library and the CLI share: `_check_exact_int` for integers such
-as weights, `_check_positive` for positive finite parameters."""
+as weights, `_check_positive` for positive finite parameters and
+`_check_rel_tol` for the certified tolerance of the cusp lattice sum."""
 
 import math
 
@@ -50,3 +51,12 @@ def _check_positive(x: float, name: str) -> None:
     """PreconditionError unless 0 < x < inf (NaN fails too)."""
     if not 0 < x < math.inf:
         raise PreconditionError(f"{name}: need 0 < {name.lstrip('-')} < inf, got {x}")
+
+
+def _check_rel_tol(rel_tol: float, name: str = "rel_tol") -> None:
+    """PreconditionError unless eps <= rel_tol <= 1e-3: below the double
+    epsilon a tail could not change the computed sum."""
+    if not math.ulp(1.0) <= rel_tol <= 1e-3:
+        raise PreconditionError(
+            f"{name}: need 2.2e-16 <= {name.lstrip('-')} <= 1e-3, got {rel_tol}"
+        )

@@ -141,6 +141,10 @@ class TestCocompactBound:
             cocompact_bound(2, 5, 1.0, ConstantModel())
         with pytest.raises(PreconditionError):
             cocompact_bound(3, 7, 1.0, ConstantModel())
+        with pytest.raises(PreconditionError, match="^n: need n >= 2, got 1$"):
+            cocompact_bound(1, 6, 1.0, ConstantModel())
+        # n is a dimension, and a float one is still accepted
+        assert cocompact_bound(2.0, 6, 1.0, ConstantModel()).row()["n"] == 2.0
 
     def test_precondition_rx(self):
         with pytest.raises(PreconditionError):

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import math
 import os
@@ -150,6 +152,16 @@ def test_lazy_namespace():
     assert pbl.ConstantModel is pbl.bounds.ConstantModel is pbl.closed_forms.ConstantModel
     with pytest.raises(AttributeError):
         pbl.no_such_name
+
+
+@pytest.mark.parametrize("module", sorted(pbl._BY_MODULE))
+def test_submodule_exports_only_its_own_definitions(module):
+    # a name is exported by the module that defines it, and by pbl itself
+    mod = importlib.import_module(f"pbl.{module}")
+    for name in getattr(mod, "__all__", ()):
+        obj = getattr(mod, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == mod.__name__, name
 
 
 @pytest.mark.parametrize(
@@ -358,14 +370,39 @@ def test_int_beyond_2_53_exits_2(capsys, argv, flag):
         (("bound", "cusp", "--rx=-1e-300"), "--rx: need 0 < rx < inf, got -1e-300"),
         (("count", "--delta", "2", "--rx", "0"), "--rx: need 0 < rx < inf, got 0.0"),
         (("bound", "cocompact", "--c-gamma", "0"), "--c-gamma: need 0 < c-gamma < inf, got 0.0"),
+        (("bound", "cocompact", "--n", "1", "--k", "6"), "--n: need n >= 2, got 1"),
+        (("count", "--k", "0", "--delta", "1"), "--k: need k >= 1, got 0"),
+        (("bound", "cusp", "--tol", "0"), "--tol: need 2.2e-16 <= tol <= 1e-3, got 0.0"),
+        (("bound", "cusp", "--tol", "1"), "--tol: need 2.2e-16 <= tol <= 1e-3, got 1.0"),
+        (("lattice-sum", "--tol", "2e-16"), "--tol: need 2.2e-16 <= tol <= 1e-3, got 2e-16"),
+        (("lattice-sum", "--beta-step", "0"), "--beta-step: need 0 < beta-step < inf, got 0.0"),
+        (("count", "--delta=-1"), "--delta: need delta >= 0, got -1.0"),
+        (("lattice-sum", "--a1-re", "nan"), "--a1-re: need a finite value, got nan"),
+        (("bound", "cusp", "--a2-im", "inf"), "--a2-im: need a finite value, got inf"),
+        (
+            ("lattice-sum", "--a2-im", "0"),
+            "--a1-re, --a1-im, --a2-re, --a2-im: alpha basis is degenerate over R",
+        ),
+        (
+            ("verify", "--curvature-step", "0"),
+            "--curvature-step: stencil step h must be positive, with h^2 > 0",
+        ),
+        (
+            ("verify", "--curvature-step", "0.5"),
+            "--curvature-step: point too close to the boundary for the stencil",
+        ),
+        (("bound", "cocompact", "--k", "6..9", "--fit"), "--fit: need at least 5 weights in --k, got 4"),
     ],
     ids=[
         "cusp-k", "cocompact-k-range", "cocompact-n3-k", "lattice-sum-k", "gamma-chain-k",
-        "maxima-k", "cocompact-rx", "cusp-rx", "count-rx", "c-gamma",
+        "maxima-k", "cocompact-rx", "cusp-rx", "count-rx", "c-gamma", "cocompact-n", "count-k",
+        "cusp-tol-0", "cusp-tol-1", "lattice-sum-tol", "beta-step", "count-delta", "a1-re-nan",
+        "a2-im-inf", "degenerate-basis", "curvature-step-0", "curvature-step-wide", "fit-4",
     ],
 )
 def test_bounded_flag_just_out_of_range_names_flag_and_bound(capsys, argv, message):
-    # every command states a bound in the one shared form of pbl.errors
+    # every command states a bound in the one shared form of pbl.errors, and
+    # a value the library rejects is reported against the flag that set it
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"pbl: precondition violated: {message}\n"
@@ -545,6 +582,14 @@ class TestFitCmd:
         code, out, err = run(capsys, "fit", "--in", str(path))
         assert code == 2 and out == ""
         assert err.startswith("pbl: --in: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("k, shown", [("0", "0"), ("-3", "-3"), ("1e300", "1.0000000000000001e+300")])
+    def test_rejects_weights_out_of_range(self, capsys, tmp_path, k, shown):
+        path = tmp_path / "rows.csv"
+        path.write_text(f"k,log_total\n{k},1.0\n7,1.1\n8,1.2\n9,1.3\n10,1.4\n")
+        code, out, err = run(capsys, "fit", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"pbl: precondition violated: --in: k values must be in [1, 2^53], got {shown}\n"
 
     @pytest.mark.parametrize(
         "bad_row",

@@ -1,5 +1,6 @@
 """The stdout of the deterministic CLI calls of a paper-reproduction
-session, byte for byte, against the files in tests/golden/.
+session, byte for byte, against the files in tests/golden/: each call in
+JSON Lines, and again with --format csv in <name>_csv.out.
 
 tests/golden/help.out pins the --help text of pbl and of each subcommand
 at 80 columns.  After a deliberate output change, rewrite the files with
@@ -13,6 +14,7 @@ import argparse
 import contextlib
 import difflib
 import io
+import json
 import os
 import pathlib
 
@@ -32,6 +34,7 @@ CALLS = {
     "count": ["count", "--delta", "0..4:0.5"],
     "maxima": ["maxima", "--k", "20"],
 }
+CALLS.update({f"{name}_csv": [*argv, "--format", "csv"] for name, argv in list(CALLS.items())})
 
 
 def stdout_of(argv) -> str:
@@ -61,6 +64,24 @@ def assert_same(got: str, want: str, what: str):
 def test_cli_stdout_matches_golden(name):
     want = (GOLDEN / f"{name}.out").read_text()
     assert_same(stdout_of(CALLS[name]), want, f"pbl {' '.join(CALLS[name])}")
+
+
+@pytest.mark.parametrize("name", ["count", "bound_cusp_fit_csv"])
+def test_out_file_holds_the_stdout_bytes(name, tmp_path, capsys):
+    path = tmp_path / "report"
+    assert main([*CALLS[name], "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert_same(path.read_text(), (GOLDEN / f"{name}.out").read_text(), f"--out of {name}")
+
+
+def test_failing_verify_prints_every_row(capsys):
+    """Exit 1 is a verdict, not an error: the report is printed in full."""
+    assert main(["verify", "--seed", "0", "--perturb-gamma3"]) == 1
+    got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    want = [json.loads(line) for line in (GOLDEN / "verify.out").read_text().splitlines()]
+    assert got[0] == {"config": want[0]["config"].replace("=false", "=true")}
+    assert [r["name"] for r in got[1:]] == [r["name"] for r in want[1:]]
+    assert [r["name"] for r in got[1:] if not r["pass"]] == ["cayley_gamma3_identity"]
 
 
 def test_help_matches_golden(monkeypatch):

@@ -36,9 +36,9 @@ from pbl import (
     tail_bound_terms,
 )
 from pbl import bounds
-from pbl.bounds import _alpha_tail, _beta_integral, _beta_tail, _box_sum, _log_gamma_ratio, _wallis
+from pbl.bounds import _alpha_tail, _beta_tail, _box_sum
 from pbl.cli import main
-from pbl.closed_forms import _gauss_legendre, _ridge_step
+from pbl.closed_forms import _beta_integral, _gauss_legendre, _log_gamma_ratio, _ridge_step, _wallis
 from pbl.transforms import _expm
 
 EISENSTEIN = LatticeSpec(
