@@ -111,6 +111,10 @@ _LATTICE_DEFAULTS = {
 }
 
 
+# the values a switch takes in a config file, case-insensitive
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _read_config_file(path: str) -> dict:
     cfg = {}
     try:
@@ -139,7 +143,11 @@ def _resolve(ns, file_cfg: dict, defaults: dict) -> dict:
         elif key in file_cfg:
             raw = file_cfg[key]
             if isinstance(default, bool):
-                out[key] = raw.lower() in ("1", "true", "yes")
+                if raw.lower() not in _SWITCH_VALUES:
+                    raise PreconditionError(
+                        f"--config: {key}={raw!r} is not one of {', '.join(_SWITCH_VALUES)}"
+                    )
+                out[key] = _SWITCH_VALUES[raw.lower()]
             elif isinstance(default, (int, float)):
                 val = _number(f"--config: {key}", raw)
                 if isinstance(default, int) and not val.is_integer():
@@ -183,7 +191,8 @@ def _number(flag: str, raw) -> float:
 
 def _parse_range(flag: str, spec: str, kind: type):
     """Weights (kind int) '6' -> [6]; '6..60' -> 6,...,60; '50..400:25' ->
-    50,75,...,400.  Distances (kind float) '0..4:0.5' -> 0.0, 0.5, ..., 4.0."""
+    50,75,...,400.  Distances (kind float) '0..4:0.5' -> 0.0, 0.5, ..., 4.0;
+    no value passes hi ('0..1:0.6' -> 0.0, 0.6)."""
     body, _, step_s = spec.partition(":")
     lo_s, dots, hi_s = body.partition("..")
     try:
@@ -194,8 +203,13 @@ def _parse_range(flag: str, spec: str, kind: type):
         raise PreconditionError(f"{flag}: malformed range {spec!r}") from None
     if not (step > 0 and lo <= hi and hi - lo < _MAX_SWEEP * step):
         raise PreconditionError(f"{flag}: malformed range {spec!r} (at most {_MAX_SWEEP} values)")
-    count = (hi - lo) // step if kind is int else int(round((hi - lo) / step))
-    return [lo + i * step for i in range(count + 1)]
+    if kind is int:
+        count = (hi - lo) // step
+    else:
+        # the slack keeps an end that (hi - lo) / step misses by a rounding
+        # (0..0.3:0.1), and min() keeps that end from passing hi
+        count = math.floor((hi - lo) / step * (1 + 1e-12))
+    return [min(lo + i * step, hi) for i in range(count + 1)]
 
 
 # -- verify ------------------------------------------------------------------
@@ -284,44 +298,42 @@ def cmd_verify(ns, cfg):
 # -- bound -------------------------------------------------------------------
 
 
-def cmd_bound(ns, cfg):
-    cfg["which"] = ns.which
+def _bound_sweep(which, rows_of, ns, cfg):
+    """`bound <which>`: the shared checks in flag order, then rows_of's rows and the fit."""
+    cfg["which"] = which
+    n = cfg.get("n", 2)  # the one-cusp bound is the n = 2 bound
     ks = _parse_range("--k", cfg["k"], int)
     _check_exact_int(ks[-1], "--k")
-    if ns.which == "cocompact":
-        _check_exact_int(cfg["n"], "--n", at_least=2)
-    _check_exact_int(min(ks), "--k", at_least=6 if ns.which == "cusp" else 2 * cfg["n"] + 2)
+    _check_exact_int(n, "--n", at_least=2)
+    _check_exact_int(min(ks), "--k", at_least=2 * n + 2)
     _check_positive(cfg["rx"], "--rx")
     _check_positive(cfg["c_gamma"], "--c-gamma")
     _check_exact_int(cfg["c_exponent"], "--c-exponent")
     _info(f"bound sweep over {len(ks)} weights")
-    cm = ConstantModel(cfg["c_gamma"], cfg["c_exponent"])
-    rows = []
-    if ns.which == "cusp":
-        from .bounds import cusp_bound
-
-        # one lattice for the whole sweep
-        spec = _lattice_spec(cfg)
-        _check_rel_tol(cfg["tol"], "--tol")
-    for k in ks:
-        if ns.which == "cocompact":
-            row = cocompact_bound(cfg["n"], k, cfg["rx"], cm).row()
-        else:
-            rep = cusp_bound(k, cfg["rx"], cm, spec, cfg["tol"])
-            row = rep.row()
-            row["log_cusp_sum_scaled"] = rep.extras["cusp_sum_scaled"].log()
-            row["cusp_dominates_sum"] = rep.extras["cusp_dominates_sum"]
-        rows.append(row)
+    rows = list(rows_of(cfg, ks, ConstantModel(cfg["c_gamma"], cfg["c_exponent"])))
     if cfg["fit"]:
         if len(ks) < 5:
             raise PreconditionError(f"--fit: need at least 5 weights in --k, got {len(ks)}")
         totals = {row["k"]: row["log_total"] for row in rows}
         fit = vars(scaling_fit(ks, lambda k: LogReal.from_log(totals[k])))
-        if ns.format == "csv":
-            rows.append("# fit: " + " ".join(f"{key}={_fmt(v)}" for key, v in fit.items()))
-        else:
-            rows.append({f"fit_{key}": v for key, v in fit.items()})
+        comment = "# fit: " + " ".join(f"{key}={_fmt(v)}" for key, v in fit.items())
+        rows.append(comment if ns.format == "csv" else {f"fit_{key}": v for key, v in fit.items()})
     return 0, rows
+
+
+def _cocompact_rows(cfg, ks, cm):
+    return (cocompact_bound(cfg["n"], k, cfg["rx"], cm).row() for k in ks)
+
+
+def _cusp_rows(cfg, ks, cm):
+    from .bounds import cusp_bound
+
+    spec = _lattice_spec(cfg)  # one lattice for the whole sweep
+    _check_rel_tol(cfg["tol"], "--tol")
+    for k in ks:
+        rep = cusp_bound(k, cfg["rx"], cm, spec, cfg["tol"])
+        scaled, dominates = rep.extras["cusp_sum_scaled"], rep.extras["cusp_dominates_sum"]
+        yield {**rep.row(), "log_cusp_sum_scaled": scaled.log(), "cusp_dominates_sum": dominates}
 
 
 # -- lattice-sum, gamma-chain, count, maxima, fit ----------------------------
@@ -452,25 +464,23 @@ def cmd_fit(ns, cfg):
 # name -> (handler, help line, flag defaults), in --help order; the defaults
 # are also the report header's key order.  A handler takes the parsed flags
 # and the effective configuration, and returns its exit code and report rows.
+_GROUPS = {"bound": "bound sweeps over the weight"}  # the help of "bound <command>"
+_SWEEP_DEFAULTS = {"k": "6", "rx": 1.0, "c_gamma": 1.0, "c_exponent": 0}
 _COMMANDS = {
     "verify": (
         cmd_verify,
         "run the identity suite",
         {"curvature_step": 1e-4, "perturb_gamma3": False, "seed": 0},
     ),
-    "bound": (
-        cmd_bound,
-        "bound sweeps over the weight",
-        {
-            "n": 2,
-            "k": "6",
-            "rx": 1.0,
-            "c_gamma": 1.0,
-            "c_exponent": 0,
-            "tol": 1e-6,
-            "fit": False,
-            **_LATTICE_DEFAULTS,
-        },
+    "bound cocompact": (
+        functools.partial(_bound_sweep, "cocompact", _cocompact_rows),
+        "the cocompact bound, growth k^n",
+        {"n": 2, **_SWEEP_DEFAULTS, "fit": False},
+    ),
+    "bound cusp": (
+        functools.partial(_bound_sweep, "cusp", _cusp_rows),
+        "the one-cusp bound (n = 2), growth k^{5/2}",
+        {**_SWEEP_DEFAULTS, "tol": 1e-6, "fit": False, **_LATTICE_DEFAULTS},
     ),
     "lattice-sum": (
         cmd_lattice_sum,
@@ -500,11 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pbl",
         description="Hyperbolic-ball identity checks, lattice sums, and bound sweeps.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    subs = {"": ap.add_subparsers(dest="command", required=True)}
     for name, (_, help_line, defaults) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if name == "bound":
-            p.add_argument("which", choices=("cocompact", "cusp"))
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(group, help=_GROUPS[group]).add_subparsers(required=True)
+        p = subs[group].add_parser(leaf, help=help_line)
+        p.set_defaults(command=name)
         if name == "fit":
             p.add_argument("--in", dest="input", default=None)
         for key, default in defaults.items():
@@ -513,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 kind = {} if isinstance(default, str) else {"type": type(default)}
             flag = f"--{key.replace('_', '-')}"
-            p.add_argument(flag, dest=key, default=None, help=_FLAG_HELP.get((name, key)), **kind)
+            flag_help = _FLAG_HELP.get((group or name, key))
+            p.add_argument(flag, dest=key, default=None, help=flag_help, **kind)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("jsonl", "csv"), default=None)
         p.add_argument("--config", default=None)

@@ -130,9 +130,15 @@ class LatticeSpec:
     def __post_init__(self):
         if not (np.isfinite(self.a1) and np.isfinite(self.a2) and 0 < self.beta_step < math.inf):
             raise DomainError("lattice parameters must be finite, with beta_step > 0")
-        # the basis scaled to max(|a1|, |a2|) = 1 cannot overflow the test
-        scale = max(abs(self.a1), abs(self.a2))
-        if not (scale > 0 and _cross(self.a1 / scale, self.a2 / scale) > 1e-14):
+        a1, a2 = complex(self.a1), complex(self.a2)
+        # numpy's complex product overflows once |Re| + |Im| does, so that
+        # sum bounds each vector; as it is at least |a|, |a1| and |a2| are finite
+        if not all(abs(a.real) + abs(a.imag) < math.inf for a in (a1, a2)):
+            raise DomainError("a1 and a2 must have |Re| + |Im| in the double range")
+        # the sine of the angle between a1 and a2, from the unit vectors so
+        # that no product overflows
+        len1, len2 = abs(a1), abs(a2)
+        if not (len1 > 0 and len2 > 0 and _cross(a1 / len1, a2 / len2) > 1e-14):
             raise DomainError("alpha basis is degenerate over R")
         if not 0 < self.cell_area < math.inf:
             raise DomainError("the alpha cell area leaves the double range")

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pbl
+from pbl import cli
 from pbl.cli import _fmt, _jsonl, main
 
 
@@ -384,6 +385,10 @@ def test_int_beyond_2_53_exits_2(capsys, argv, flag):
             "--a1-re, --a1-im, --a2-re, --a2-im: alpha basis is degenerate over R",
         ),
         (
+            ("lattice-sum", "--a1-re", "1e308", "--a1-im", "1e308"),
+            "--a1-re, --a1-im, --a2-re, --a2-im: a1 and a2 must have |Re| + |Im| in the double range",
+        ),
+        (
             ("verify", "--curvature-step", "0"),
             "--curvature-step: stencil step h must be positive, with h^2 > 0",
         ),
@@ -397,7 +402,8 @@ def test_int_beyond_2_53_exits_2(capsys, argv, flag):
         "cusp-k", "cocompact-k-range", "cocompact-n3-k", "lattice-sum-k", "gamma-chain-k",
         "maxima-k", "cocompact-rx", "cusp-rx", "count-rx", "c-gamma", "cocompact-n", "count-k",
         "cusp-tol-0", "cusp-tol-1", "lattice-sum-tol", "beta-step", "count-delta", "a1-re-nan",
-        "a2-im-inf", "degenerate-basis", "curvature-step-0", "curvature-step-wide", "fit-4",
+        "a2-im-inf", "degenerate-basis", "basis-modulus", "curvature-step-0",
+        "curvature-step-wide", "fit-4",
     ],
 )
 def test_bounded_flag_just_out_of_range_names_flag_and_bound(capsys, argv, message):
@@ -424,12 +430,85 @@ def test_csv_fit_is_the_last_line_with_the_jsonl_digits(capsys):
     assert len(lines) == 2 + 15 + 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("bound", "cusp", "--n", "5", "--k", "6"), "--n"),
+        (("bound", "cocompact", "--a2-im", "0"), "--a2-im"),
+        (("bound", "cocompact", "--tol", "1e-6"), "--tol"),
+    ],
+)
+def test_flag_the_bound_does_not_read_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+class _ReadKeys(dict):
+    """A configuration that records which keys its handler reads."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# cheap valid arguments of every command; REPORT is a bound report for fit
+_CHEAP = {
+    "verify": [],
+    "bound cocompact": ["--k", "6..10"],
+    "bound cusp": ["--k", "6..10", "--tol", "1e-4"],
+    "lattice-sum": [],
+    "gamma-chain": [],
+    "count": ["--delta", "0..1", "--rx", "1"],
+    "maxima": [],
+    "fit": ["--in", "REPORT"],
+}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_every_declared_flag_is_read(name, tmp_path):
+    """A command declares only the flags its handler reads, so no flag is
+    silently ignored and the report header holds only what shaped the run."""
+    report = tmp_path / "report.jsonl"
+    assert main(["bound", "cocompact", "--k", "6..10", "--out", str(report)]) == 0
+    argv = [*name.split(), *(str(report) if a == "REPORT" else a for a in _CHEAP[name])]
+    ns = cli.build_parser().parse_args(argv)
+    handler, _, defaults = cli._COMMANDS[name]
+    cfg = _ReadKeys(cli._resolve(ns, {}, defaults))
+    code, _ = handler(ns, cfg)
+    assert code == 0
+    assert set(defaults) - cfg.read == set()
+
+
 def test_lattice_area_overflow_exits_2(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "bound", "cusp", "--k", "6", "--a1-re", "1e200", "--a2-im", "1e200")
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "area" in err
+
+
+def test_elongated_cell_is_not_called_degenerate(capsys):
+    # 1e20 x 1 and 1e308 x 1 rectangles: count sums their columns, and the
+    # lattice sum's disc exceeds the budget, where both once rejected the
+    # basis as degenerate
+    for x in ("1e20", "1e308"):
+        cell = ("--a1-re", x)
+        code, out, err = run(capsys, "count", "--delta", "2", *cell)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "lattice-sum", *cell)
+        assert (code, out) == (3, "")
+        assert err.startswith("pbl: numerical failure: the alpha disc of radius ")
 
 
 def test_huge_alpha_cell_sums_its_zero_line(capsys):
@@ -499,6 +578,21 @@ class TestGammaChainCmd:
         (row,) = rows_of(out)
         assert abs(row["beta_ratio"] - 1.0) <= 1e-12
         assert abs(row["r_ratio"] - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("0..1:0.6", [0.0, 0.6]),
+        ("0..2:0.75", [0.0, 0.75, 1.5]),
+        ("0..4:0.5", [0.5 * i for i in range(9)]),
+        ("0..0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+    ],
+)
+def test_float_range_stops_at_its_upper_end(capsys, spec, want):
+    code, out, err = run(capsys, "count", "--delta", spec, "--rx", "1")
+    assert (code, err) == (0, "")
+    assert [row["delta"] for row in rows_of(out)] == want
 
 
 class TestCountCmd:
@@ -644,6 +738,24 @@ class TestOutputDiscipline:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "raw, on", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)]
+    )
+    def test_switch_values(self, capsys, tmp_path, raw, on):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fit = {raw}\n")
+        code, out, _ = run(capsys, "bound", "cocompact", "--k", "6..10", "--config", str(cfg))
+        assert code == 0
+        assert len(rows_of(out)) == 5 + on
+
+    @pytest.mark.parametrize("raw", ["on", "off", "2", ""])
+    def test_unknown_switch_value_exits_2(self, capsys, tmp_path, raw):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fit = {raw}\n")
+        code, out, err = run(capsys, "bound", "cocompact", "--k", "6..10", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "--config: fit" in err and len(err.strip().splitlines()) == 1
+
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k=8\ntol=1e-7\n")
@@ -697,14 +809,11 @@ RANGES = VOCAB + (
     "0..1e308", "6..10:0",
 )
 LATTICE = {flag: VOCAB for flag in ("--a1-re", "--a1-im", "--a2-re", "--a2-im", "--beta-step")}
-BOUND = {
-    "--n": VOCAB, "--k": RANGES, "--rx": VOCAB, "--c-gamma": VOCAB, "--c-exponent": VOCAB,
-    "--tol": VOCAB, "--fit": None, **LATTICE,
-}
+SWEEP = {"--k": RANGES, "--rx": VOCAB, "--c-gamma": VOCAB, "--c-exponent": VOCAB}
 FLAGS = {
     "verify": {"--curvature-step": VOCAB, "--perturb-gamma3": None, "--seed": VOCAB},
-    "bound cocompact": BOUND,
-    "bound cusp": BOUND,
+    "bound cocompact": {"--n": VOCAB, **SWEEP, "--fit": None},
+    "bound cusp": {**SWEEP, "--tol": VOCAB, "--fit": None, **LATTICE},
     "lattice-sum": {"--k": VOCAB, "--tol": VOCAB, **LATTICE},
     "gamma-chain": {"--k": RANGES},
     "count": {"--k": VOCAB, "--delta": RANGES, "--rx": VOCAB + ("auto",), **LATTICE},

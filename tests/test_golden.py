@@ -2,8 +2,9 @@
 session, byte for byte, against the files in tests/golden/: each call in
 JSON Lines, and again with --format csv in <name>_csv.out.
 
-tests/golden/help.out pins the --help text of pbl and of each subcommand
-at 80 columns.  After a deliberate output change, rewrite the files with
+tests/golden/help.out pins the --help text of pbl and of each subcommand,
+`bound cocompact` and `bound cusp` included, at 80 columns.  After a
+deliberate output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -45,12 +46,12 @@ def stdout_of(argv) -> str:
     return out.getvalue()
 
 
-def help_text() -> str:
-    """format_help() of the pbl parser, then of each subparser in turn;
-    the width follows COLUMNS."""
-    ap = cli.build_parser()
-    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    return "".join([ap.format_help(), *(p.format_help() for p in sub.choices.values())])
+def help_text(parser=None) -> str:
+    """format_help() of the pbl parser, then of each subparser in turn,
+    nested ones (`bound cusp`) under their group; the width follows COLUMNS."""
+    parser = parser or cli.build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser.format_help() + "".join(help_text(p) for a in subs for p in a.choices.values())
 
 
 def assert_same(got: str, want: str, what: str):

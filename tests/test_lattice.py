@@ -213,6 +213,25 @@ class TestCovolume:
         with pytest.raises(DomainError, match="degenerate"):
             LatticeSpec(a1=1e200, a2=2e200)
 
+    def test_elongated_rectangle_is_not_degenerate(self):
+        # degeneracy is the angle between a1 and a2, not the aspect ratio
+        assert LatticeSpec(a1=1e20, a2=1j).cell_area == 1e20
+        assert LatticeSpec(a1=1e-20, a2=1e20j).cell_area == 1.0
+
+    @pytest.mark.parametrize("a1, a2", [(1.0, 1 + 1e-15j), (1.0, 1e20 + 1j), (1e20, 1e20 + 1j)])
+    def test_near_parallel_basis_is_degenerate(self, a1, a2):
+        with pytest.raises(DomainError, match="degenerate"):
+            LatticeSpec(a1=a1, a2=a2)
+
+    @pytest.mark.parametrize(
+        "a1, a2", [(1e308 + 1e308j, 1j), (1.5e308 + 1.5e308j, 1j), (1.0, -1e308 + 1e308j)]
+    )
+    def test_basis_outside_double_range_has_its_own_message(self, a1, a2):
+        # |Re| + |Im| overflows, where numpy's complex products do; |1e308 (1 + i)|
+        # itself is 1.41e308, and abs() of 1.5e308 (1 + i) raises OverflowError
+        with pytest.raises(DomainError, match=r"must have \|Re\| \+ \|Im\| in the double range"):
+            LatticeSpec(a1=a1, a2=a2)
+
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             LatticeSpec(beta_step=0.0)
