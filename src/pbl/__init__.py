@@ -2,7 +2,10 @@
 sup-norm bound pipelines for Picard modular cusp forms.
 
 Names are imported from their submodule on first access (PEP 562), so
-`import pbl` loads no numpy and a closed-form call never does.
+`import pbl` loads no numpy and a closed-form call never does.  Nor does
+such a call load `dataclasses` (and with it `inspect`) or `csv`: the value
+types of `pbl.logreal` and `pbl.closed_forms` are slotted classes and named
+tuples, and only `pbl fit` on a CSV report imports `csv`.
 """
 
 import importlib

@@ -17,7 +17,6 @@ diagnostics on standard error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -134,7 +133,12 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(ns, file_cfg: dict, defaults: dict) -> dict:
-    """flags > config file > defaults; returns the effective mapping."""
+    """flags > config file > defaults; returns the effective mapping.  A
+    config key the command does not declare is a precondition error."""
+    unknown = sorted(file_cfg.keys() - defaults.keys())
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise PreconditionError(f"--config: unknown key{'s' * (len(unknown) > 1)} {names}")
     out = {}
     for key, default in defaults.items():
         flag_val = getattr(ns, key, None)
@@ -315,7 +319,7 @@ def _bound_sweep(which, rows_of, ns, cfg):
         if len(ks) < 5:
             raise PreconditionError(f"--fit: need at least 5 weights in --k, got {len(ks)}")
         totals = {row["k"]: row["log_total"] for row in rows}
-        fit = vars(scaling_fit(ks, lambda k: LogReal.from_log(totals[k])))
+        fit = scaling_fit(ks, lambda k: LogReal.from_log(totals[k]))._asdict()
         comment = "# fit: " + " ".join(f"{key}={_fmt(v)}" for key, v in fit.items())
         rows.append(comment if ns.format == "csv" else {f"fit_{key}": v for key, v in fit.items()})
     return 0, rows
@@ -423,12 +427,19 @@ def cmd_maxima(ns, cfg):
 
 
 def _read_rows(path: str):
+    """The rows of a JSONL or CSV report; a report that does not parse
+    raises ValueError."""
     with open(path) as fh:
         lines = fh.readlines()
     if lines and lines[0].lstrip().startswith("{"):
         rows = [json.loads(line) for line in lines if line.strip()]
         return [r for r in rows if isinstance(r, dict) and set(r) != {"config"}]
-    return list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    import csv  # only a CSV report needs it
+
+    try:
+        return list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    except csv.Error as exc:
+        raise ValueError(exc) from None
 
 
 def cmd_fit(ns, cfg):
@@ -437,7 +448,7 @@ def cmd_fit(ns, cfg):
     cfg["in"] = ns.input
     try:
         rows = _read_rows(ns.input)
-    except (OSError, ValueError, csv.Error) as exc:
+    except (OSError, ValueError) as exc:
         raise PblError(f"--in: {exc}") from None
     rows = [r for r in rows if cfg["x"] in r and cfg["y"] in r]
     if len(rows) < 5:
@@ -456,7 +467,7 @@ def cmd_fit(ns, cfg):
         raise PreconditionError(f"--in: {cfg['x']} values must be in [1, 2^53], got {bad[0]:.17g}")
     by_k = dict(zip(ks, ys))
     fit = scaling_fit(ks, lambda k: LogReal.from_log(by_k[k]))
-    return 0, [{**vars(fit), "n_points": len(ks)}]
+    return 0, [{**fit._asdict(), "n_points": len(ks)}]
 
 
 # -- parser ------------------------------------------------------------------

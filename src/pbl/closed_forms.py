@@ -11,11 +11,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+import types
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import NumericalError, PreconditionError, _check_exact_int, _check_positive
-from .logreal import LogReal, log_cosh, log_sinh, log_sum
+from .logreal import LogReal, _Frozen, log_cosh, log_sinh, log_sum
 
 __all__ = [
     "ConstantModel",
@@ -31,18 +31,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConstantModel:
+class ConstantModel(_Frozen):
     """C(k) = c_gamma * k^exponent, the unresolved normalizing constant of
     the kernel bound; exponent n in the cocompact case, 2 in the one-cusp
     case, 0 for a plain constant."""
 
-    c_gamma: float = 1.0
-    exponent: int = 0
+    __slots__ = ("c_gamma", "exponent")
 
-    def __post_init__(self):
-        _check_positive(self.c_gamma, "c_gamma")
-        _check_exact_int(self.exponent, "exponent")
+    def __init__(self, c_gamma: float = 1.0, exponent: int = 0):
+        _check_positive(c_gamma, "c_gamma")
+        _check_exact_int(exponent, "exponent")
+        object.__setattr__(self, "c_gamma", c_gamma)
+        object.__setattr__(self, "exponent", exponent)
 
     def __call__(self, k: int) -> float:
         try:
@@ -57,8 +57,7 @@ class ConstantModel:
         return LogReal.from_log(math.log(self.c_gamma) + self.exponent * math.log(k))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Per-term log-domain breakdown of a bound at given (n, k, r_x)."""
 
     n: int
@@ -67,7 +66,7 @@ class BoundReport:
     terms: Mapping[str, LogReal]
     total: LogReal
     normalized_total: LogReal
-    extras: Mapping[str, object] = field(default_factory=dict)
+    extras: Mapping[str, object] = types.MappingProxyType({})
 
     def row(self) -> dict:
         """Flat dict for machine-readable output."""
@@ -172,8 +171,7 @@ def _beta_integral(k: int) -> float:
 # -- Gamma-function integral chain ----------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaChain:
+class GammaChain(NamedTuple):
     """Closed-form vs quadrature values of the two auxiliary integrals and
     their chained product 2 pi (k/2pi)^k * beta_integral * r_integral."""
 
@@ -425,8 +423,7 @@ def ridge_locate(k: int, tol: float = 1e-6):
 # -- exponent fitting -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """Least-squares fit of log bound(k) = intercept + slope * log k."""
 
     slope: float

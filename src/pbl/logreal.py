@@ -8,24 +8,67 @@ standing for 0.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 from .errors import NumericalError
 
 __all__ = ["LogReal", "log_sum", "log_sum_exp", "log_sinh", "log_cosh", "exp_or_raise"]
 
 
-@dataclass(frozen=True, order=True)
-class LogReal:
+class _Frozen:
+    """Base of the immutable value types of the numpy-free modules (LogReal,
+    closed_forms.ConstantModel).  A subclass names its fields in __slots__,
+    in the order of its __init__ parameters, and sets each once there with
+    object.__setattr__; this base makes them read-only and gives equality
+    (to the same class only), hashing, repr, pickling and copying by them.
+    They are not dataclasses because importing `dataclasses` costs a
+    closed-form CLI call about a fifth of its start-up."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuild through __init__: restoring the slots would go through __setattr__
+        return self.__class__, self._fields()
+
+
+@functools.total_ordering
+class LogReal(_Frozen):
     """A nonnegative real number stored as its natural log; 0 is log_abs
     = -inf, and values order and compare as their logs do."""
 
-    log_abs: float
+    __slots__ = ("log_abs",)
 
-    def __post_init__(self):
-        if math.isnan(self.log_abs):
+    def __init__(self, log_abs: float):
+        if math.isnan(log_abs):
             raise NumericalError("log_abs must not be NaN")
+        object.__setattr__(self, "log_abs", log_abs)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.log_abs < other.log_abs
 
     @staticmethod
     def from_log(log_abs: float) -> "LogReal":

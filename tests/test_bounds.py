@@ -1,6 +1,8 @@
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import time
 
@@ -21,6 +23,7 @@ from pbl import (
     cusp_lattice_sum,
     cusp_term_log,
     gamma_integral_chain,
+    log_sum,
     maxima_locate,
     orbit_cosh_power_sum,
     petersson_objective,
@@ -163,6 +166,102 @@ class TestCocompactBound:
         with pytest.raises(NumericalError):
             ConstantModel(1e300, 100)(6)
         assert ConstantModel(1.0, 3000).log_value(6).log() == pytest.approx(3000 * math.log(6))
+
+
+class TestConstantModelValue:
+    """What a frozen value gives: validation, immutability, equality and
+    hashing by field, and its repr."""
+
+    def test_fields_and_defaults(self):
+        cm = ConstantModel(c_gamma=2.5, exponent=3)
+        assert (cm.c_gamma, cm.exponent) == (2.5, 3)
+        assert (ConstantModel().c_gamma, ConstantModel().exponent) == (1.0, 0)
+        assert ConstantModel(2.5) == ConstantModel(2.5, 0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0, 0), "^c_gamma: need 0 < c_gamma < inf, got 0.0$"),
+            ((math.nan, 1.5), "^c_gamma: need 0 < c_gamma < inf, got nan$"),
+            ((1.0, 1.5), "^exponent: must be an integer, not float$"),
+            ((1.0, True), "^exponent: must be an integer, not bool$"),
+            ((1.0, "2"), "^exponent: must be an integer, not str$"),
+            ((1.0, 2**60), "^exponent: must be at most 2\\^53 in magnitude$"),
+        ],
+    )
+    def test_rejections(self, args, message):
+        with pytest.raises(PreconditionError, match=message):
+            ConstantModel(*args)
+
+    def test_immutable(self):
+        cm = ConstantModel(1.5, 2)
+        for name in ("c_gamma", "exponent", "other"):
+            with pytest.raises(AttributeError):
+                setattr(cm, name, 3)
+        with pytest.raises(AttributeError):
+            del cm.c_gamma
+        assert (cm.c_gamma, cm.exponent) == (1.5, 2)
+
+    def test_equality_and_hash_by_field(self):
+        assert ConstantModel(1.5, 2) == ConstantModel(1.5, 2)
+        assert hash(ConstantModel(1.5, 2)) == hash(ConstantModel(1.5, 2))
+        assert ConstantModel(0.5, 2) != ConstantModel(1.5, 2) != ConstantModel(1.5, 3)
+        assert len({ConstantModel(), ConstantModel(1.0, 0), ConstantModel(1.0, 2)}) == 2
+        cm = ConstantModel()
+        assert (cm == (1.0, 0)) is False and cm.__eq__((1.0, 0)) is NotImplemented
+        with pytest.raises(TypeError):
+            cm < ConstantModel(2.0)
+
+    def test_pickle_and_copy(self):
+        cm = ConstantModel(2.5, 3)
+        for twin in (pickle.loads(pickle.dumps(cm)), copy.copy(cm), copy.deepcopy(cm)):
+            assert type(twin) is ConstantModel and twin == cm
+
+    def test_repr(self):
+        assert repr(ConstantModel()) == "ConstantModel(c_gamma=1.0, exponent=0)"
+        assert repr(ConstantModel(2.5, 3)) == "ConstantModel(c_gamma=2.5, exponent=3)"
+
+
+class TestResultRecords:
+    def test_bound_report_fields_and_row(self):
+        rep = cocompact_bound(2, 6, 1.0, ConstantModel(1.0, 2))
+        assert (rep.n, rep.k, rep.r_x) == (2, 6, 1.0)
+        assert list(rep.terms) == ["identity_term", "middle_term", "ring_term"]
+        assert rep.total == log_sum(rep.terms.values())
+        assert rep.normalized_total == rep.total / LogReal.from_log(2 * math.log(6))
+        assert dict(rep.extras) == {}
+        assert rep.row() == {
+            "n": 2,
+            "k": 6,
+            "r_x": 1.0,
+            "log_identity_term": 3.58351893845611,
+            "log_middle_term": 9.21083539344529,
+            "log_ring_term": 7.051866243045492,
+            "log_total": 9.323308608971745,
+            "normalized_total": 310.99899184425476,
+        }
+
+    def test_bound_report_extras(self):
+        rep = cusp_bound(6, 1.0, ConstantModel(1.0, 0), GAUSSIAN_SPEC)
+        assert set(rep.extras) >= {"cusp_sum_scaled", "cusp_dominates_sum"}
+        assert list(rep.row()) == [
+            "n", "k", "r_x", *(f"log_{name}" for name in rep.terms), "log_total", "normalized_total",
+        ]
+
+    def test_gamma_chain_fields(self):
+        gc = gamma_integral_chain(6)
+        assert gc.k == 6
+        assert (gc.beta_closed, gc.beta_quad, gc.beta_ratio) == (
+            1.1780972450961724, 1.1780972450961729, 1.0000000000000004,
+        )
+        assert (gc.r_closed, gc.r_quad, gc.chained) == (
+            LogReal(0.4021504610149762), LogReal(-0.29099671954496853), LogReal(1.4340753966143083),
+        )
+        assert gc.r_ratio == 0.5000000000000001
+
+    def test_scaling_fit_fields(self):
+        fit = scaling_fit(range(6, 11), lambda k: LogReal.from_log(2 * math.log(k) + 1))
+        assert (fit.slope, fit.intercept, fit.residual_rms) == (2.0, 1.0, 1.9860273225978183e-16)
 
 
 @pytest.mark.parametrize(

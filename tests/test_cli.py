@@ -85,7 +85,7 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 # `import pbl` alone with no argv, else one pbl.cli.main call; prints the
-# exit code and whether numpy got loaded
+# exit code and whether numpy, dataclasses, inspect and csv got loaded
 _LAZY_SCRIPT = """
 import contextlib, io, sys
 if len(sys.argv) == 1:
@@ -98,27 +98,29 @@ else:
             code = main(sys.argv[1:])
         except SystemExit as exc:
             code = exc.code
-print(code, "numpy" in sys.modules)
+print(code, *(m in sys.modules for m in ("numpy", "dataclasses", "inspect", "csv")))
 """
 
 _SWEEP = ["--k", "50..400:25", "--rx", "6", "--c-exponent", "2", "--fit"]
 
 
 @pytest.mark.parametrize(
-    "argv, want_code, loads_numpy",
+    "argv, want_code, loads_numpy, loads_dataclasses, loads_inspect, loads_csv",
     [
-        ([], 0, False),
-        (["bound", "cocompact", *_SWEEP], 0, False),
-        (["gamma-chain", "--k", "6..20"], 0, False),
-        (["fit", "--in", "REPORT"], 0, False),
-        (["maxima", "--k", "20"], 0, False),
-        (["lattice-sum", "--k", "4"], 2, False),
-        (["--help"], 0, False),
-        (["verify", "--seed", "0"], 0, True),
+        ([], 0, False, False, False, False),
+        (["bound", "cocompact", *_SWEEP], 0, False, False, False, False),
+        (["gamma-chain", "--k", "6..20"], 0, False, False, False, False),
+        (["fit", "--in", "REPORT"], 0, False, False, False, False),
+        (["maxima", "--k", "20"], 0, False, False, False, False),
+        (["lattice-sum", "--k", "4"], 2, False, False, False, False),
+        (["--help"], 0, False, False, False, False),
+        (["verify", "--seed", "0"], 0, True, True, True, False),
     ],
     ids=["import", "bound-cocompact", "gamma-chain", "fit", "maxima", "usage-error", "help", "verify"],
 )
-def test_numpy_loads_only_for_array_commands(tmp_path, argv, want_code, loads_numpy):
+def test_numpy_loads_only_for_array_commands(
+    tmp_path, argv, want_code, loads_numpy, loads_dataclasses, loads_inspect, loads_csv
+):
     report = tmp_path / "report.jsonl"
     assert main(["bound", "cocompact", *_SWEEP, "--out", str(report)]) == 0
     argv = [str(report) if a == "REPORT" else a for a in argv]
@@ -129,7 +131,8 @@ def test_numpy_loads_only_for_array_commands(tmp_path, argv, want_code, loads_nu
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(want_code), str(loads_numpy)]
+    loads = (loads_numpy, loads_dataclasses, loads_inspect, loads_csv)
+    assert proc.stdout.split() == [str(want_code), *map(str, loads)]
 
 
 def test_overflowing_beta_squares_print_no_warning():
@@ -659,6 +662,35 @@ class TestFitCmd:
         assert row["slope"] == pytest.approx(2.0, abs=0.02)
         assert row["n_points"] == 8
 
+    @pytest.mark.parametrize(
+        "fmt, rows",
+        [
+            (
+                "jsonl",
+                '{"slope": 1.4831788588367234, "intercept": -1.635367772756698, '
+                '"residual_rms": 0.028281277982618789, "n_points": 5}\n',
+            ),
+            (
+                "csv",
+                "slope,intercept,residual_rms,n_points\n"
+                "1.4831788588367234,-1.635367772756698,0.028281277982618789,5\n",
+            ),
+        ],
+    )
+    def test_exact_output(self, capsys, tmp_path, fmt, rows):
+        path = tmp_path / "rows.csv"
+        path.write_text("k,log_total\n6,1.0\n7,1.25\n8,1.5\n9,1.625\n10,1.75\n")
+        code, out, err = run(capsys, "fit", "--in", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.split("\n", 1)[1] == rows
+
+    def test_unparsable_csv_input(self, capsys, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("k,log_total\n6," + "x" * 200_000 + "\n")
+        code, out, err = run(capsys, "fit", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == "pbl: --in: field larger than field limit (131072)\n"
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "fit")
         assert code == 2 and "--in" in err
@@ -755,6 +787,23 @@ class TestConfigFile:
         code, out, err = run(capsys, "bound", "cocompact", "--k", "6..10", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert "--config: fit" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "lines, names",
+        [
+            ("n=5\nfitt=true\n", "keys 'fitt', 'n'"),
+            ("fitt=true\n", "key 'fitt'"),
+            ("fit=true\ntol=1e-7\na1_re=2\n", "keys 'a1_re', 'tol'"),
+        ],
+    )
+    def test_undeclared_key_exits_2(self, capsys, tmp_path, lines, names):
+        # n is a cocompact key, tol and a1_re cusp keys: none is read here
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        argv = ["cusp", "--k", "6"] if "n=" in lines else ["cocompact", "--k", "6..10"]
+        code, out, err = run(capsys, "bound", *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"pbl: precondition violated: --config: unknown {names}\n"
 
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

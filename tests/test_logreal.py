@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -90,6 +92,58 @@ class TestOrdering:
         a, b = lr(x), lr(y)
         assert (a < b) == (x < y) and (a > b) == (x > y)
         assert LogReal(-math.inf) < a < LogReal(math.inf)
+
+    def test_infinities_order_every_way(self):
+        zero, one, big, inf = (LogReal(x) for x in (-math.inf, 0.0, 1e300, math.inf))
+        assert sorted([inf, one, zero, big]) == [zero, one, big, inf]
+        assert zero < one <= one < inf and inf > big >= big > zero
+        assert not zero < zero and zero <= zero and inf >= inf and not inf > inf
+
+
+class TestValueType:
+    """What a frozen value gives: validation, immutability, equality and
+    hashing by value, and its repr."""
+
+    def test_nan_rejected_by_the_constructor(self):
+        with pytest.raises(NumericalError, match="^log_abs must not be NaN$"):
+            LogReal(math.nan)
+        with pytest.raises(NumericalError):
+            LogReal(log_abs=math.nan)
+
+    def test_immutable(self):
+        x = LogReal(1.5)
+        with pytest.raises(AttributeError):
+            x.log_abs = 2.0
+        with pytest.raises(AttributeError):
+            x.other = 2.0
+        with pytest.raises(AttributeError):
+            del x.log_abs
+        assert x.log_abs == 1.5
+
+    def test_equal_values_hash_alike(self):
+        assert LogReal(0.0) == LogReal(-0.0) and hash(LogReal(0.0)) == hash(LogReal(-0.0))
+        assert LogReal(log_abs=2.5) == LogReal(2.5) and hash(LogReal(2.5)) == hash(LogReal(2.5))
+        assert LogReal(2.5) != LogReal(2.0)
+        values = {LogReal(1.0), LogReal(1.0), LogReal(-math.inf), LogReal(-math.inf), LogReal(math.inf)}
+        assert len(values) == 3
+
+    def test_other_types_are_not_comparable(self):
+        x = LogReal(0.0)
+        assert (x == 1.0) is False and (x != 1.0) is True and (x == (0.0,)) is False
+        assert x.__eq__(0.0) is NotImplemented and x.__lt__(0.0) is NotImplemented
+        for compare in (lambda: x < 1.0, lambda: x <= 1.0, lambda: x > 1.0, lambda: x >= 1.0):
+            with pytest.raises(TypeError):
+                compare()
+
+    def test_pickle_and_copy(self):
+        for x in (LogReal(1.5), LogReal(-math.inf)):
+            for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert type(twin) is LogReal and twin == x
+
+    def test_repr(self):
+        assert repr(LogReal(1.5)) == "LogReal(log_abs=1.5)"
+        assert repr(LogReal(-math.inf)) == "LogReal(log_abs=-inf)"
+        assert repr(LogReal(-0.0)) == "LogReal(log_abs=-0.0)"
 
 
 class TestLogSum:
