@@ -8,7 +8,9 @@ numpy.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,7 +27,7 @@ from .closed_forms import (
 from .errors import NumericalError, _check_exact_int, _check_rel_tol
 from .geometry import _cosh2
 from .hermitian import ModelPoint
-from .lattice import LatticeSpec, _check_budget, _check_terms, lattice_covolume
+from .lattice import _MAX_ENUM, LatticeSpec, _check_budget, lattice_covolume
 from .logreal import LogReal, log_sum, log_sum_exp
 from .transforms import Isometry, _isometry_stack
 
@@ -35,6 +37,23 @@ __all__ = [
 
 
 # -- cusp lattice sum ------------------------------------------------------
+
+# most terms one lattice sum box may evaluate (its distinct beta lines times
+# their length)
+_MAX_TERMS = 10 * _MAX_ENUM
+
+
+def _check_terms(terms: float, what: str):
+    if not terms <= _MAX_TERMS:
+        raise NumericalError(f"{what} needs ~{terms:.3g} terms (> {_MAX_TERMS})")
+
+
+# the distinct beta lines of an alpha disc: each line's offset and
+# h = |alpha|^2/2, sorted by (offset, h), and how many columns share it
+# (as floats); (start, stop, columns) of each run of equal offsets; and the
+# number of columns.  Its arrays are read-only: _beta_lines hands the same
+# BetaLines to every lattice sum on the same disc.
+BetaLines = namedtuple("BetaLines", "offset h weight classes columns")
 
 
 @dataclass(frozen=True)
@@ -70,9 +89,36 @@ def _fold(beta: np.ndarray, split: int):
     return np.concatenate((pos, rest)), np.concatenate((mult, np.ones(rest.size)))
 
 
-def _box_sum(spec: LatticeSpec, lines, k: int, r_beta: float):
+@functools.lru_cache(maxsize=64)
+def _beta_lines(spec: LatticeSpec, r_alpha: float) -> BetaLines:
+    """The distinct beta lines of spec.disc(r_alpha), with disc's checks:
+    disc's columns grouped by their exact (offset, h) pair, h = |alpha|^2/2,
+    on which a column's beta line depends.  Kept for the 64 most recently
+    used (spec, radius) pairs, by value, so equal specs share them."""
+    disc = spec.disc(r_alpha)
+    # re^2 + im^2 is exact on integer alphas, and inf past |alpha| ~ 1e154
+    with np.errstate(over="ignore"):
+        h = (disc.alpha.real**2 + disc.alpha.imag**2) / 2.0
+    # each column's (offset, h) as offset + i h, which sorts by offset,
+    # then h; built as a view, since 1j * inf would put a nan in it
+    pair = np.column_stack((disc.offset, h)).view(complex).ravel()
+    pair, weight = np.unique(pair, return_counts=True)
+    offset, h = pair.real.copy(), pair.imag.copy()
+    edges = np.flatnonzero(np.concatenate(([True], offset[1:] != offset[:-1], [True])))
+    cols = np.concatenate(([0], np.cumsum(weight)))[edges].tolist()
+    edges = edges.tolist()
+    classes = [
+        (lo, hi, c_hi - c_lo) for lo, hi, c_lo, c_hi in zip(edges, edges[1:], cols, cols[1:])
+    ]
+    weight = weight.astype(float)
+    for a in (offset, h, weight):
+        a.setflags(write=False)
+    return BetaLines(offset, h, weight, classes, cols[-1])
+
+
+def _box_sum(spec: LatticeSpec, lines: BetaLines, k: int, r_beta: float):
     """The terms with |beta| <= r_beta on the beta lines of an alpha disc
-    (`LatticeSpec._lines`), and the number of lattice points they cover.
+    (`_beta_lines`), and the number of lattice points they cover.
 
     A term depends only on a line's h and on |beta|, so each offset class
     of lines builds its beta row once, folds it to its distinct |beta| and
@@ -207,10 +253,11 @@ def cusp_lattice_sum(
     meets rel_tol * goal / 2, where goal starts at a lower estimate of the
     sum; a box that does not certify itself lowers goal to the partial sum,
     or to half of goal if that is smaller.  Radii never shrink.  Each pass
-    takes the beta lines of its alpha disc from `LatticeSpec._lines`, which
-    groups them from `LatticeSpec.disc` and memoises them per radius, so a
-    repeated call on one spec does not rebuild its discs; the weights of a
-    sweep each solve a radius of their own, and share none.
+    takes the beta lines of its alpha disc from `_beta_lines`, which groups
+    them from `LatticeSpec.disc` and caches them by (spec, radius) value, so
+    a repeated call on one spec, or on an equal one, does not rebuild its
+    discs; the weights of a sweep each solve a radius of their own, and
+    share none.
     """
     _check_exact_int(k, "k", at_least=6)
     _check_rel_tol(rel_tol)
@@ -227,7 +274,7 @@ def cusp_lattice_sum(
     for _ in range(60):
         target = math.log(rel_tol * goal / 2.0)
         r_alpha = _solve_radius(alpha_tail, r_alpha, target)
-        lines = spec._lines(r_alpha)
+        lines = _beta_lines(spec, r_alpha)
         beta_tail = _beta_tail(spec, k, lines.columns)
         r_beta = _solve_radius(beta_tail, r_beta, target)
         partial, count = _box_sum(spec, lines, k, r_beta)

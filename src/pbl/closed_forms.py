@@ -86,8 +86,7 @@ def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundRepor
 
     Requires k >= 2n+2 so the middle denominator stays positive.
     """
-    if n < 2:
-        raise PreconditionError(f"n: need n >= 2, got {n}")
+    _check_exact_int(n, "n", at_least=2)
     _check_exact_int(k, "k", at_least=2 * n + 2)
     _check_positive(r_x, "r_x")
     log_c = cm.log_value(k).log()

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .closed_forms import _gl_pair
-from .errors import DomainError, NumericalError, PreconditionError, _check_positive
+from .errors import DomainError, NumericalError, PreconditionError, _check_exact_int, _check_positive
 from .geometry import _cosh2, _distance_from_cosh2, ball_volume_constant
 from .hermitian import Model, ModelPoint, model_indicator
 from .lattice import LatticeSpec, _check_budget, _index_ranges
@@ -348,8 +348,7 @@ def tail_bound_terms(
     integrand does not decay (f slower than the sinh^{2n} growth), in which
     case the estimate does not exist.
     """
-    if n < 1:
-        raise PreconditionError("need n >= 1")
+    _check_exact_int(n, "n", at_least=1)
     _check_positive(r_x, "r_x")
     if not delta > r_x / 2:
         raise PreconditionError("delta must exceed r_x / 2")

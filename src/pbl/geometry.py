@@ -78,6 +78,7 @@ def distance(z: ModelPoint, w: ModelPoint) -> float:
 
 def ball_volume_constant(n: int) -> float:
     """The constant 4 pi / n! of the ball volume, for 0 <= n <= 170."""
+    _check_exact_int(n, "n")
     if not 0 <= n <= 170:
         raise PreconditionError("4 pi / n! needs 0 <= n <= 170")
     return 4 * math.pi / math.factorial(n)
@@ -85,8 +86,7 @@ def ball_volume_constant(n: int) -> float:
 
 def ball_volume(n: int, r: float) -> float:
     """Volume 4 pi sinh^{2n}(r/2) / n! of a geodesic ball of radius r."""
-    if n < 2:
-        raise PreconditionError("n >= 2 required")
+    _check_exact_int(n, "n", at_least=2)
     if not r >= 0:
         raise PreconditionError("radius must be nonnegative")
     if r == 0.0:
@@ -98,10 +98,8 @@ def petersson_norm_factor(p: ModelPoint, k: int) -> LogReal:
     """(-<lift p, lift p>)^k: (1-|z|^2)^k on the ball, (-2 Re z1 - |z2|^2)^k
     in model 3, (2 Im z1 - |z2|^2)^k in model 2."""
     _check_exact_int(k, "k", at_least=1)
-    q = -model_indicator(p)
-    if q <= 0.0:
-        raise DomainError("boundary or exterior point")
-    return LogReal.from_log(k * math.log(q))
+    # q > 0: every ModelPoint is interior
+    return LogReal.from_log(k * math.log(-model_indicator(p)))
 
 
 def petersson_objective(p: ModelPoint, k: int) -> LogReal:
@@ -112,10 +110,7 @@ def petersson_objective(p: ModelPoint, k: int) -> LogReal:
     if p.model is not Model.M3:
         raise DomainError("objective is defined on model-3 points")
     _check_exact_int(k, "k", at_least=1)
-    q = -model_indicator(p)
-    if q <= 0.0:
-        raise DomainError("boundary or exterior point")
-    return LogReal.from_log(ridge_log_objective(k, q, p.coords[0].real))
+    return LogReal.from_log(ridge_log_objective(k, -model_indicator(p), p.coords[0].real))
 
 
 def _one_minus_sq(zs) -> float:

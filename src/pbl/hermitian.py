@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _check_exact_int
 
 __all__ = [
     "HERMITIAN_TOL",
@@ -87,10 +87,15 @@ class HermitianForm:
             and bool(np.abs(self.entries - other.entries).max() <= HERMITIAN_TOL)
         )
 
+    def __hash__(self):
+        # forms within HERMITIAN_TOL are equal, so only the size is hashed
+        return hash(self.dim)
+
 
 @functools.cache
 def ball_form(n: int) -> HermitianForm:
     """diag(Id_n, -1), the form of the unit ball model of B^n; built once per n."""
+    _check_exact_int(n, "n")
     if n < 2:
         raise DimensionError("ball model needs n >= 2")
     return HermitianForm(np.diag([1.0] * n + [-1.0]).astype(complex))

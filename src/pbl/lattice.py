@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -26,21 +26,13 @@ __all__ = [
 ]
 
 
-# largest index box or point set one enumeration may allocate, and most
-# terms one lattice sum box may evaluate (its distinct beta lines times
-# their length)
+# largest index box or point set one enumeration may allocate
 _MAX_ENUM = 5_000_000
-_MAX_TERMS = 10 * _MAX_ENUM
 
 
 def _check_budget(cells: float, what: str):
     if not cells <= _MAX_ENUM:
         raise NumericalError(f"{what} needs ~{cells:.3g} points (> {_MAX_ENUM})")
-
-
-def _check_terms(terms: float, what: str):
-    if not terms <= _MAX_TERMS:
-        raise NumericalError(f"{what} needs ~{terms:.3g} terms (> {_MAX_TERMS})")
 
 
 def _index_ranges(start: np.ndarray, count: np.ndarray):
@@ -56,14 +48,6 @@ def _index_ranges(start: np.ndarray, count: np.ndarray):
 # lexicographic in the indices
 AlphaDisc = namedtuple("AlphaDisc", "m n alpha offset")
 LatticePoints = namedtuple("LatticePoints", "m n l alpha beta")
-# the distinct beta lines of an alpha disc: each line's offset and
-# h = |alpha|^2/2, sorted by (offset, h), and how many columns share it
-# (as floats); (start, stop, columns) of each run of equal offsets; and the
-# number of columns.  Its arrays are read-only: a spec hands the same
-# BetaLines to every lattice sum on the same disc.
-BetaLines = namedtuple("BetaLines", "offset h weight classes columns")
-# most radii a spec keeps the BetaLines of
-_MAX_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -113,19 +97,17 @@ class LatticeSpec:
 
     Defaults to the Gaussian model a1=1, a2=i, step 1, zero offsets; other
     imaginary-quadratic shapes (e.g. Eisenstein a2 = exp(i pi/3)) are one
-    field away.  A disc calls beta_offset_rule once on its index arrays
+    argument away.  A disc calls beta_offset_rule once on its index arrays
     where the rule accepts arrays, and once per column otherwise.  The rule
-    must be a pure function of (m, n): the spec keeps the beta lines it
-    grouped from a disc, by radius, and reuses them for every later lattice
-    sum on that radius.
+    must be a pure function of (m, n), and hashable, with equal rules giving
+    equal offsets: `pbl.bounds` caches the beta lines of a disc by spec
+    value, so equal specs share them.
     """
 
     a1: complex = 1.0 + 0.0j
     a2: complex = 0.0 + 1.0j
     beta_step: float = 1.0
     beta_offset_rule: Optional[Callable[[int, int], float]] = None
-    # BetaLines by the exact radius of their disc; see _lines
-    _line_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.a1) and np.isfinite(self.a2) and 0 < self.beta_step < math.inf):
@@ -142,6 +124,11 @@ class LatticeSpec:
             raise DomainError("alpha basis is degenerate over R")
         if not 0 < self.cell_area < math.inf:
             raise DomainError("the alpha cell area leaves the double range")
+        for name in ("a1", "a2", "beta_step", "beta_offset_rule"):
+            try:
+                hash(getattr(self, name))
+            except TypeError:
+                raise DomainError(f"{name} must be hashable") from None
 
     @property
     def cell_area(self) -> float:
@@ -190,40 +177,6 @@ class LatticeSpec:
         i, j = np.nonzero(keep)
         m, n = m[i], n[j]
         return AlphaDisc(m, n, alpha[keep], self._offsets(m, n))
-
-    def _lines(self, r_alpha: float) -> BetaLines:
-        """The distinct beta lines of disc(r_alpha), with disc's checks.
-
-        A column's beta line depends only on its exact (offset, h) pair,
-        h = |alpha|^2/2, so the lines are disc's columns grouped by that
-        pair.  The spec keeps the lines of up to _MAX_MEMO radii, by the
-        exact radius, and hands them to every later request for it.
-        """
-        lines = self._line_memo.get(r_alpha)
-        if lines is not None:
-            return lines
-        disc = self.disc(r_alpha)
-        # re^2 + im^2 is exact on integer alphas, and inf past |alpha| ~ 1e154
-        with np.errstate(over="ignore"):
-            h = (disc.alpha.real**2 + disc.alpha.imag**2) / 2.0
-        # each column's (offset, h) as offset + i h, which sorts by offset,
-        # then h; built as a view, since 1j * inf would put a nan in it
-        pair = np.column_stack((disc.offset, h)).view(complex).ravel()
-        pair, weight = np.unique(pair, return_counts=True)
-        offset, h = pair.real.copy(), pair.imag.copy()
-        edges = np.flatnonzero(np.concatenate(([True], offset[1:] != offset[:-1], [True])))
-        cols = np.concatenate(([0], np.cumsum(weight)))[edges].tolist()
-        edges = edges.tolist()
-        classes = [
-            (lo, hi, c_hi - c_lo) for lo, hi, c_lo, c_hi in zip(edges, edges[1:], cols, cols[1:])
-        ]
-        weight = weight.astype(float)
-        for a in (offset, h, weight):
-            a.setflags(write=False)
-        lines = BetaLines(offset, h, weight, classes, cols[-1])
-        if len(self._line_memo) < _MAX_MEMO:
-            self._line_memo[r_alpha] = lines
-        return lines
 
     def _offsets(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         """The beta offsets of the columns (m, n): one call of the rule on the

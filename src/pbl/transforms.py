@@ -86,14 +86,14 @@ def _check_isometry(m: np.ndarray, form: HermitianForm) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
     """A matrix preserving a fixed Hermitian form (g* F g = F, |det g| = 1).
 
     The constructor copies the caller's matrix; the library's own builders
     (random_isometry, compose, inverse, lattice.stabilizer_matrix) hand a
     fresh matrix to _of, which skips only that copy.  Both run the one
-    check of _check_isometry.
+    check of _check_isometry.  Isometries compare by identity.
     """
 
     mat: np.ndarray
@@ -132,12 +132,12 @@ class Isometry:
         return Isometry._of(np.linalg.inv(self.mat), self.form)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CayleyMap:
     """A change-of-model matrix with mat* . source_form . mat = target_form.
 
     Points flow the other way round: apply() takes points of the
-    target_form model to the source_form model.
+    target_form model to the source_form model.  Maps compare by identity.
     """
 
     mat: np.ndarray

@@ -11,6 +11,7 @@ import pytest
 
 from pbl import (
     ConstantModel,
+    DomainError,
     GAUSSIAN_SPEC,
     LatticeSpec,
     LogReal,
@@ -30,9 +31,8 @@ from pbl import (
     scaling_fit,
     stabilizer_matrix,
 )
-from pbl.bounds import _box_sum
+from pbl.bounds import _beta_lines, _box_sum
 from pbl.counting import tail_bound_terms, OrbitSource
-from pbl.lattice import _MAX_MEMO
 
 EISENSTEIN_OFFSET = LatticeSpec(
     a2=complex(0.5, math.sqrt(3) / 2),
@@ -146,8 +146,9 @@ class TestCocompactBound:
             cocompact_bound(3, 7, 1.0, ConstantModel())
         with pytest.raises(PreconditionError, match="^n: need n >= 2, got 1$"):
             cocompact_bound(1, 6, 1.0, ConstantModel())
-        # n is a dimension, and a float one is still accepted
-        assert cocompact_bound(2.0, 6, 1.0, ConstantModel()).row()["n"] == 2.0
+        # n is an integer, as k is: a float one is rejected
+        with pytest.raises(PreconditionError, match="^n: must be an integer, not float$"):
+            cocompact_bound(2.0, 6, 1.0, ConstantModel())
 
     def test_precondition_rx(self):
         with pytest.raises(PreconditionError):
@@ -380,7 +381,7 @@ class TestCuspLatticeSum:
     @pytest.mark.parametrize("k", [6, 60, 1000])
     def test_grouped_box_equals_direct_sum(self, spec, k):
         res = cusp_lattice_sum(k, spec, 1e-8)
-        got, count = _box_sum(spec, spec._lines(res.r_alpha), k, res.r_beta)
+        got, count = _box_sum(spec, _beta_lines(spec, res.r_alpha), k, res.r_beta)
         want, want_count = direct_box_sum(spec, k, res.r_alpha, res.r_beta)
         assert got == pytest.approx(want, rel=1e-13)
         assert count == want_count == res.n_terms
@@ -392,7 +393,7 @@ class TestCuspLatticeSum:
     @pytest.mark.parametrize("r_beta", [2.0, 2.1, 2.25])
     def test_box_includes_the_betas_on_its_radius(self, spec, r_beta):
         # each radius is some line's |beta| at the top of its window
-        got, count = _box_sum(spec, spec._lines(3.0), 6, r_beta)
+        got, count = _box_sum(spec, _beta_lines(spec, 3.0), 6, r_beta)
         want, want_count = direct_box_sum(spec, 6, 3.0, r_beta)
         assert count == want_count
         assert got == pytest.approx(want, rel=1e-15)
@@ -446,7 +447,7 @@ class TestCuspLatticeSum:
         # (RuntimeWarnings are errors in this suite)
         spec = LatticeSpec(beta_step=1e300)
         res = cusp_lattice_sum(6, spec, 1e-8)
-        got, _ = _box_sum(spec, spec._lines(res.r_alpha), 6, res.r_beta)
+        got, _ = _box_sum(spec, _beta_lines(spec, res.r_alpha), 6, res.r_beta)
         a0 = 6 / (2 * math.pi)
         disc = spec.disc(res.r_alpha)
         h = (disc.m**2 + disc.n**2) / 2.0
@@ -466,29 +467,53 @@ _TABLE_SPECS = [GAUSSIAN_SPEC, EISENSTEIN_OFFSET, SKEW_SPEC, OBLIQUE_SPEC, PER_C
 _TABLE_IDS = ["gaussian", "eisenstein", "skew", "oblique", "per_column"]
 
 
+@dataclasses.dataclass(frozen=True)
+class _ShiftRule:
+    """A beta offset rule with a parameter; frozen, so hashable by value."""
+
+    shift: float
+
+    def __call__(self, m, n):
+        return self.shift * ((m + n) % 2)
+
+
+# the same rule as a mutable dataclass, which is unhashable
+_MutableShiftRule = dataclasses.make_dataclass(
+    "_MutableShiftRule", ["shift"], namespace={"__call__": _ShiftRule.__call__}
+)
+
+
 class TestLineTable:
-    """A spec groups the beta lines of a disc from `LatticeSpec.disc` and
-    keeps them by radius (`LatticeSpec._lines`)."""
+    """`bounds._beta_lines` groups the beta lines of a disc from
+    `LatticeSpec.disc` and caches them by (spec, radius) value."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        # a table built from a patched disc must not outlive its test
+        _beta_lines.cache_clear()
+        yield
+        _beta_lines.cache_clear()
 
     @pytest.mark.parametrize("spec", _TABLE_SPECS, ids=_TABLE_IDS)
     def test_reused_spec_equals_fresh_specs(self, spec):
-        # dataclasses.replace makes an equal spec with an empty memo
-        fresh = {
-            run: _result_fields(cusp_lattice_sum(run[0], dataclasses.replace(spec), run[1]))
-            for run in _TABLE_RUNS
-        }
+        # a fresh run starts from an empty cache
+        fresh = {}
+        for k, tol in _TABLE_RUNS:
+            _beta_lines.cache_clear()
+            fresh[k, tol] = _result_fields(cusp_lattice_sum(k, spec, tol))
         for runs in (_TABLE_RUNS, _TABLE_RUNS[::-1], _SHUFFLED_RUNS):
+            _beta_lines.cache_clear()
+            # an equal spec, which shares the cached lines
             reused = dataclasses.replace(spec)
             for k, tol in runs:
                 assert _result_fields(cusp_lattice_sum(k, reused, tol)) == fresh[k, tol], (k, tol)
 
     @staticmethod
     def assert_lines_group_the_disc(spec, radii):
-        """spec's lines at each radius against its disc's columns grouped
-        by (offset, h), on one reused spec."""
-        spec = dataclasses.replace(spec)
+        """The cached lines at each radius against the disc's columns
+        grouped by (offset, h)."""
         for r in radii:
-            got = spec._lines(r)
+            got = _beta_lines(spec, r)
             disc = spec.disc(r)
             h = (disc.alpha.real**2 + disc.alpha.imag**2) / 2.0
             key, weight = np.unique(disc.offset + 1j * h, return_counts=True)
@@ -503,13 +528,13 @@ class TestLineTable:
                 assert (offsets[hi : hi + 1] != offsets[lo]).all()
                 edges.append(hi)
             assert (edges[-1], got.columns) == (key.size, disc.m.size)
-        return spec
 
     @pytest.mark.parametrize("spec", _TABLE_SPECS, ids=_TABLE_IDS)
     def test_lines_group_the_disc_at_every_radius(self, spec):
-        # more than _MAX_MEMO distinct discs, each asked for twice
-        reused = self.assert_lines_group_the_disc(spec, np.linspace(0.0, 16.0, 401).tolist() * 2)
-        assert len(reused._line_memo) == _MAX_MEMO
+        # more distinct discs than the cache holds, each asked for twice in
+        # a row: the second request is a hit
+        self.assert_lines_group_the_disc(spec, np.repeat(np.linspace(0.0, 16.0, 401), 2).tolist())
+        assert _beta_lines.cache_info() == (401, 401, 64, 64)
 
     @pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, OBLIQUE_SPEC], ids=["gaussian", "oblique"])
     def test_lines_keep_to_the_index_box(self, spec, monkeypatch):
@@ -524,36 +549,65 @@ class TestLineTable:
         monkeypatch.setattr(LatticeSpec, "disc", lambda self, r: built.append(r) or disc(self, r))
         thin = LatticeSpec(a2=1e-3j)
         for r in (0.5, 1.0, 0.75, 1.0, 0.5):
-            thin._lines(r)
+            _beta_lines(thin, r)
         # the index box of radius 40 has 81 x 80001 cells, over the 5e6 budget
         with pytest.raises(NumericalError) as want:
             disc(LatticeSpec(a2=1e-3j), 40.0)
         with pytest.raises(NumericalError) as got:
-            thin._lines(40.0)
+            _beta_lines(thin, 40.0)
         assert str(got.value) == str(want.value)
-        thin._lines(0.75)
-        # one disc per new radius, none for a memoised one
+        _beta_lines(LatticeSpec(a2=1e-3j), 0.75)
+        # one disc per new radius, none for a cached one, and none cached
+        # for a radius that failed
         assert built == [0.5, 1.0, 0.75, 40.0]
-        assert sorted(thin._line_memo) == [0.5, 0.75, 1.0]
+        assert _beta_lines.cache_info().currsize == 3
         with pytest.raises(PreconditionError):
-            thin._lines(-1.0)
+            _beta_lines(thin, -1.0)
 
     @pytest.mark.parametrize("spec", _TABLE_SPECS, ids=_TABLE_IDS)
     def test_identity_ignores_the_memo(self, spec):
-        spec = dataclasses.replace(spec)
+        # a spec is a plain frozen value, whatever the cache holds for it
         before = (dataclasses.replace(spec), hash(spec), repr(spec))
         for r in (0.0, 2.5, 7.0):
-            spec._lines(r)
-        assert len(spec._line_memo) == 3
+            _beta_lines(spec, r)
+        assert _beta_lines.cache_info().currsize == 3
         assert (spec, hash(spec), repr(spec)) == before
-        assert "_line_memo" not in repr(spec)
-        assert dataclasses.replace(spec)._line_memo == {}
+        assert [f.name for f in dataclasses.fields(spec)] == [
+            "a1", "a2", "beta_step", "beta_offset_rule"
+        ]
+
+    def test_equal_specs_share_lines(self):
+        lines = _beta_lines(LatticeSpec(), 5.0)
+        assert _beta_lines(LatticeSpec(), 5.0) is lines
+        assert _beta_lines(GAUSSIAN_SPEC, 5.0) is lines
+        # the same offsets from another rule object: another table
+        zero = _beta_lines(LatticeSpec(beta_offset_rule=lambda m, n: 0.0 * m), 5.0)
+        assert zero is not lines and zero.h.tolist() == lines.h.tolist()
+        # rules that compare equal share theirs
+        shifted = _beta_lines(LatticeSpec(beta_offset_rule=_ShiftRule(0.25)), 5.0)
+        assert _beta_lines(LatticeSpec(beta_offset_rule=_ShiftRule(0.25)), 5.0) is shifted
+        assert _beta_lines.cache_info()[:2] == (3, 3)
+        # shared tables are read-only
+        for a in (lines.offset, lines.h, lines.weight):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"beta_offset_rule": _MutableShiftRule(0.25)}, "^beta_offset_rule must be hashable$"),
+            ({"a1": np.array(1.0 + 0.0j)}, "^a1 must be hashable$"),
+        ],
+    )
+    def test_unhashable_fields_are_rejected(self, kwargs, match):
+        with pytest.raises(DomainError, match=match):
+            LatticeSpec(**kwargs)
 
     def test_lattice_sum_budget_message_unchanged(self):
         with pytest.raises(NumericalError) as want:
             cusp_lattice_sum(6, LatticeSpec(a2=1e-6j))
         thin = LatticeSpec(a2=1e-6j)
-        thin._lines(0.01)
+        _beta_lines(thin, 0.01)
         with pytest.raises(NumericalError) as got:
             cusp_lattice_sum(6, thin)
         assert str(got.value) == str(want.value)

@@ -7,6 +7,8 @@ import pytest
 
 from pbl import (
     GAUSSIAN_SPEC,
+    ConstantModel,
+    DimensionError,
     DomainError,
     LatticeSpec,
     Model,
@@ -15,6 +17,9 @@ from pbl import (
     OrbitSource,
     PreconditionError,
     ball_form,
+    ball_volume,
+    ball_volume_constant,
+    cocompact_bound,
     counting_function,
     counting_upper_bound,
     min_displacement,
@@ -313,6 +318,52 @@ class TestTailBound:
     def test_nonmonotone_f_rejected(self):
         with pytest.raises(PreconditionError):
             tail_bound(lambda r: 1 + math.sin(3 * r) ** 2, 2, 1.0, 0.75, self.src, self.z, self.z)
+
+
+_RIDGE_6 = ridge_point(6)
+_N_CALLS = {
+    "cocompact_bound": lambda n: cocompact_bound(n, 8, 1.0, ConstantModel()),
+    "ball_volume": lambda n: ball_volume(n, 1.0),
+    "ball_volume_constant": ball_volume_constant,
+    "counting_upper_bound": lambda n: counting_upper_bound(n, 1.0, 3.0),
+    "tail_bound": lambda n: tail_bound(
+        lambda r: math.cosh(r / 2.0) ** -8.0,
+        n,
+        1.0,
+        0.75,
+        OrbitSource.from_lattice(GAUSSIAN_SPEC),
+        _RIDGE_6,
+        _RIDGE_6,
+    ),
+    "ball_form": ball_form,
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None], ids=repr)
+@pytest.mark.parametrize("call", _N_CALLS.values(), ids=_N_CALLS.keys())
+def test_dimension_must_be_an_integer(call, n):
+    # checked before any other use of n; with the form of n = 2 cached, a
+    # float 2.0 must not find it
+    ball_form(2)
+    with pytest.raises(PreconditionError, match=f"^n: must be an integer, not {type(n).__name__}$"):
+        call(n)
+
+
+@pytest.mark.parametrize(
+    "call, n, error, match",
+    [
+        (_N_CALLS["cocompact_bound"], 1, PreconditionError, "^n: need n >= 2, got 1$"),
+        (_N_CALLS["ball_volume"], 1, PreconditionError, "^n: need n >= 2, got 1$"),
+        (ball_volume_constant, -1, PreconditionError, "needs 0 <= n <= 170"),
+        (_N_CALLS["counting_upper_bound"], 171, PreconditionError, "needs 0 <= n <= 170"),
+        (_N_CALLS["tail_bound"], 0, PreconditionError, "^n: need n >= 1, got 0$"),
+        (ball_form, 1, DimensionError, "ball model needs n >= 2"),
+    ],
+    ids=_N_CALLS.keys(),
+)
+def test_dimension_lower_bounds(call, n, error, match):
+    with pytest.raises(error, match=match):
+        call(n)
 
 
 class TestGaussKronrod:

@@ -36,7 +36,7 @@ from pbl import (
     tail_bound_terms,
 )
 from pbl import bounds
-from pbl.bounds import _alpha_tail, _beta_tail, _box_sum
+from pbl.bounds import _alpha_tail, _beta_lines, _beta_tail, _box_sum
 from pbl.cli import main
 from pbl.closed_forms import _beta_integral, _gauss_legendre, _log_gamma_ratio, _ridge_step, _wallis
 from pbl.transforms import _expm
@@ -291,7 +291,7 @@ def test_box_sum_matches_40_digit_sum(k):
     to 1e-15: its rounding does not grow with k."""
     res = cusp_lattice_sum(k, GAUSSIAN_SPEC, 1e-12)
     disc = GAUSSIAN_SPEC.disc(res.r_alpha)
-    got, _ = _box_sum(GAUSSIAN_SPEC, GAUSSIAN_SPEC._lines(res.r_alpha), k, res.r_beta)
+    got, _ = _box_sum(GAUSSIAN_SPEC, _beta_lines(GAUSSIAN_SPEC, res.r_alpha), k, res.r_beta)
     norms = Counter(int(m) ** 2 + int(n) ** 2 for m, n in zip(disc.m, disc.n))
     l_max = math.floor(res.r_beta)
     with mp.workdps(40):
@@ -370,7 +370,7 @@ def test_grouped_box_sum_matches_40_digit_sum(spec, k, rel_tol):
     (except offset 0).  The point count is the oracle's too."""
     res = cusp_lattice_sum(k, spec, rel_tol)
     disc = spec.disc(res.r_alpha)
-    got, count = _box_sum(spec, spec._lines(res.r_alpha), k, res.r_beta)
+    got, count = _box_sum(spec, _beta_lines(spec, res.r_alpha), k, res.r_beta)
     step = spec.beta_step
     # beta = offset + l step in doubles decides membership, as in the box
     betas = {}

@@ -14,6 +14,7 @@ from pbl import (
     Model,
     ModelPoint,
     NumericalError,
+    OrbitSource,
     PreconditionError,
     apply,
     ball_form,
@@ -228,6 +229,28 @@ class TestFormIdentity:
         g = random_isometry(form, 3)
         with pytest.raises(DomainError, match="isometry preserves a different form than the ball model's"):
             apply(g, ModelPoint.ball([0.3, 0.1]))
+
+    @pytest.mark.parametrize(
+        "make, equal",
+        [
+            (lambda: (random_isometry(ball_form(2), 1), random_isometry(ball_form(2), 1)), False),
+            (lambda: (cayley_gamma2(), cayley_gamma2()), False),
+            (
+                lambda: tuple(
+                    OrbitSource.from_elements([random_isometry(ball_form(2), 1)]) for _ in "ab"
+                ),
+                False,
+            ),
+            (lambda: (ball_form(2), HermitianForm(np.diag([1.0, 1.0, -1.0]))), True),
+            (lambda: (model2_form(), model3_form()), False),
+        ],
+        ids=["isometry", "cayley_map", "orbit_source", "equal_forms", "other_forms"],
+    )
+    def test_equality_and_hash_hold_arrays(self, make, equal):
+        # maps, and sources of them, compare by identity; forms by value
+        a, b = make()
+        assert (a == a, a == b, a != b) == (True, equal, not equal)
+        assert len({a, a, b}) == (1 if equal else 2)
 
 
 class TestRandomIsometrySeed:
