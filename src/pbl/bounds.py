@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,15 +19,15 @@ from .closed_forms import (
     BoundReport,
     ConstantModel,
     _beta_integral,
-    cocompact_bound,
-    cusp_term_log,
+    _cocompact_logs,
+    _cusp_term_log,
     ridge_locate,
 )
-from .errors import NumericalError, _check_exact_int, _check_rel_tol
+from .errors import NumericalError, _check_exact_int, _check_positive, _check_rel_tol
 from .geometry import _cosh2
 from .hermitian import ModelPoint
 from .lattice import _MAX_ENUM, LatticeSpec, _check_budget, lattice_covolume
-from .logreal import LogReal, log_sum, log_sum_exp
+from .logreal import LogReal, log_sum_exp
 from .transforms import Isometry, _isometry_stack
 
 __all__ = [
@@ -50,14 +49,14 @@ def _check_terms(terms: float, what: str):
 
 # the distinct beta lines of an alpha disc: each line's offset and
 # h = |alpha|^2/2, sorted by (offset, h), and how many columns share it
-# (as floats); (start, stop, columns) of each run of equal offsets; and the
-# number of columns.  Its arrays are read-only: _beta_lines hands the same
-# BetaLines to every lattice sum on the same disc.
-BetaLines = namedtuple("BetaLines", "offset h weight classes columns")
+# (as floats); (start, stop, columns) of each run of equal offsets; the
+# number of columns; and max |offset| (0 for no lines).  Its arrays are
+# read-only: _beta_lines hands the same BetaLines to every lattice sum on
+# the same disc.
+BetaLines = namedtuple("BetaLines", "offset h weight classes columns off_max")
 
 
-@dataclass(frozen=True)
-class CuspSumResult:
+class CuspSumResult(NamedTuple):
     """Certified evaluation of the stabilizer lattice sum
     sum_L (k/2pi)^k / |k/2pi + |alpha|^2/2 + i beta|^k."""
 
@@ -113,7 +112,8 @@ def _beta_lines(spec: LatticeSpec, r_alpha: float) -> BetaLines:
     weight = weight.astype(float)
     for a in (offset, h, weight):
         a.setflags(write=False)
-    return BetaLines(offset, h, weight, classes, cols[-1])
+    off_max = float(np.abs(offset).max()) if offset.size else 0.0
+    return BetaLines(offset, h, weight, classes, cols[-1], off_max)
 
 
 def _box_sum(spec: LatticeSpec, lines: BetaLines, k: int, r_beta: float):
@@ -137,10 +137,12 @@ def _box_sum(spec: LatticeSpec, lines: BetaLines, k: int, r_beta: float):
     a0 = k / (2 * math.pi)
     offs, h, weight = lines.offset, lines.h, lines.weight
     step = spec.beta_step
-    off_max = float(np.abs(offs).max()) if offs.size else 0.0
-    half_line = (r_beta + off_max) / step
-    _check_budget(2 * half_line + 3, f"the beta line of radius {r_beta:.3g}")
-    _check_terms(h.size * (2 * half_line + 3), f"the lattice sum box ({h.size} beta lines)")
+    half_line = (r_beta + lines.off_max) / step
+    line_len = 2 * half_line + 3
+    # the checks raise only past their budgets: format their messages there
+    if not (line_len <= _MAX_ENUM and h.size * line_len <= _MAX_TERMS):
+        _check_budget(line_len, f"the beta line of radius {r_beta:.3g}")
+        _check_terms(h.size * line_len, f"the lattice sum box ({h.size} beta lines)")
     l_max = int(math.floor(half_line)) + 1
     l_step = np.arange(-l_max, l_max + 1) * step
     # a row's window |beta| <= r_beta runs from its first beta >= -r_beta
@@ -278,7 +280,7 @@ def cusp_lattice_sum(
         beta_tail = _beta_tail(spec, k, lines.columns)
         r_beta = _solve_radius(beta_tail, r_beta, target)
         partial, count = _box_sum(spec, lines, k, r_beta)
-        tail = math.exp(min(np.logaddexp(alpha_tail(r_alpha), beta_tail(r_beta)), 700.0))
+        tail = math.exp(min(log_sum_exp((alpha_tail(r_alpha), beta_tail(r_beta))), 700.0))
         if tail <= rel_tol * partial:
             return CuspSumResult(
                 LogReal.from_log(math.log(partial)),
@@ -306,24 +308,35 @@ def cusp_bound(
     closed-form stabilizer term.  The certified lattice sum times C(k) is
     attached as the sharper computed alternative, together with a flag
     recording that the closed form dominates it.
+
+    Assembled in one pass over floats, as `cocompact_bound` is, around
+    its kernel `closed_forms._cocompact_logs`: log C(k) once, one
+    `log_sum_exp` over the four terms, and one LogReal per output (seven).
     """
     _check_exact_int(k, "k", at_least=6)
-    base = cocompact_bound(2, k, r_x, cm)
+    _check_positive(r_x, "r_x")
+    log_c = cm._log(k)
     covol = lattice_covolume(spec)
-    cusp = LogReal.from_log(cusp_term_log(k, cm, covol))
+    _check_positive(covol, "covolume")
+    identity, middle, ring = _cocompact_logs(2, k, r_x, log_c)
+    cusp = _cusp_term_log(k, log_c, covol)
     sum_res = cusp_lattice_sum(k, spec, rel_tol)
-    scaled = cm.log_value(k) * sum_res.value
-    terms = dict(base.terms)
-    terms["cusp_term"] = cusp
-    total = log_sum(terms.values())
+    scaled = log_c + sum_res.value.log_abs
+    total = log_sum_exp((identity, middle, ring, cusp))
+    terms = {
+        "identity_term": LogReal(identity),
+        "middle_term": LogReal(middle),
+        "ring_term": LogReal(ring),
+        "cusp_term": LogReal(cusp),
+    }
     extras = {
-        "cusp_sum_scaled": scaled,
-        "cusp_dominates_sum": bool(cusp >= scaled),
+        "cusp_sum_scaled": LogReal(scaled),
+        "cusp_dominates_sum": cusp >= scaled,
         "covolume": covol,
         "sum_r_alpha": sum_res.r_alpha,
         "sum_r_beta": sum_res.r_beta,
     }
-    return BoundReport(2, k, r_x, terms, total, total / cm.log_value(k), extras)
+    return BoundReport(2, k, r_x, terms, LogReal(total), LogReal(total - log_c), extras)
 
 
 # -- ridge locator ---------------------------------------------------------

@@ -15,7 +15,7 @@ import types
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import NumericalError, PreconditionError, _check_exact_int, _check_positive
-from .logreal import LogReal, _Frozen, log_cosh, log_sinh, log_sum
+from .logreal import LogReal, _Frozen, log_cosh, log_sinh, log_sum_exp
 
 __all__ = [
     "ConstantModel",
@@ -54,7 +54,11 @@ class ConstantModel(_Frozen):
         return value
 
     def log_value(self, k: int) -> LogReal:
-        return LogReal.from_log(math.log(self.c_gamma) + self.exponent * math.log(k))
+        return LogReal(self._log(k))
+
+    def _log(self, k: int) -> float:
+        """log C(k) as a float, the form the bound reports assemble in."""
+        return float(math.log(self.c_gamma) + self.exponent * math.log(k))
 
 
 class BoundReport(NamedTuple):
@@ -78,18 +82,12 @@ class BoundReport(NamedTuple):
         return out
 
 
-def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundReport:
-    """Three-term bound for the cocompact case:
-
-        C(k) + C(k) cosh^{2n}(r/4) / ((k-2n-1) sinh^{2n}(r/4))
-             + C(k) sinh^{2n}(5r/8) / (sinh^{2n}(r/4) cosh^k(3r/8)).
-
-    Requires k >= 2n+2 so the middle denominator stays positive.
-    """
-    _check_exact_int(n, "n", at_least=2)
-    _check_exact_int(k, "k", at_least=2 * n + 2)
-    _check_positive(r_x, "r_x")
-    log_c = cm.log_value(k).log()
+def _cocompact_logs(n: int, k: int, r_x: float, log_c: float):
+    """The logs of the three terms of `cocompact_bound` (identity, middle,
+    ring) for checked n, k, r_x and a float log_c = log C(k), as floats; a
+    NaN ring log is -inf."""
+    # numpy integers would make numpy floats, and numpy overflow warnings
+    n, k = int(n), int(k)
     # r_x / 8 first keeps 5 r_x / 8 finite; the two products overflow together
     # only for r_x near the double range, where k >= 2n+2 sends the term to 0
     r8 = r_x / 8.0
@@ -106,17 +104,34 @@ def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundRepor
     else:
         log_sh = log_sinh(r_x / 4.0)
         log_ratio = log_sinh(5 * r8) - log_sh
-    identity = LogReal.from_log(log_c)
-    middle = LogReal.from_log(
-        log_c
-        + 2 * n * (log_cosh(r_x / 4.0) - log_sh)
-        - math.log(k - 2 * n - 1)
-    )
-    log_ring = log_c + 2 * n * log_ratio - k * log_cosh(3 * r8)
-    ring = LogReal.from_log(-math.inf if math.isnan(log_ring) else log_ring)
-    terms = {"identity_term": identity, "middle_term": middle, "ring_term": ring}
-    total = log_sum(terms.values())
-    return BoundReport(n, k, r_x, terms, total, total / cm.log_value(k))
+    middle = log_c + 2 * n * (log_cosh(r_x / 4.0) - log_sh) - math.log(k - 2 * n - 1)
+    ring = log_c + 2 * n * log_ratio - k * log_cosh(3 * r8)
+    return log_c, middle, -math.inf if math.isnan(ring) else ring
+
+
+def cocompact_bound(n: int, k: int, r_x: float, cm: ConstantModel) -> BoundReport:
+    """Three-term bound for the cocompact case:
+
+        C(k) + C(k) cosh^{2n}(r/4) / ((k-2n-1) sinh^{2n}(r/4))
+             + C(k) sinh^{2n}(5r/8) / (sinh^{2n}(r/4) cosh^k(3r/8)).
+
+    Requires k >= 2n+2 so the middle denominator stays positive.  The
+    report is assembled in one pass over floats: log C(k) once, the three
+    term logs from `_cocompact_logs`, one `log_sum_exp` for the total, and
+    one LogReal for each of the five outputs.
+    """
+    _check_exact_int(n, "n", at_least=2)
+    _check_exact_int(k, "k", at_least=2 * n + 2)
+    _check_positive(r_x, "r_x")
+    log_c = cm._log(k)
+    identity, middle, ring = _cocompact_logs(n, k, r_x, log_c)
+    total = log_sum_exp((identity, middle, ring))
+    terms = {
+        "identity_term": LogReal(identity),
+        "middle_term": LogReal(middle),
+        "ring_term": LogReal(ring),
+    }
+    return BoundReport(n, k, r_x, terms, LogReal(total), LogReal(total - log_c))
 
 
 # -- Gamma-function ratios --------------------------------------------------
@@ -327,8 +342,15 @@ def cusp_term_log(k: int, cm: ConstantModel, covolume: float = 1.0) -> float:
     the chained integral bound for the lattice sum times C(k), for k >= 3."""
     _check_exact_int(k, "k", at_least=3)
     _check_positive(covolume, "covolume")
+    return _cusp_term_log(k, cm._log(k), covolume)
+
+
+def _cusp_term_log(k: int, log_c: float, covolume: float) -> float:
+    """`cusp_term_log` for checked k and covolume, given a float
+    log_c = log C(k), as a float."""
+    k = int(k)
     return (
-        cm.log_value(k).log()
+        log_c
         + 1.5 * math.log(k)
         + _HALF_LOG_PI
         - math.log(2.0)

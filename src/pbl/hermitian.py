@@ -92,13 +92,28 @@ class HermitianForm:
         return hash(self.dim)
 
 
-@functools.cache
+# the ball forms built so far, keyed by the exact int n
+_BALL_FORMS: dict[int, HermitianForm] = {}
+
+
 def ball_form(n: int) -> HermitianForm:
-    """diag(Id_n, -1), the form of the unit ball model of B^n; built once per n."""
-    _check_exact_int(n, "n")
-    if n < 2:
-        raise DimensionError("ball model needs n >= 2")
-    return HermitianForm(np.diag([1.0] * n + [-1.0]).astype(complex))
+    """diag(Id_n, -1), the form of the unit ball model of B^n; built once per n.
+
+    Cached by the exact int, so a numpy integer gets the form of the equal
+    int (`functools.cache` keys the two apart, and would then hand a float
+    equal to a cached numpy integer its form unchecked)."""
+    form = _BALL_FORMS.get(n) if type(n) is int else None
+    if form is None:
+        _check_exact_int(n, "n")
+        if n < 2:
+            raise DimensionError("ball model needs n >= 2")
+        n = int(n)
+        form = _BALL_FORMS.get(n)
+        if form is None:
+            form = _BALL_FORMS.setdefault(
+                n, HermitianForm(np.diag([1.0] * n + [-1.0]).astype(complex))
+            )
+    return form
 
 
 @functools.cache

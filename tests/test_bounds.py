@@ -24,6 +24,7 @@ from pbl import (
     cusp_lattice_sum,
     cusp_term_log,
     gamma_integral_chain,
+    lattice_covolume,
     log_sum,
     maxima_locate,
     orbit_cosh_power_sum,
@@ -31,7 +32,9 @@ from pbl import (
     scaling_fit,
     stabilizer_matrix,
 )
-from pbl.bounds import _beta_lines, _box_sum
+from pbl.bounds import CuspSumResult, _beta_lines, _box_sum
+from pbl.closed_forms import _log_gamma_ratio
+from pbl.logreal import log_cosh, log_sinh
 from pbl.counting import tail_bound_terms, OrbitSource
 
 EISENSTEIN_OFFSET = LatticeSpec(
@@ -263,6 +266,18 @@ class TestResultRecords:
     def test_scaling_fit_fields(self):
         fit = scaling_fit(range(6, 11), lambda k: LogReal.from_log(2 * math.log(k) + 1))
         assert (fit.slope, fit.intercept, fit.residual_rms) == (2.0, 1.0, 1.9860273225978183e-16)
+
+    def test_cusp_sum_result_fields(self):
+        res = cusp_lattice_sum(8, GAUSSIAN_SPEC, 1e-8)
+        fields = ("value", "k", "r_alpha", "r_beta", "tail_majorant", "n_terms")
+        assert CuspSumResult._fields == fields
+        assert res._asdict() == {name: getattr(res, name) for name in fields}
+        assert isinstance(res.value, LogReal) and res.k == 8 and isinstance(res.n_terms, int)
+        # a named tuple: iterable, and equal to the plain tuple of its fields
+        assert tuple(res) == res == tuple(getattr(res, name) for name in fields)
+        with pytest.raises(AttributeError):
+            res.k = 9
+        assert not hasattr(res, "__dict__")
 
 
 @pytest.mark.parametrize(
@@ -704,6 +719,113 @@ class TestCuspBound:
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             cusp_bound(5, 1.0, ConstantModel(), GAUSSIAN_SPEC)
+
+
+def _reference_cocompact_bound(n, k, r_x, cm):
+    """`cocompact_bound`'s terms, total and normalized total, assembled one
+    LogReal per step as before the reports shared a float kernel: log C(k)
+    from `log_value` twice, the sum by `log_sum` and the normalization by
+    LogReal division."""
+    log_c = cm.log_value(k).log()
+    r8 = r_x / 8.0
+    if r_x < 1e-8:
+        log_sh = math.log(r_x) - math.log(4.0)
+        log_ratio = math.log(2.5)
+    elif r_x < 4.0:
+        log_sh = log_sinh(r_x / 4.0)
+        log_ratio = math.log(math.sinh(5 * r8) / math.sinh(2 * r8))
+    else:
+        log_sh = log_sinh(r_x / 4.0)
+        log_ratio = log_sinh(5 * r8) - log_sh
+    identity = LogReal.from_log(log_c)
+    middle = LogReal.from_log(
+        log_c + 2 * n * (log_cosh(r_x / 4.0) - log_sh) - math.log(k - 2 * n - 1)
+    )
+    log_ring = log_c + 2 * n * log_ratio - k * log_cosh(3 * r8)
+    ring = LogReal.from_log(-math.inf if math.isnan(log_ring) else log_ring)
+    terms = {"identity_term": identity, "middle_term": middle, "ring_term": ring}
+    total = log_sum(terms.values())
+    return terms, total, total / cm.log_value(k)
+
+
+def _reference_cusp_bound(k, r_x, cm, spec, sum_res):
+    """`cusp_bound`'s terms, total, normalized total and extras, assembled
+    in the same way around the cocompact reference, for the lattice sum
+    sum_res that `cusp_bound` computes."""
+    base_terms, _, _ = _reference_cocompact_bound(2, k, r_x, cm)
+    covol = lattice_covolume(spec)
+    cusp = LogReal.from_log(
+        cm.log_value(k).log()
+        + 1.5 * math.log(k)
+        + 0.5 * math.log(math.pi)
+        - math.log(2.0)
+        + _log_gamma_ratio(k)
+        + _log_gamma_ratio(2 * k - 2)
+        - math.log(covol)
+    )
+    scaled = cm.log_value(k) * sum_res.value
+    terms = dict(base_terms)
+    terms["cusp_term"] = cusp
+    total = log_sum(terms.values())
+    extras = {
+        "cusp_sum_scaled": scaled,
+        "cusp_dominates_sum": bool(cusp >= scaled),
+        "covolume": covol,
+        "sum_r_alpha": sum_res.r_alpha,
+        "sum_r_beta": sum_res.r_beta,
+    }
+    return terms, total, total / cm.log_value(k), extras
+
+
+def _bits(x):
+    """A report value as exact bits: a LogReal or float as the hex of its
+    float, anything else as is."""
+    if isinstance(x, LogReal):
+        x = x.log_abs
+    return (type(x).__name__, x.hex() if isinstance(x, float) else x)
+
+
+def _report_bits(terms, total, normalized, extras=None):
+    return (
+        [(name, _bits(t)) for name, t in terms.items()],
+        _bits(total),
+        _bits(normalized),
+        [(name, _bits(v)) for name, v in (extras or {}).items()],
+    )
+
+
+# every branch of the three-term estimate: below 1e-8, below 4 and beyond
+# (the sinh quotient gives way to its log form at 4), with 1e308, where both
+# k-th power parts of the ring log overflow for n >= 3 (inf - inf, a NaN read
+# as a 0 term)
+_ASSEMBLY_RX = (1e-300, 1e-9, 0.3, 3.99, 4.0, 6.0, 50.0, 1e300, 1e308)
+_ASSEMBLY_CMS = (ConstantModel(), ConstantModel(1.0, 2), ConstantModel(0.37, 5))
+
+
+class TestReportAssembly:
+    """The float assembly of the two bound reports gives, bit for bit, the
+    report of the LogReal-by-LogReal assembly it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_cocompact_bound_matches_the_reference(self, n):
+        for k in range(2 * n + 2, 401):
+            for r_x in _ASSEMBLY_RX:
+                for cm in _ASSEMBLY_CMS:
+                    rep = cocompact_bound(n, k, r_x, cm)
+                    want = _report_bits(*_reference_cocompact_bound(n, k, r_x, cm))
+                    got = _report_bits(rep.terms, rep.total, rep.normalized_total, rep.extras)
+                    assert got == want, (n, k, r_x, cm)
+
+    @pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, EISENSTEIN_OFFSET], ids=["gaussian", "eisenstein"])
+    def test_cusp_bound_matches_the_reference(self, spec):
+        for k in (*range(6, 40), *range(40, 401, 20)):
+            sum_res = cusp_lattice_sum(k, spec, 1e-6)
+            for r_x in _ASSEMBLY_RX:
+                for cm in _ASSEMBLY_CMS:
+                    rep = cusp_bound(k, r_x, cm, spec)
+                    want = _report_bits(*_reference_cusp_bound(k, r_x, cm, spec, sum_res))
+                    got = _report_bits(rep.terms, rep.total, rep.normalized_total, rep.extras)
+                    assert got == want, (k, r_x, cm)
 
 
 class TestUniversalConstantRecorded:

@@ -8,6 +8,7 @@ from pbl import (
     HermitianForm,
     Model,
     ModelPoint,
+    PreconditionError,
     ball_form,
     inner_product,
     lift,
@@ -27,6 +28,15 @@ class TestStandardForms:
     def test_ball_form_n4(self):
         h = ball_form(4)
         assert np.array_equal(h.entries, np.diag([1, 1, 1, 1, -1]).astype(complex))
+
+    def test_ball_form_is_cached_by_the_exact_int(self):
+        # a numpy integer gets the form of the equal int, through
+        # standard_form_for too, and a float is still rejected after it
+        assert ball_form(np.int64(2)) is ball_form(2)
+        assert ball_form(np.int32(3)) is ball_form(3)
+        assert standard_form_for(Model.BALL, np.int64(2)) is ball_form(2)
+        with pytest.raises(PreconditionError, match="must be an integer, not float"):
+            ball_form(2.0)
 
     def test_model_forms_literal(self):
         assert np.array_equal(

@@ -224,6 +224,11 @@ class TestFormIdentity:
         want = apply(random_isometry(ball_form(2), 3), p)
         assert np.array_equal(got.coords, want.coords)
 
+    def test_numpy_int_ball_form_is_the_int_form(self):
+        # so apply's form check takes the identity shortcut
+        g = random_isometry(ball_form(np.int64(2)), 3)
+        assert g.form is ball_form(2) is random_isometry(ball_form(2), 3).form
+
     @pytest.mark.parametrize("form", [model3_form(), HermitianForm(model3_form().entries.copy())])
     def test_apply_rejects_another_models_form(self, form):
         g = random_isometry(form, 3)
