@@ -46,7 +46,7 @@ class ConstantModel(_Frozen):
 
     def __call__(self, k: int) -> float:
         try:
-            value = self.c_gamma * float(k) ** self.exponent
+            value = float(self.c_gamma) * float(k) ** int(self.exponent)
         except OverflowError:
             value = math.inf
         if math.isinf(value):

@@ -24,7 +24,7 @@ from .closed_forms import _gl_pair
 from .errors import DomainError, NumericalError, PreconditionError, _check_exact_int, _check_positive
 from .geometry import _cosh2, _distance_from_cosh2, ball_volume_constant
 from .hermitian import Model, ModelPoint, model_indicator
-from .lattice import LatticeSpec, _check_budget, _index_ranges
+from .lattice import LatticeSpec, _enumerate_points
 from .logreal import exp_or_raise, log_cosh, log_sinh
 from .transforms import Isometry, _isometry_stack
 
@@ -50,9 +50,6 @@ class OrbitSource:
     def __post_init__(self):
         if (self.elements is None) == (self.lattice is None):
             raise DomainError("provide exactly one of elements or lattice")
-        if self.elements is not None:
-            if len({e.form.entries.tobytes() for e in self.elements}) > 1:
-                raise DomainError("all elements must preserve the same form")
 
     @staticmethod
     def from_elements(elements: Sequence[Isometry]) -> "OrbitSource":
@@ -92,9 +89,11 @@ def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
 def _seed_box(spec: LatticeSpec):
     """(alpha, beta) arrays of the nontrivial lattice points with m, n, l
     in {-1, 0, 1}, whose minima seed the certified searches."""
-    m, n, l = np.indices((3, 3, 3)).reshape(3, -1) - 1
-    alpha = spec.alpha(m, n)
-    beta = spec._offsets(m, n) + l * spec.beta_step
+    m, n = np.indices((3, 3)).reshape(2, -1) - 1
+    alpha, offset = spec.alpha(m, n), spec._offsets(m, n)
+    *_, alpha, beta = _enumerate_points(
+        spec.beta_step, alpha, offset, np.full(9, -1), np.full(9, 3), "the seed box"
+    )
     keep = (alpha != 0) | (beta != 0)
     return alpha[keep], beta[keep]
 
@@ -178,16 +177,6 @@ def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> C
     return Columns(disc.alpha[keep], offset, out_lo, out_hi, in_lo, in_hi)
 
 
-def _column_points(spec: LatticeSpec, cols: Columns, which, start, count):
-    """(alpha, beta) of the points l = start[i] .. start[i] + count[i] - 1 of
-    the columns cols[which[i]], in that order; NumericalError past the
-    enumeration budget."""
-    _check_budget(count.sum(), "the orbit ball")
-    i, l = _index_ranges(start, count)
-    col = which[i]
-    return cols.alpha[col], cols.offset[col] + l * spec.beta_step
-
-
 def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: float):
     """(d(z, gamma w), gamma nontrivial) over a set of elements that holds
     every gamma within delta: all elements of a list, where gamma is trivial
@@ -196,8 +185,9 @@ def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: floa
     if src.lattice is not None:
         spec = src.lattice
         cols = _columns(spec, z, w, delta)
-        alpha, beta = _column_points(
-            spec, cols, np.arange(cols.alpha.size), cols.out_lo, cols.out_hi - cols.out_lo + 1
+        count = cols.out_hi - cols.out_lo + 1
+        *_, alpha, beta = _enumerate_points(
+            spec.beta_step, cols.alpha, cols.offset, cols.out_lo, count, "the orbit ball"
         )
         return _stabilizer_distances(alpha, beta, z, w), (alpha != 0) | (beta != 0)
     mats = _isometry_stack(src.elements, w)
@@ -227,13 +217,10 @@ def counting_function(
     count = int((cols.in_hi - cols.in_lo + 1).sum())
     band = np.concatenate((cols.in_lo - cols.out_lo, cols.out_hi - cols.in_hi))
     if band.any():
-        which = np.arange(cols.alpha.size)
-        alpha, beta = _column_points(
-            spec,
-            cols,
-            np.concatenate((which, which)),
-            np.concatenate((cols.out_lo, cols.in_hi + 1)),
-            band,
+        alpha, offset = np.tile(cols.alpha, 2), np.tile(cols.offset, 2)
+        start = np.concatenate((cols.out_lo, cols.in_hi + 1))
+        *_, alpha, beta = _enumerate_points(
+            spec.beta_step, alpha, offset, start, band, "the orbit band"
         )
         count += int(np.count_nonzero(_stabilizer_distances(alpha, beta, z, w) <= delta))
     return count
@@ -471,10 +458,12 @@ def stabilizer_injectivity_radius(
     disc = spec.disc(math.sqrt(2 * q_max) * root_u_max * (1 + 1e-12))
     # per column the slice sinh grows with |beta|, so its minimum sits at
     # the lattice beta nearest 0, or the nearest nonzero one on alpha = 0;
-    # floor(-offset / step) is within one of the last l with beta <= 0
-    l = np.floor(-disc.offset / spec.beta_step)[:, None] + np.arange(-1.0, 3.0)
-    beta = disc.offset[:, None] + l * spec.beta_step
-    alpha = np.broadcast_to(disc.alpha[:, None], beta.shape)
+    # floor(-offset / step) is within one of the last l with beta <= 0; l
+    # stays a float, as an int64 cast of it wraps at a huge offset
+    l_lo = np.floor(-disc.offset / spec.beta_step) - 1.0
+    *_, alpha, beta = _enumerate_points(
+        spec.beta_step, disc.alpha, disc.offset, l_lo, np.full(l_lo.size, 4), "the slice grid"
+    )
     nontrivial = (alpha != 0) | (beta != 0)
     best = float(slice_sinh(alpha, beta)[nontrivial].min(initial=cand))
     # every nontrivial element has sinh > 0; one that underflows to 0 has

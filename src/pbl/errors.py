@@ -5,6 +5,8 @@ as weights, `_check_positive` for positive finite parameters and
 
 import math
 
+__all__ = ["DimensionError", "DomainError", "NumericalError", "PblError", "PreconditionError"]
+
 
 class PblError(Exception):
     """Base class for all errors raised by this package."""

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-# largest index box or point set one enumeration may allocate
+# largest alpha index box, or point set of _enumerate_points, one call may allocate
 _MAX_ENUM = 5_000_000
 
 
@@ -35,12 +35,16 @@ def _check_budget(cells: float, what: str):
         raise NumericalError(f"{what} needs ~{cells:.3g} points (> {_MAX_ENUM})")
 
 
-def _index_ranges(start: np.ndarray, count: np.ndarray):
-    """(i, l) for every l in start[i] .. start[i] + count[i] - 1, ordered by
-    i, then l; start and count are int64 arrays, count >= 0."""
-    i = np.repeat(np.arange(count.size), count)
-    l = np.arange(i.size) + (start - (np.cumsum(count) - count))[i]
-    return i, l
+def _enumerate_points(step: float, alpha, offset, start, count, what: str):
+    """(col, l, alpha, beta) for l = start[i] .. start[i] + count[i] - 1 in each
+    column i, ordered by i, then l, with beta = offset + l step and l of
+    start's dtype: every (alpha, beta) point set is built here.  NumericalError
+    naming `what` past _MAX_ENUM points, checked before a float count is cast."""
+    _check_budget(count.sum(), what)
+    count = count.astype(np.int64, copy=False)
+    col = np.repeat(np.arange(count.size), count)
+    l = start[col] + (np.arange(col.size) - (np.cumsum(count) - count)[col])
+    return col, l, alpha[col], offset[col] + l * step
 
 
 # columns (m, n) of an alpha disc with alpha = m a1 + n a2 and their beta
@@ -196,7 +200,8 @@ class LatticeSpec:
 
     def points(self, r_alpha: float, r_beta: float) -> LatticePoints:
         """Every lattice point with |alpha| <= r_alpha and |beta| <= r_beta,
-        lexicographic in (m, n, l), each exactly once."""
+        lexicographic in (m, n, l), each exactly once; NumericalError past
+        _MAX_ENUM points (see `_enumerate_points`)."""
         if not r_beta >= 0:
             raise PreconditionError("radii must be nonnegative")
         disc = self.disc(r_alpha)
@@ -204,12 +209,9 @@ class LatticeSpec:
         l_lo = np.ceil((-r_beta - disc.offset) / step - 1e-12)
         l_hi = np.floor((r_beta - disc.offset) / step + 1e-12)
         counts = np.maximum(l_hi - l_lo + 1, 0)
-        _check_budget(
-            counts.sum(), f"the lattice ball r_alpha={r_alpha:.3g}, r_beta={r_beta:.3g}"
-        )
-        col, l = _index_ranges(l_lo.astype(np.int64), counts.astype(np.int64))
-        beta = disc.offset[col] + l * step
-        return LatticePoints(disc.m[col], disc.n[col], l, disc.alpha[col], beta)
+        what = f"the lattice ball r_alpha={r_alpha:.3g}, r_beta={r_beta:.3g}"
+        col, l, alpha, beta = _enumerate_points(step, disc.alpha, disc.offset, l_lo, counts, what)
+        return LatticePoints(disc.m[col], disc.n[col], l.astype(np.int64), alpha, beta)
 
 
 GAUSSIAN_SPEC = LatticeSpec()

@@ -171,6 +171,16 @@ class TestCocompactBound:
             ConstantModel(1e300, 100)(6)
         assert ConstantModel(1.0, 3000).log_value(6).log() == pytest.approx(3000 * math.log(6))
 
+    def test_constant_model_numpy_fields_compute_in_floats(self):
+        # numpy fields must not take the power into numpy, whose overflow is
+        # a RuntimeWarning (an error under this suite's filter), not an inf
+        big = np.float64(1e300)
+        for cm in (ConstantModel(1.0, np.int64(3000)), ConstantModel(big, np.int64(100))):
+            with pytest.raises(NumericalError, match="overflows"):
+                cm(6)
+        value = ConstantModel(np.float64(1.5), np.int64(2))(np.int64(6))
+        assert type(value) is float and value == 1.5 * 6.0**2
+
 
 class TestConstantModelValue:
     """What a frozen value gives: validation, immutability, equality and

@@ -168,6 +168,13 @@ def test_submodule_exports_only_its_own_definitions(module):
             assert obj.__module__ == mod.__name__, name
 
 
+@pytest.mark.parametrize("module", sorted(pbl._BY_MODULE))
+def test_registry_names_only_what_its_module_exports(module):
+    # pbl's lazy names and each submodule's __all__ must not drift apart
+    mod = importlib.import_module(f"pbl.{module}")
+    assert set(pbl._BY_MODULE[module]) <= set(mod.__all__)
+
+
 @pytest.mark.parametrize(
     "value, plain",
     [

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import pbl.lattice
 from pbl import (
     GAUSSIAN_SPEC,
     ConstantModel,
@@ -22,6 +23,7 @@ from pbl import (
     cocompact_bound,
     counting_function,
     counting_upper_bound,
+    distance,
     min_displacement,
     orbit_cosh_power_sum,
     random_isometry,
@@ -40,7 +42,8 @@ from pbl.counting import (
     _seed_box,
     _stabilizer_distances,
 )
-from pbl.transforms import Isometry
+from pbl.hermitian import HermitianForm
+from pbl.transforms import Isometry, apply
 
 
 def ridge_point(k, y1=0.0):
@@ -204,6 +207,23 @@ class TestElementSources:
             min_displacement(src, z)
         with pytest.raises(DomainError):
             orbit_cosh_power_sum([g], z, 6)
+
+    def test_forms_equal_within_tolerance_share_an_orbit(self):
+        # apply accepts an isometry of a form within HERMITIAN_TOL of the ball
+        # form's, so one list may hold it next to an isometry of ball_form(2)
+        near = HermitianForm(np.diag([1.0, 1.0 + 1e-13, -1.0]).astype(complex))
+        assert near == ball_form(2) and near.entries.tobytes() != ball_form(2).entries.tobytes()
+        z = ModelPoint.ball([0.1, 0.2])
+        g = Isometry(np.diag([-1.0, 1.0, 1.0]), ball_form(2))
+        h = Isometry(np.diag([1j, -1.0, 1.0]), near)
+        d = sorted(min_displacement(OrbitSource.from_elements([e]), z) for e in (g, h))
+        assert d == pytest.approx(sorted(distance(z, apply(e, z)) for e in (g, h)), rel=1e-12)
+        src = OrbitSource.from_elements([g, h])
+        assert min_displacement(src, z) == d[0]
+        assert [counting_function(src, z, z, delta) for delta in d] == [1, 2]
+        assert orbit_cosh_power_sum([g, h], z, 6).log() == pytest.approx(
+            math.log(sum(math.cosh(x / 2) ** -6 for x in d))
+        )
 
     def test_points_of_different_models_rejected(self):
         g = stabilizer_matrix(GAUSSIAN_SPEC.param(1, 0, 0), Model.M3)
@@ -517,3 +537,50 @@ class TestDisplacement:
         # the slice q <= 1, p = 0: cosh^2(d/2) = 1 + 1/q^2
         got = stabilizer_injectivity_radius(spec, q_max=1.0)
         assert got == pytest.approx(2 * math.acosh(math.sqrt(2.0)), rel=1e-15)
+
+
+def _band_of_two():
+    # delta = d(z, gamma z) for gamma = (0, 1) puts both ends of the alpha = 0
+    # column's interval on a lattice point, so the band holds l = -1 and 1;
+    # the disc of that radius is the alpha = 0 column alone (an index box of 1)
+    z = ridge_point(6)
+    delta = float(_stabilizer_distances(np.array([0j]), np.array([1.0]), z, z)[0])
+    return counting_function(OrbitSource.from_lattice(GAUSSIAN_SPEC), z, z, delta)
+
+
+_HEXAGONAL = LatticeSpec(a2=cmath.exp(1j * math.pi / 3))
+
+
+def _head_of_787():
+    # 787 points in 57 columns, whose index box is 81
+    f = lambda r: math.cosh(r / 2) ** -12.0
+    z, src = ridge_point(6), OrbitSource.from_lattice(GAUSSIAN_SPEC)
+    return tail_bound_terms(f, 2, 0.5, 6.0, src, z, z)
+
+
+class TestEnumerationBudget:
+    """Every (alpha, beta) point set is checked against pbl.lattice._MAX_ENUM
+    before it is built, and its NumericalError names the set."""
+
+    @pytest.mark.parametrize(
+        "budget, what, call",
+        [
+            (30, "the lattice ball", lambda: GAUSSIAN_SPEC.points(2.0, 10.0)),
+            (
+                26,
+                "the seed box",
+                lambda: min_displacement(OrbitSource.from_lattice(GAUSSIAN_SPEC), ridge_point(6)),
+            ),
+            (1, "the orbit band", _band_of_two),
+            (100, "the orbit ball", _head_of_787),
+            # the seed box (27 points) and the index box of the 7-column
+            # Eisenstein disc (9) fit, its 4 l per column do not
+            (27, "the slice grid", lambda: stabilizer_injectivity_radius(_HEXAGONAL, 0.1)),
+        ],
+        ids=["points", "min_displacement", "counting_function", "tail_bound_terms", "slice"],
+    )
+    def test_each_point_set_names_itself_past_the_budget(self, monkeypatch, budget, what, call):
+        call()
+        monkeypatch.setattr(pbl.lattice, "_MAX_ENUM", budget)
+        with pytest.raises(NumericalError, match=f"^{what}.* needs ~.* points \\(> {budget}\\)$"):
+            call()
