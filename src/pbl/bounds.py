@@ -307,7 +307,8 @@ def cusp_bound(
     """One-cusp bound: the three cocompact-style terms at n = 2 plus the
     closed-form stabilizer term.  The certified lattice sum times C(k) is
     attached as the sharper computed alternative, together with a flag
-    recording that the closed form dominates it.
+    recording that the closed form dominates the sum's certified upper end,
+    value + tail_majorant.
 
     Assembled in one pass over floats, as `cocompact_bound` is, around
     its kernel `closed_forms._cocompact_logs`: log C(k) once, one
@@ -322,6 +323,8 @@ def cusp_bound(
     cusp = _cusp_term_log(k, log_c, covol)
     sum_res = cusp_lattice_sum(k, spec, rel_tol)
     scaled = log_c + sum_res.value.log_abs
+    tail = sum_res.tail_majorant  # 0.0 where both tails underflow
+    upper = log_c + log_sum_exp((sum_res.value.log_abs, math.log(tail) if tail > 0 else -math.inf))
     total = log_sum_exp((identity, middle, ring, cusp))
     terms = {
         "identity_term": LogReal(identity),
@@ -331,7 +334,7 @@ def cusp_bound(
     }
     extras = {
         "cusp_sum_scaled": LogReal(scaled),
-        "cusp_dominates_sum": cusp >= scaled,
+        "cusp_dominates_sum": cusp >= upper,
         "covolume": covol,
         "sum_r_alpha": sum_res.r_alpha,
         "sum_r_beta": sum_res.r_beta,

@@ -4,14 +4,15 @@ Subcommands: verify, bound (cocompact|cusp), lattice-sum, gamma-chain,
 count, maxima, fit, each declared once in _COMMANDS with its flags and their
 defaults.  The flag --a-b is the config key a_b, with its default's type (a
 bool makes a switch); a flag beats the --config file, which beats the
-default.  Output is JSON Lines by default (CSV with --format csv), with the
-effective configuration echoed in a header so a report is reproducible from
-its own first line.  Floats are printed with 17 significant digits;
-identical configs produce byte-identical output.
+default, and _resolve converts flag and config text by one rule (an int
+option takes 6, 6.0 or 1e1, not 6.7).  Output is JSON Lines by default (CSV
+with --format csv), with the effective configuration echoed in a header so a
+report is reproducible from its own first line.  Floats are printed with 17
+significant digits; identical configs produce byte-identical output.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage/precondition,
-3 internal numerical failure.  PBL_LOG={error,info,debug} controls
-diagnostics on standard error.
+Exit codes: 0 pass, 1 verification failure, 2 usage/precondition (one
+stderr line naming the flag, or --config and the key), 3 internal numerical
+failure.  PBL_LOG={error,info,debug} controls diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -132,35 +133,40 @@ def _read_config_file(path: str) -> dict:
     return cfg
 
 
+def _value(name: str, raw: str, default):
+    """The option text raw as a value of its default's type: a switch word
+    for a bool, a number for a float, an integral number for an int, text
+    as it is.  name ("--k" for a flag, "--config: k" for a config line)
+    leads every error."""
+    if isinstance(default, bool):
+        if raw.lower() not in _SWITCH_VALUES:
+            raise PreconditionError(f"{name}: {raw!r} is not one of {', '.join(_SWITCH_VALUES)}")
+        return _SWITCH_VALUES[raw.lower()]
+    if isinstance(default, str):
+        return raw
+    try:
+        return type(default)(raw)  # an int literal stays exact past 2^53
+    except ValueError:
+        val = _number(name, raw)  # a float option that float() refused fails here
+    if not val.is_integer():
+        raise PreconditionError(f"{name}: {raw!r} is not an integer")
+    return int(val)
+
+
 def _resolve(ns, file_cfg: dict, defaults: dict) -> dict:
-    """flags > config file > defaults; returns the effective mapping.  A
-    config key the command does not declare is a precondition error."""
+    """flags > config file > defaults, each flag or config text converted by
+    _value; returns the effective mapping.  A config key the command does
+    not declare is a precondition error."""
     unknown = sorted(file_cfg.keys() - defaults.keys())
     if unknown:
         names = ", ".join(map(repr, unknown))
         raise PreconditionError(f"--config: unknown key{'s' * (len(unknown) > 1)} {names}")
-    out = {}
+    out = dict(defaults)
     for key, default in defaults.items():
-        flag_val = getattr(ns, key, None)
-        if flag_val is not None:
-            out[key] = flag_val
+        if getattr(ns, key, None) is not None:
+            out[key] = _value("--" + key.replace("_", "-"), getattr(ns, key), default)
         elif key in file_cfg:
-            raw = file_cfg[key]
-            if isinstance(default, bool):
-                if raw.lower() not in _SWITCH_VALUES:
-                    raise PreconditionError(
-                        f"--config: {key}={raw!r} is not one of {', '.join(_SWITCH_VALUES)}"
-                    )
-                out[key] = _SWITCH_VALUES[raw.lower()]
-            elif isinstance(default, (int, float)):
-                val = _number(f"--config: {key}", raw)
-                if isinstance(default, int) and not val.is_integer():
-                    raise PreconditionError(f"--config: {key}={raw!r} is not an integer")
-                out[key] = type(default)(val)
-            else:
-                out[key] = raw
-        else:
-            out[key] = default
+            out[key] = _value(f"--config: {key}", file_cfg[key], default)
     return out
 
 
@@ -222,7 +228,6 @@ def _parse_range(flag: str, spec: str, kind: type):
 def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
     import numpy as np
 
-    from .bounds import maxima_locate
     from .geometry import curvature_determinant
     from .hermitian import Model, ModelPoint, ball_form, model2_form, model3_form
     from .lattice import HeisenbergParam, stabilizer_matrix
@@ -233,16 +238,12 @@ def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
     if perturb_gamma3:
         g3 = g3 + np.array([[1e-6, 0, 0], [0, 0, 0], [0, 0, 0]])
 
+    g23 = cayley_gamma23().mat
     yield ("cayley_gamma3_identity", verify_isometry(g3, h_ball, h3), 1e-12)
-    yield (
-        "cayley_gamma23_identity",
-        verify_isometry(cayley_gamma23().mat, h3, h2),
-        1e-12,
-    )
+    yield ("cayley_gamma23_identity", verify_isometry(g23, h3, h2), 1e-12)
     yield ("cayley_gamma2_identity", verify_isometry(cayley_gamma2().mat, h_ball, h2), 1e-12)
 
     rng = np.random.default_rng(seed)
-    g23 = cayley_gamma23().mat
     g23_inv = np.linalg.inv(g23)
     worst = 0.0
     for _ in range(100):
@@ -281,9 +282,9 @@ def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
         yield (f"curvature_determinant_n{n}", worst, curv_tol)
 
     for k in (6, 20):
-        p = maxima_locate(k, tol=1e-5)
+        x1, x2, y2 = ridge_locate(k, 1e-5)  # the path of `maxima`
         x_star = k / (4 * math.pi)
-        err = abs(p.coords[0].real + x_star) / x_star + abs(p.coords[1])
+        err = abs(x1 + x_star) / x_star + abs(complex(x2, y2))
         yield (f"maxima_location_k{k}", err, 1e-6)
 
 
@@ -531,13 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fit":
             p.add_argument("--in", dest="input", default=None)
         for key, default in defaults.items():
-            if isinstance(default, bool):
-                kind = {"action": "store_const", "const": True}
-            else:
-                kind = {} if isinstance(default, str) else {"type": type(default)}
-            flag = f"--{key.replace('_', '-')}"
+            # every flag stores its text, a switch the word "true", for _resolve
+            kind = {"action": "store_const", "const": "true"} if isinstance(default, bool) else {}
             flag_help = _FLAG_HELP.get((group or name, key))
-            p.add_argument(flag, dest=key, default=None, help=flag_help, **kind)
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, help=flag_help, **kind)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("jsonl", "csv"), default=None)
         p.add_argument("--config", default=None)

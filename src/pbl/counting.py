@@ -249,7 +249,9 @@ def _grid(lo: float, hi: float, num: int) -> list[float]:
 
 def _check_decreasing(f: Callable[[float], float], lo: float, hi: float):
     vals = [f(x) for x in _grid(lo, hi, 64)]
-    if not all(v > 0 for v in vals):  # NaN fails too
+    # a positive f may underflow to 0 far out, as cosh^-k(rho/2) does at
+    # k = 100 past rho = 16.3; log_integrand treats that as decay
+    if not (vals[0] > 0 and all(v >= 0 for v in vals)):  # NaN fails too
         raise PreconditionError("f must be positive on (0, inf)")
     if any(b > a * (1 + 1e-12) + 1e-300 for a, b in zip(vals, vals[1:])):
         raise PreconditionError("f is not monotonically decreasing on the sampled grid")

@@ -201,7 +201,7 @@ class LatticeSpec:
     def points(self, r_alpha: float, r_beta: float) -> LatticePoints:
         """Every lattice point with |alpha| <= r_alpha and |beta| <= r_beta,
         lexicographic in (m, n, l), each exactly once; NumericalError past
-        _MAX_ENUM points (see `_enumerate_points`)."""
+        _MAX_ENUM points (see `_enumerate_points`) or an l past int64."""
         if not r_beta >= 0:
             raise PreconditionError("radii must be nonnegative")
         disc = self.disc(r_alpha)
@@ -211,6 +211,8 @@ class LatticeSpec:
         counts = np.maximum(l_hi - l_lo + 1, 0)
         what = f"the lattice ball r_alpha={r_alpha:.3g}, r_beta={r_beta:.3g}"
         col, l, alpha, beta = _enumerate_points(step, disc.alpha, disc.offset, l_lo, counts, what)
+        if np.any((counts > 0) & ((l_lo < -(2.0**63)) | (l_hi >= 2.0**63))):  # int64 would wrap
+            raise NumericalError(f"{what} has an l index past the int64 range")
         return LatticePoints(disc.m[col], disc.n[col], l.astype(np.int64), alpha, beta)
 
 

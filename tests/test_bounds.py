@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import pbl.bounds
 from pbl import (
     ConstantModel,
     DomainError,
@@ -35,7 +36,7 @@ from pbl import (
 from pbl.bounds import CuspSumResult, _beta_lines, _box_sum
 from pbl.closed_forms import _log_gamma_ratio
 from pbl.logreal import log_cosh, log_sinh
-from pbl.counting import tail_bound_terms, OrbitSource
+from pbl.counting import tail_bound_terms, OrbitSource, min_displacement
 
 EISENSTEIN_OFFSET = LatticeSpec(
     a2=complex(0.5, math.sqrt(3) / 2),
@@ -709,6 +710,35 @@ class TestCuspBound:
             assert rep.extras["cusp_dominates_sum"] is True
             assert rep.terms["cusp_term"] >= rep.extras["cusp_sum_scaled"]
 
+    @pytest.mark.parametrize("tail_share, dominates", [(0.5, False), (0.01, True)])
+    def test_domination_flag_reads_the_certified_upper_end(self, monkeypatch, tail_share, dominates):
+        # a lattice sum whose value lies a factor e^-0.1 below the cusp
+        # term: the closed form dominates the value, and it dominates
+        # value + tail only when the tail is at most (e^0.1 - 1) value
+        k, cm = 12, ConstantModel(1.0, 0)
+        cusp = cusp_bound(k, 1.0, cm, GAUSSIAN_SPEC).terms["cusp_term"].log()
+        real = cusp_lattice_sum(k, GAUSSIAN_SPEC, 1e-6)
+        value = LogReal(cusp - 0.1)
+        fake = real._replace(value=value, tail_majorant=tail_share * value.to_float())
+        monkeypatch.setattr(pbl.bounds, "cusp_lattice_sum", lambda *args: fake)
+        rep = cusp_bound(k, 1.0, cm, GAUSSIAN_SPEC)
+        assert rep.extras["cusp_sum_scaled"] == value
+        assert rep.extras["cusp_dominates_sum"] is dominates
+
+    @pytest.mark.parametrize("k", [6, 12, 60])
+    def test_lattice_sum_and_orbit_sum_agree_on_the_ridge(self, k):
+        # on the ridge point z_k the stabilizer lattice sum is the orbit sum
+        # of cosh^-k(d(z, gamma z)/2); the exact orbit head within delta
+        # bounds it from below, tail_bound from above
+        z = ModelPoint.m3(complex(-k / (4 * math.pi), 0.0), 0.0)
+        src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
+        f = lambda rho: math.cosh(rho / 2.0) ** -float(k)
+        terms = tail_bound_terms(f, 2, min_displacement(src, z), 6.0, src, z, z)
+        res = cusp_lattice_sum(k, GAUSSIAN_SPEC, 1e-10)
+        value = res.value.to_float()
+        assert terms.head <= value + res.tail_majorant
+        assert value <= terms.total
+
     def test_bounded_normalized_by_k52(self):
         cm = ConstantModel(1.0, 2)
         vals = [
@@ -774,12 +804,13 @@ def _reference_cusp_bound(k, r_x, cm, spec, sum_res):
         - math.log(covol)
     )
     scaled = cm.log_value(k) * sum_res.value
+    upper = cm.log_value(k) * LogReal.from_log(math.log(sum_res.value.to_float() + sum_res.tail_majorant))
     terms = dict(base_terms)
     terms["cusp_term"] = cusp
     total = log_sum(terms.values())
     extras = {
         "cusp_sum_scaled": scaled,
-        "cusp_dominates_sum": bool(cusp >= scaled),
+        "cusp_dominates_sum": bool(cusp >= upper),
         "covolume": covol,
         "sum_r_alpha": sum_res.r_alpha,
         "sum_r_beta": sum_res.r_beta,

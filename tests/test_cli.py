@@ -850,6 +850,44 @@ class TestConfigFile:
         assert row["sum"] < 1.9435
 
 
+# every number option of every command; bound cocompact runs at k = 30 so
+# that --n up to 10 passes its k >= 2n + 2 check and an error names --n
+_NUMBER_OPTIONS = [
+    (name, key)
+    for name, (_, _, defaults) in cli._COMMANDS.items()
+    for key, default in defaults.items()
+    if type(default) in (int, float)
+]
+_PARITY_ARGS = {"bound cocompact": ["--k", "30"]}
+
+
+def _exit_of(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("name, key", _NUMBER_OPTIONS, ids=[" ".join(o) for o in _NUMBER_OPTIONS])
+def test_flag_and_config_line_convert_alike(name, key, tmp_path, capsys):
+    """`--key V` and a config line `key=V` go through one conversion: the
+    same exit code, on success the same header, on failure one stderr line
+    each that names the flag (or, for the config line, its key)."""
+    flag, cfg = "--" + key.replace("_", "-"), tmp_path / "run.cfg"
+    argv = [*name.split(), *_PARITY_ARGS.get(name, [])]
+    for raw in ("6", "6.0", "1e1", "6.7", "abc", "inf", "nan"):
+        cfg.write_text(f"{key}={raw}\n")
+        by_flag = _exit_of([*argv, flag, raw]), *capsys.readouterr()
+        by_config = _exit_of([*argv, "--config", str(cfg)]), *capsys.readouterr()
+        assert by_flag[0] == by_config[0], (raw, by_flag, by_config)
+        if by_flag[0] == 0:
+            assert by_flag[1].splitlines()[0] == by_config[1].splitlines()[0], raw
+            continue
+        for names, (_, out, err) in (((flag,), by_flag), ((flag, f"--config: {key}"), by_config)):
+            assert out == "" and len(err.splitlines()) == 1, (raw, err)
+            assert any(n in err for n in names), (raw, err)
+
+
 # -- fuzz ----------------------------------------------------------------------
 
 # "9" * 400 is an int beyond the double range; 1e17, 1e150 and 1e154 make

@@ -23,6 +23,7 @@ from pbl import (
     cocompact_bound,
     counting_function,
     counting_upper_bound,
+    cusp_lattice_sum,
     distance,
     min_displacement,
     orbit_cosh_power_sum,
@@ -338,6 +339,28 @@ class TestTailBound:
     def test_nonmonotone_f_rejected(self):
         with pytest.raises(PreconditionError):
             tail_bound(lambda r: 1 + math.sin(3 * r) ** 2, 2, 1.0, 0.75, self.src, self.z, self.z)
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda r: 0.0, lambda r: math.exp(-r * r) if r < 4 else math.nan],
+        ids=["zero", "nan-far-out"],
+    )
+    def test_f_zero_at_the_start_or_nan_rejected(self, f):
+        with pytest.raises(PreconditionError, match="f must be positive"):
+            tail_bound(f, 2, 1.0, 0.75, self.src, self.z, self.z)
+
+    @pytest.mark.parametrize("k", [100, 200])
+    def test_paper_weight_underflowing_on_the_sampled_grid(self, k):
+        # cosh^-k(rho/2) is 0.0 in doubles past rho = 16.3 at k = 100 and
+        # past 8.9 at k = 200, inside the monotonicity grid up to 2 delta + 5
+        z = ridge_point(k)
+        f = lambda rho: math.cosh(rho / 2.0) ** -float(k)
+        assert f(2 * 6.0 + 5.0) == 0.0
+        terms = tail_bound_terms(f, 2, 0.5, 6.0, self.src, z, z)
+        # on the ridge the orbit sum is the stabilizer lattice sum
+        res = cusp_lattice_sum(k, GAUSSIAN_SPEC, 1e-12)
+        assert terms.head == pytest.approx(res.value.to_float(), rel=1e-12)
+        assert 0 < terms.middle + terms.integral < 1e-80
 
 
 _RIDGE_6 = ridge_point(6)

@@ -11,6 +11,7 @@ from pbl import (
     HeisenbergParam,
     LatticeSpec,
     Model,
+    NumericalError,
     cayley_gamma23,
     enumerate_indices,
     lattice_covolume,
@@ -176,6 +177,19 @@ class TestEnumeration:
                 spec.disc(3.0)
             with pytest.raises(DomainError, match="offsets"):
                 spec.points(3.0, 1.0)
+
+    @pytest.mark.parametrize("offset", [1e300, -1e300, -(2.0**63)])
+    def test_l_past_int64_raises_instead_of_wrapping(self, offset):
+        # the one column's l is about -offset; under the suite's
+        # error::RuntimeWarning filter an int64 cast of it would raise too
+        spec = LatticeSpec(beta_offset_rule=lambda m, n: offset)
+        with pytest.raises(NumericalError, match="int64"):
+            spec.points(0.0, 1.0)
+
+    @pytest.mark.parametrize("offset", [1e17, 2.0**63])
+    def test_large_offset_inside_int64_keeps_its_exact_l(self, offset):
+        pts = LatticeSpec(beta_offset_rule=lambda m, n: offset).points(0.0, 1.0)
+        assert pts.l.tolist() == [-int(offset)] and pts.beta.tolist() == [0.0]
 
     @given(
         st.floats(min_value=0.0, max_value=8.0),
