@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
+import threading
+from collections import OrderedDict, namedtuple
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -73,7 +74,8 @@ def _fold(beta: np.ndarray, split: int):
     negative, each distinct value once, and how many times each occurs
     (1 or 2); values merge only when they are equal floats.  The row is an
     arithmetic progression, so its negative half, reversed, can only match
-    the top of its nonnegative half (or the other way round)."""
+    the top of its nonnegative half (or the other way round).  Ascending
+    where every negative beta merges; otherwise the unmerged ones follow."""
     pos, neg = beta[split:], -beta[split - 1 :: -1] if split else beta[:0]
     if pos.size < neg.size:
         pos, neg = neg, pos
@@ -86,6 +88,88 @@ def _fold(beta: np.ndarray, split: int):
         return pos, mult
     rest = neg[~hit]
     return np.concatenate((pos, rest)), np.concatenate((mult, np.ones(rest.size)))
+
+
+# a folded beta row: every |beta| = |offset + l step| <= radius once,
+# ascending, with its multiplicity, its square, and the running point count
+# (count[i] = mult[:i].sum(), one entry longer)
+BetaRow = namedtuple("BetaRow", "radius beta_abs mult beta_sq count")
+
+
+def _row_length(radius: float, offset: float, step: float) -> float:
+    """The unfolded length of a beta row of the given radius and |offset|,
+    as the budget of `_box_sum` charges it."""
+    return 2 * ((radius + abs(offset)) / step) + 3
+
+
+def _build_row(step: float, offset: float, radius: float) -> BetaRow:
+    """The folded row of every beta = offset + l step with |beta| <= radius,
+    sorted by |beta|; stably, so that a row whose negative betas all merge
+    keeps `_fold`'s order."""
+    l_max = int(math.floor((radius + abs(offset)) / step)) + 1
+    beta = offset + np.arange(-l_max, l_max + 1) * step
+    # the row's window runs from its first beta >= -radius to its first
+    # beta > radius, and its first beta >= 0 splits it
+    start, split, stop = np.searchsorted(
+        beta, (-radius, 0.0, math.nextafter(radius, math.inf))
+    ).tolist()
+    beta_abs, mult = _fold(beta[start:stop], split - start)
+    if not (beta_abs[1:] >= beta_abs[:-1]).all():
+        order = np.argsort(beta_abs, kind="stable")
+        beta_abs, mult = beta_abs[order], mult[order]
+    with np.errstate(over="ignore"):
+        beta_sq = beta_abs * beta_abs
+    count = np.concatenate(([0], np.cumsum(mult, dtype=np.int64)))
+    for a in (beta_abs, mult, beta_sq, count):
+        a.setflags(write=False)
+    return BetaRow(radius, beta_abs, mult, beta_sq, count)
+
+
+class _BetaRows:
+    """The folded beta rows by (beta_step, class offset), least recently
+    used first.  A row depends on neither k nor the alpha disc, so every
+    weight of a sweep, and every equal class of any lattice, shares it.
+    They hold at most _MAX_ENUM |beta| values in all; a lock keeps that
+    count and the order whole when threads share the table."""
+
+    def __init__(self):
+        self.rows: OrderedDict[tuple[float, float], BetaRow] = OrderedDict()
+        self.values = 0
+        self._lock = threading.Lock()
+
+    def clear(self):
+        with self._lock:
+            self.rows.clear()
+            self.values = 0
+
+    def prefix(self, step: float, offset: float, r_beta: float):
+        """(beta_sq, mult, points) of the |beta| <= r_beta of a class: read-only
+        prefixes of its row, and the number of betas they stand for.  A row
+        too short is rebuilt at twice its radius, or at r_beta where that is
+        larger or twice would pass the budget; the least recently used rows
+        go to make room."""
+        key = (step, offset)
+        with self._lock:
+            row = self.rows.get(key)
+            if row is None or row.radius < r_beta:
+                radius = r_beta
+                if row is not None:
+                    self.values -= self.rows.pop(key).beta_abs.size
+                    twice = 2.0 * row.radius
+                    if twice > r_beta and _row_length(twice, offset, step) <= _MAX_ENUM:
+                        radius = twice
+                row = _build_row(step, offset, radius)
+                self.values += row.beta_abs.size
+                while self.values > _MAX_ENUM:
+                    self.values -= self.rows.popitem(last=False)[1].beta_abs.size
+                self.rows[key] = row
+            else:
+                self.rows.move_to_end(key)
+        n = int(row.beta_abs.searchsorted(r_beta, "right"))
+        return row.beta_sq[:n], row.mult[:n], int(row.count[n])
+
+
+_beta_rows = _BetaRows()
 
 
 @functools.lru_cache(maxsize=64)
@@ -121,43 +205,34 @@ def _box_sum(spec: LatticeSpec, lines: BetaLines, k: int, r_beta: float):
     (`_beta_lines`), and the number of lattice points they cover.
 
     A term depends only on a line's h and on |beta|, so each offset class
-    of lines builds its beta row once, folds it to its distinct |beta| and
-    their counts (2 where beta and -beta are both on the row), evaluates
-    one block of its lines times those |beta|, and reduces the block by row
-    sums weighted by the counts, then by the column weights.  A symmetric
-    class (offset = -offset mod step) evaluates about half its row; an
-    asymmetric one all of it.  Each term is (1 + x)^{-k/2} with
-    x = (a^2 + beta^2)/a0^2 - 1 = (h (2 a0 + h) + beta^2)/a0^2, formed
-    without the cancellation of k log a0 - (k/2) log(a^2 + beta^2), whose
-    rounding grows like k eps; where x overflows to inf its term is exactly
-    0, without a warning.  The count is each class's column weight times
-    its row length.  The work budget is checked, before any block is built,
-    against every line at the full unfolded row length.
+    of lines takes its distinct |beta| <= r_beta and their counts (2 where
+    beta and -beta are both on the row) as a prefix of its cached folded
+    row (`_BetaRows`), evaluates one block of its lines times those |beta|,
+    and reduces the block by row sums weighted by the counts, then by the
+    column weights.  A symmetric class (offset = -offset mod step) evaluates
+    about half its row; an asymmetric one all of it.  Each term is
+    (1 + x)^{-k/2} with x = (a^2 + beta^2)/a0^2 - 1 = (h (2 a0 + h) + beta^2)/a0^2,
+    formed without the cancellation of k log a0 - (k/2) log(a^2 + beta^2),
+    whose rounding grows like k eps; where x overflows to inf its term is
+    exactly 0, without a warning.  The count is each class's column weight
+    times its row length.  The work budget is checked, before any row is
+    built or grown, against every line at the full unfolded row length.
     """
     a0 = k / (2 * math.pi)
     offs, h, weight = lines.offset, lines.h, lines.weight
     step = spec.beta_step
-    half_line = (r_beta + lines.off_max) / step
-    line_len = 2 * half_line + 3
+    line_len = _row_length(r_beta, lines.off_max, step)
     # the checks raise only past their budgets: format their messages there
     if not (line_len <= _MAX_ENUM and h.size * line_len <= _MAX_TERMS):
         _check_budget(line_len, f"the beta line of radius {r_beta:.3g}")
         _check_terms(h.size * line_len, f"the lattice sum box ({h.size} beta lines)")
-    l_max = int(math.floor(half_line)) + 1
-    l_step = np.arange(-l_max, l_max + 1) * step
-    # a row's window |beta| <= r_beta runs from its first beta >= -r_beta
-    # to its first beta > r_beta, and its first beta >= 0 splits it
-    window = np.array((-r_beta, 0.0, math.nextafter(r_beta, math.inf)))
     total = 0.0
     count = 0
     with np.errstate(over="ignore"):
         h_part = h * (2.0 * a0 + h)
         for lo, hi, columns in lines.classes:
-            beta = offs[lo] + l_step
-            start, split, stop = np.searchsorted(beta, window).tolist()
-            count += columns * (stop - start)
-            beta_abs, mult = _fold(beta[start:stop], split - start)
-            beta_sq = beta_abs * beta_abs
+            beta_sq, mult, points = _beta_rows.prefix(step, float(offs[lo]), r_beta)
+            count += columns * points
             chunk = max(1, 2_000_000 // max(beta_sq.size, 1))
             for i in range(lo, hi, chunk):
                 j = min(i + chunk, hi)
@@ -259,7 +334,8 @@ def cusp_lattice_sum(
     them from `LatticeSpec.disc` and caches them by (spec, radius) value, so
     a repeated call on one spec, or on an equal one, does not rebuild its
     discs; the weights of a sweep each solve a radius of their own, and
-    share none.
+    share no disc.  They do share the folded beta rows of `_BetaRows`,
+    which depend only on the step and the offsets.
     """
     _check_exact_int(k, "k", at_least=6)
     _check_rel_tol(rel_tol)

@@ -5,9 +5,10 @@ count, maxima, fit, each declared once in _COMMANDS with its flags and their
 defaults.  The flag --a-b is the config key a_b, with its default's type (a
 bool makes a switch); a flag beats the --config file, which beats the
 default, and _resolve converts flag and config text by one rule (an int
-option takes 6, 6.0 or 1e1, not 6.7).  Output is JSON Lines by default (CSV
-with --format csv), with the effective configuration echoed in a header so a
-report is reproducible from its own first line.  Floats are printed with 17
+option, or an end of a weight range, takes 6, 6.0 or 1e1, not 6.7).  Output
+is JSON Lines by default (CSV with --format csv), with the effective
+configuration echoed in a header so a report is reproducible from its own
+first line.  Floats are printed with 17
 significant digits; identical configs produce byte-identical output.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/precondition (one
@@ -136,8 +137,11 @@ def _read_config_file(path: str) -> dict:
 def _value(name: str, raw: str, default):
     """The option text raw as a value of its default's type: a switch word
     for a bool, a number for a float, an integral number for an int, text
-    as it is.  name ("--k" for a flag, "--config: k" for a config line)
-    leads every error."""
+    parsed by its default's parser for a `_Parsed`, other text as it is.
+    name ("--k" for a flag, "--config: k" for a config line) leads every
+    error."""
+    if isinstance(default, _Parsed):
+        return _Parsed(raw, default.parse, name)
     if isinstance(default, bool):
         if raw.lower() not in _SWITCH_VALUES:
             raise PreconditionError(f"{name}: {raw!r} is not one of {', '.join(_SWITCH_VALUES)}")
@@ -202,15 +206,13 @@ def _number(flag: str, raw) -> float:
 def _parse_range(flag: str, spec: str, kind: type):
     """Weights (kind int) '6' -> [6]; '6..60' -> 6,...,60; '50..400:25' ->
     50,75,...,400.  Distances (kind float) '0..4:0.5' -> 0.0, 0.5, ..., 4.0;
-    no value passes hi ('0..1:0.6' -> 0.0, 0.6)."""
+    no value passes hi ('0..1:0.6' -> 0.0, 0.6).  Each end and the step
+    convert by `_value`'s rule for kind, so '6.0..1e1' is 6..10."""
     body, _, step_s = spec.partition(":")
     lo_s, dots, hi_s = body.partition("..")
-    try:
-        lo = kind(lo_s)
-        hi = kind(hi_s) if dots else lo
-        step = kind(step_s) if step_s else kind(1)
-    except ValueError:
-        raise PreconditionError(f"{flag}: malformed range {spec!r}") from None
+    lo = _value(flag, lo_s, kind())
+    hi = _value(flag, hi_s, kind()) if dots else lo
+    step = _value(flag, step_s, kind()) if step_s else kind(1)
     if not (step > 0 and lo <= hi and hi - lo < _MAX_SWEEP * step):
         raise PreconditionError(f"{flag}: malformed range {spec!r} (at most {_MAX_SWEEP} values)")
     if kind is int:
@@ -220,6 +222,26 @@ def _parse_range(flag: str, spec: str, kind: type):
         # (0..0.3:0.1), and min() keeps that end from passing hi
         count = math.floor((hi - lo) / step * (1 + 1e-12))
     return [min(lo + i * step, hi) for i in range(count + 1)]
+
+
+def _radius_or_auto(flag: str, text: str):
+    """None for 'auto', else the radius as a number."""
+    return None if text.strip() == "auto" else _number(flag, text)
+
+
+class _Parsed(str):
+    """Option text, which the report header echoes as it is, and .parsed,
+    what parse(name, text) makes of it: a range's values, or a radius.  As
+    a default it gives `_value` the parser for the flag or config text."""
+
+    def __new__(cls, text: str, parse, name: str = ""):
+        self = super().__new__(cls, text)
+        self.parse, self.parsed = parse, parse(name, text)
+        return self
+
+
+def _range(text: str, kind: type) -> _Parsed:
+    return _Parsed(text, functools.partial(_parse_range, kind=kind))
 
 
 # -- verify ------------------------------------------------------------------
@@ -307,7 +329,7 @@ def _bound_sweep(which, rows_of, ns, cfg):
     """`bound <which>`: the shared checks in flag order, then rows_of's rows and the fit."""
     cfg["which"] = which
     n = cfg.get("n", 2)  # the one-cusp bound is the n = 2 bound
-    ks = _parse_range("--k", cfg["k"], int)
+    ks = cfg["k"].parsed
     _check_exact_int(ks[-1], "--k")
     _check_exact_int(n, "--n", at_least=2)
     _check_exact_int(min(ks), "--k", at_least=2 * n + 2)
@@ -364,7 +386,7 @@ def cmd_lattice_sum(ns, cfg):
 
 
 def cmd_gamma_chain(ns, cfg):
-    ks = _parse_range("--k", cfg["k"], int)
+    ks = cfg["k"].parsed
     _check_exact_int(ks[-1], "--k")
     _check_exact_int(min(ks), "--k", at_least=6)
     return 0, [
@@ -390,12 +412,12 @@ def cmd_count(ns, cfg):
     spec = _lattice_spec(cfg)
     z = ModelPoint.m3(complex(-cfg["k"] / (4 * math.pi), 0.0), 0.0)
     src = OrbitSource.from_lattice(spec)
-    if str(cfg["rx"]).strip() == "auto":
+    rx = cfg["rx"].parsed
+    if rx is None:
         rx = min_displacement(src, z)
     else:
-        rx = _number("--rx", cfg["rx"])
         _check_positive(rx, "--rx")
-    deltas = _parse_range("--delta", str(cfg["delta"]), float)
+    deltas = cfg["delta"].parsed
     if deltas[0] < 0:
         raise PreconditionError(f"--delta: need delta >= 0, got {deltas[0]}")
     cfg["rx_effective"] = rx
@@ -477,7 +499,7 @@ def cmd_fit(ns, cfg):
 # are also the report header's key order.  A handler takes the parsed flags
 # and the effective configuration, and returns its exit code and report rows.
 _GROUPS = {"bound": "bound sweeps over the weight"}  # the help of "bound <command>"
-_SWEEP_DEFAULTS = {"k": "6", "rx": 1.0, "c_gamma": 1.0, "c_exponent": 0}
+_SWEEP_DEFAULTS = {"k": _range("6", int), "rx": 1.0, "c_gamma": 1.0, "c_exponent": 0}
 _COMMANDS = {
     "verify": (
         cmd_verify,
@@ -499,11 +521,18 @@ _COMMANDS = {
         "certified stabilizer lattice sum",
         {"k": 6, "tol": 1e-8, **_LATTICE_DEFAULTS},
     ),
-    "gamma-chain": (cmd_gamma_chain, "closed form vs quadrature integrals", {"k": "6"}),
+    "gamma-chain": (
+        cmd_gamma_chain, "closed form vs quadrature integrals", {"k": _range("6", int)}
+    ),
     "count": (
         cmd_count,
         "orbit counts vs the closed-form bound",
-        {"k": 6, "delta": "0..4:0.5", "rx": "auto", **_LATTICE_DEFAULTS},
+        {
+            "k": 6,
+            "delta": _range("0..4:0.5", float),
+            "rx": _Parsed("auto", _radius_or_auto),
+            **_LATTICE_DEFAULTS,
+        },
     ),
     "maxima": (cmd_maxima, "locate the cusp-objective ridge", {"k": 6, "tol": 1e-6}),
     "fit": (cmd_fit, "fit a growth exponent to a report", {"x": "k", "y": "log_total"}),

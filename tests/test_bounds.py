@@ -4,6 +4,8 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
+import threading
 import time
 
 import numpy as np
@@ -33,7 +35,7 @@ from pbl import (
     scaling_fit,
     stabilizer_matrix,
 )
-from pbl.bounds import CuspSumResult, _beta_lines, _box_sum
+from pbl.bounds import _MAX_TERMS, CuspSumResult, _beta_lines, _beta_rows, _box_sum, _fold
 from pbl.closed_forms import _log_gamma_ratio
 from pbl.logreal import log_cosh, log_sinh
 from pbl.counting import tail_bound_terms, OrbitSource, min_displacement
@@ -526,9 +528,11 @@ class TestLineTable:
         fresh = {}
         for k, tol in _TABLE_RUNS:
             _beta_lines.cache_clear()
+            _beta_rows.clear()
             fresh[k, tol] = _result_fields(cusp_lattice_sum(k, spec, tol))
         for runs in (_TABLE_RUNS, _TABLE_RUNS[::-1], _SHUFFLED_RUNS):
             _beta_lines.cache_clear()
+            _beta_rows.clear()
             # an equal spec, which shares the cached lines
             reused = dataclasses.replace(spec)
             for k, tol in runs:
@@ -637,6 +641,197 @@ class TestLineTable:
         with pytest.raises(NumericalError) as got:
             cusp_lattice_sum(6, thin)
         assert str(got.value) == str(want.value)
+
+
+# (spec, k, rel_tol, value log, tail_majorant, r_alpha, r_beta as float.hex,
+# n_terms) of cusp_lattice_sum, recorded while each call still built and
+# folded its own beta rows: every sum on these symmetric classes must keep
+# these bits
+_PINNED_SUMS = [
+    ("gaussian", 6, 1e-06, "0x1.5436abd485e8fp-1", "0x1.0b9593aa6d322p-20", "0x1.4f724cad654b3p+3", "0x1.7a40000000000p+5", 33155),
+    ("gaussian", 6, 1e-08, "0x1.5436b23c14b76p-1", "0x1.55c6e1dd15b02p-27", "0x1.19084ee54c8eap+4", "0x1.1f80000000000p+7", 279251),
+    ("gaussian", 6, 1e-12, "0x1.5436b253351a1p-1", "0x1.18a78013781e1p-40", "0x1.a3183f3a581edp+5", "0x1.5c80000000000p+10", 24043969),
+    ("gaussian", 8, 1e-06, "0x1.48d3115d74423p-1", "0x1.0aecffc2d528ep-20", "0x1.b801bbdd94d3ap+2", "0x1.2d40000000000p+4", 5365),
+    ("gaussian", 8, 1e-08, "0x1.48d3148f36c29p-1", "0x1.5694e769a3ae7p-27", "0x1.315bd56ef1374p+3", "0x1.3880000000000p+5", 23147),
+    ("gaussian", 8, 1e-12, "0x1.48d31499762efp-1", "0x1.191c84f637cb7p-40", "0x1.30ee94322438cp+4", "0x1.5a80000000000p+7", 394539),
+    ("gaussian", 60, 1e-06, "0x1.547d95fa683bcp+0", "0x1.19e88fef02603p-19", "0x1.eba5919a791a3p+1", "0x1.2c80000000000p+3", 855),
+    ("gaussian", 60, 1e-08, "0x1.547d95fb7d5b0p+0", "0x1.67c431734ca81p-26", "0x1.0eca313214b36p+2", "0x1.5dc0000000000p+3", 1197),
+    ("gaussian", 60, 1e-12, "0x1.547d95fb8b79bp+0", "0x1.257b8b25fb79bp-39", "0x1.3d185776f68d0p+2", "0x1.c000000000000p+3", 2001),
+    ("gaussian", 1000, 1e-06, "0x1.59f6ced0a896bp+1", "0x1.7d4dce94a59ecp-17", "0x1.cea03d7405826p+1", "0x1.e1c0000000000p+4", 2745),
+    ("gaussian", 1000, 1e-08, "0x1.59f6ced49d83ap+1", "0x1.e7041214c8db3p-24", "0x1.f6be31c74af25p+1", "0x1.0f80000000000p+5", 3015),
+    ("gaussian", 1000, 1e-12, "0x1.59f6ced4b6623p+1", "0x1.8afea309a2551p-37", "0x1.1df0bd2081fd0p+2", "0x1.4640000000000p+5", 4941),
+    ("gaussian", 20000, 1e-06, "0x1.0cb7b7a368227p+2", "0x1.c57532db5f73ep-15", "0x1.cba374ca6a8d2p+1", "0x1.0240000000000p+7", 9583),
+    ("gaussian", 20000, 1e-08, "0x1.0cb7b7acd5a4bp+2", "0x1.1e7398f5d4bdcp-21", "0x1.f3c1691daffd0p+1", "0x1.2500000000000p+7", 13185),
+    ("gaussian", 20000, 1e-12, "0x1.0cb7b7aceaed2p+2", "0x1.dc2146de1d204p-35", "0x1.1bce76f08104cp+2", "0x1.6000000000000p+7", 21533),
+    ("eisenstein", 6, 1e-06, "0x1.67fc8bd52987dp+0", "0x1.4e6a5ef7f5945p-20", "0x1.7101ab87d1a9cp+3", "0x1.b480000000000p+5", 103907),
+    ("eisenstein", 6, 1e-08, "0x1.67fc8dccd2b9fp+0", "0x1.ac6d37cae2ba8p-27", "0x1.32ba59577d91cp+4", "0x1.4f80000000000p+7", 902831),
+    ("eisenstein", 6, 1e-12, "0x1.67fc8dd3661b3p+0", "0x1.5f43b4187c7fcp-40", "0x1.c624d8c5178f1p+5", "0x1.96c0000000000p+10", 76158881),
+    ("eisenstein", 8, 1e-06, "0x1.66fb154c91202p+0", "0x1.90f51bd85d5a3p-20", "0x1.d90995a89b7f5p+2", "0x1.3f00000000000p+4", 15769),
+    ("eisenstein", 8, 1e-08, "0x1.66fb16600136ep+0", "0x1.00973dfe5fa1fp-26", "0x1.4527a94530d18p+3", "0x1.4d40000000000p+5", 63197),
+    ("eisenstein", 8, 1e-12, "0x1.66fb1663c35afp+0", "0x1.a550aa61142d1p-40", "0x1.407d67ab09eb8p+4", "0x1.7500000000000p+7", 1089509),
+    ("eisenstein", 60, 1e-06, "0x1.0c00c9c41b4e5p+1", "0x1.571e8d5d90114p-18", "0x1.093577e1f02c8p+2", "0x1.1d80000000000p+3", 2149),
+    ("eisenstein", 60, 1e-08, "0x1.0c00c9cb0d641p+1", "0x1.b81fb8fd1a3cbp-25", "0x1.222abd410d149p+2", "0x1.4e40000000000p+3", 3011),
+    ("eisenstein", 60, 1e-12, "0x1.0c00c9cb201bdp+1", "0x1.6c191ddf0bdf7p-38", "0x1.509596cba9b82p+2", "0x1.b140000000000p+3", 5309),
+    ("eisenstein", 1000, 1e-06, "0x1.bb1160c9b9796p+1", "0x1.9301aa1c56b0ap-16", "0x1.f7d3ad086906ep+1", "0x1.dc00000000000p+4", 6559),
+    ("eisenstein", 1000, 1e-08, "0x1.bb1160d3bc41ep+1", "0x1.030e4329d6c7cp-22", "0x1.0ff923ce422d2p+2", "0x1.0d00000000000p+5", 8221),
+    ("eisenstein", 1000, 1e-12, "0x1.bb1160d3cfdc0p+1", "0x1.a0137fd25298cp-36", "0x1.327ea2dc95398p+2", "0x1.43c0000000000p+5", 13707),
+    ("eisenstein", 20000, 1e-06, "0x1.3d3fc8dbbe975p+2", "0x1.c7077b60be8e0p-14", "0x1.f5f5f93126448p+1", "0x1.0440000000000p+7", 28641),
+    ("eisenstein", 20000, 1e-08, "0x1.3d3fc8e38a26fp+2", "0x1.243d868b5985ep-20", "0x1.0ece9367b873bp+2", "0x1.2600000000000p+7", 35915),
+    ("eisenstein", 20000, 1e-12, "0x1.3d3fc8e39b57ap+2", "0x1.dd7476dda33cap-34", "0x1.30a0ef0552772p+2", "0x1.6100000000000p+7", 60073),
+]
+_PINNED_SPECS = {"gaussian": GAUSSIAN_SPEC, "eisenstein": EISENSTEIN_OFFSET}
+
+
+def _hex_fields(res):
+    return (
+        res.value.log_abs.hex(), res.tail_majorant.hex(), res.r_alpha.hex(), res.r_beta.hex(),
+        res.n_terms,
+    )
+
+
+class TestBetaRows:
+    """`bounds._beta_rows` keeps one folded beta row per (beta_step, class
+    offset), grown on demand, which every lattice sum slices."""
+
+    @pytest.fixture(autouse=True)
+    def empty_tables(self):
+        _beta_lines.cache_clear()
+        _beta_rows.clear()
+        yield
+        _beta_rows.clear()
+
+    @staticmethod
+    def table_state():
+        rows = dict(_beta_rows.rows)
+        assert _beta_rows.values == sum(row.beta_abs.size for row in rows.values())
+        return rows, _beta_rows.values
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_sweeps_keep_the_pinned_bits(self, order):
+        runs = sorted(_PINNED_SUMS, key=lambda run: (run[1], run[0], run[2]))
+        if order == "descending":
+            runs = runs[::-1]
+        elif order == "shuffled":
+            runs = random.Random(1).sample(runs, len(runs))
+        for name, k, tol, *want in runs:
+            got = _hex_fields(cusp_lattice_sum(k, _PINNED_SPECS[name], tol))
+            assert got == tuple(want), (name, k, tol)
+
+    @pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, EISENSTEIN_OFFSET], ids=["gaussian", "eisenstein"])
+    @pytest.mark.parametrize("r_beta", [4.0, 9.75, 37.5, 300.0])
+    def test_symmetric_prefix_is_the_folded_window(self, spec, r_beta):
+        # a prefix of a row grown far past r_beta is bit for bit what
+        # folding the window |beta| <= r_beta alone gives
+        step = spec.beta_step
+        for offset in sorted(set(_beta_lines(spec, 3.0).offset.tolist())):
+            _beta_rows.prefix(step, offset, 4 * r_beta)
+            beta_sq, mult, points = _beta_rows.prefix(step, offset, r_beta)
+            beta = offset + np.arange(-1000, 1001) * step
+            window = beta[np.abs(beta) <= r_beta]
+            beta_abs, want_mult = _fold(window, int(np.count_nonzero(window < 0)))
+            assert (beta_abs * beta_abs).tolist() == beta_sq.tolist()
+            assert want_mult.tolist() == mult.tolist()
+            assert points == window.size
+
+    def test_rows_grow_by_doubling(self):
+        _beta_rows.prefix(1.0, 0.0, 10.0)
+        _beta_rows.prefix(1.0, 0.0, 11.0)
+        assert _beta_rows.rows[1.0, 0.0].radius == 20.0
+        # past twice the radius, straight to the radius asked for
+        _beta_rows.prefix(1.0, 0.0, 100.0)
+        assert _beta_rows.rows[1.0, 0.0].radius == 100.0
+        # a shorter window is a prefix of the row, not a new row
+        row = _beta_rows.rows[1.0, 0.0]
+        beta_sq, mult, points = _beta_rows.prefix(1.0, 0.0, 2.5)
+        assert _beta_rows.rows[1.0, 0.0] is row
+        assert (beta_sq.tolist(), mult.tolist(), points) == ([0.0, 1.0, 4.0], [1.0, 2.0, 2.0], 5)
+        with pytest.raises(ValueError):
+            beta_sq[0] = 1.0
+
+    def test_budgets_raise_before_the_table_grows(self):
+        lines = _beta_lines(GAUSSIAN_SPEC, 5.0)
+        _box_sum(GAUSSIAN_SPEC, lines, 6, 50.0)
+        before = self.table_state()
+        # one beta line past _MAX_ENUM, and a box past _MAX_TERMS
+        long_line = (pbl.bounds._MAX_ENUM - 1) / 2.0
+        with pytest.raises(NumericalError, match=r"^the beta line of radius 2\.5e\+06 needs"):
+            _box_sum(GAUSSIAN_SPEC, lines, 6, long_line)
+        wide = _MAX_TERMS / (2.0 * lines.h.size)
+        with pytest.raises(NumericalError, match=rf"^the lattice sum box \({lines.h.size} beta lines\) needs"):
+            _box_sum(GAUSSIAN_SPEC, lines, 6, wide)
+        for spec in (GAUSSIAN_SPEC, EISENSTEIN_OFFSET):
+            with pytest.raises(NumericalError, match="terms"):
+                cusp_lattice_sum(6, spec, float(np.finfo(float).eps))
+        rows, values = self.table_state()
+        assert values == before[1]
+        assert rows.keys() == before[0].keys()
+        assert all(rows[key] is row for key, row in before[0].items())
+
+    def test_table_keeps_to_its_budget(self, monkeypatch):
+        runs = [(GAUSSIAN_SPEC, 6, 1e-12), (EISENSTEIN_OFFSET, 6, 1e-12)]
+        want = [_hex_fields(cusp_lattice_sum(k, spec, tol)) for spec, k, tol in runs]
+        rows, values = self.table_state()
+        assert values <= pbl.bounds._MAX_ENUM
+        assert len(rows) == 3  # the Gaussian's offset 0, the Eisenstein's 0 and 1/4
+        # a budget one value short of those rows: the least recently used,
+        # the Gaussian's, goes, and every sum keeps its bits
+        budget = values - 1
+        monkeypatch.setattr(pbl.bounds, "_MAX_ENUM", budget)
+        _beta_rows.clear()
+        assert [_hex_fields(cusp_lattice_sum(k, spec, tol)) for spec, k, tol in runs] == want
+        rows, values = self.table_state()
+        assert values <= budget
+        assert list(rows) == [(0.5, 0.0), (0.5, 0.25)]
+
+    def test_threads_share_the_table(self, monkeypatch):
+        # more threads than cores, switching often, on a budget that evicts
+        # rows all the time: the value count stays the sum of the rows
+        monkeypatch.setattr(pbl.bounds, "_MAX_ENUM", 400)
+        offsets = [i / 10 for i in range(10)]
+        radii = [5.0, 20.0, 60.0, 120.0]
+
+        def want(offset, r):
+            beta = offset + np.arange(-200, 201)
+            return int(np.count_nonzero(np.abs(beta) <= r))
+
+        wrong = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                offset, r = rng.choice(offsets), rng.choice(radii)
+                beta_sq, mult, points = _beta_rows.prefix(1.0, offset, r)
+                if points != want(offset, r) or mult.sum() != points:
+                    wrong.append((offset, r, points))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        _, values = self.table_state()
+        assert values <= 400
+
+    @pytest.mark.parametrize(
+        "spec", [GAUSSIAN_SPEC, EISENSTEIN_OFFSET, SKEW_SPEC], ids=["gaussian", "eisenstein", "skew"]
+    )
+    def test_grown_rows_keep_the_direct_sum(self, spec):
+        # rows grown by a 1e-12 sum first, then sliced by the 1e-8 boxes of
+        # test_grouped_box_equals_direct_sum, to its tolerances
+        cusp_lattice_sum(6, spec, 1e-12)
+        for k in (6, 60, 1000):
+            res = cusp_lattice_sum(k, spec, 1e-8)
+            got, count = _box_sum(spec, _beta_lines(spec, res.r_alpha), k, res.r_beta)
+            want, want_count = direct_box_sum(spec, k, res.r_alpha, res.r_beta)
+            assert got == pytest.approx(want, rel=1e-13)
+            assert count == want_count == res.n_terms
 
 
 class TestGammaChain:

@@ -873,8 +873,68 @@ def test_flag_and_config_line_convert_alike(name, key, tmp_path, capsys):
     """`--key V` and a config line `key=V` go through one conversion: the
     same exit code, on success the same header, on failure one stderr line
     each that names the flag (or, for the config line, its key)."""
+    assert_flag_and_config_line_alike([*name.split(), *_PARITY_ARGS.get(name, [])], key, tmp_path, capsys)
+
+
+# the range options and count's radius, whose text the header echoes
+_TEXT_OPTIONS = [
+    ("bound cocompact", "k"), ("bound cusp", "k"), ("gamma-chain", "k"), ("count", "delta"), ("count", "rx")
+]
+
+
+@pytest.mark.parametrize("name, key", _TEXT_OPTIONS, ids=[" ".join(o) for o in _TEXT_OPTIONS])
+def test_range_and_radius_text_convert_alike(name, key, tmp_path, capsys):
+    """A range's ends and step, and count's --rx, convert by the number
+    options' rule, from a flag and from a config line alike."""
+    assert_flag_and_config_line_alike(name.split(), key, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (["bound", "cusp", "--k", "6.0"], ["bound", "cusp", "--k", "6"]),
+        (["bound", "cocompact", "--k", "6.0..1e1:2.0"], ["bound", "cocompact", "--k", "6..10:2"]),
+        (["gamma-chain", "--k", "1e1"], ["gamma-chain", "--k", "10"]),
+        (["count", "--delta", "0..1e0:5e-1", "--rx", "1e0"], ["count", "--delta", "0..1:0.5", "--rx", "1"]),
+    ],
+)
+def test_range_ends_take_integral_numbers(capsys, argv, same_as):
+    # the rows agree; the header echoes each text as it was given
+    code, out, err = run(capsys, *argv)
+    want = run(capsys, *same_as)
+    assert (code, err, out.splitlines()[1:]) == (0, "", want[1].splitlines()[1:])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "cusp", "--k", "6.5"], "--k: '6.5' is not an integer"),
+        (["gamma-chain", "--k", "6..abc"], "--k: 'abc' is not a number"),
+        (["count", "--delta", "0..2:x"], "--delta: 'x' is not a number"),
+        (["count", "--rx", "abc"], "--rx: 'abc' is not a number"),
+    ],
+)
+def test_range_and_radius_errors_name_the_flag(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"pbl: precondition violated: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        ("count", "rx=abc", "--config: rx: 'abc' is not a number"),
+        ("count", "delta=0..x", "--config: delta: 'x' is not a number"),
+        ("gamma-chain", "k=6..7.5", "--config: k: '7.5' is not an integer"),
+    ],
+)
+def test_range_and_radius_errors_name_the_config_line(capsys, tmp_path, command, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    got = run(capsys, command, "--config", str(cfg))
+    assert got == (2, "", f"pbl: precondition violated: {message}\n")
+
+
+def assert_flag_and_config_line_alike(argv, key, tmp_path, capsys):
     flag, cfg = "--" + key.replace("_", "-"), tmp_path / "run.cfg"
-    argv = [*name.split(), *_PARITY_ARGS.get(name, [])]
     for raw in ("6", "6.0", "1e1", "6.7", "abc", "inf", "nan"):
         cfg.write_text(f"{key}={raw}\n")
         by_flag = _exit_of([*argv, flag, raw]), *capsys.readouterr()

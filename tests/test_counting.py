@@ -274,6 +274,51 @@ class TestCountingUpperBound:
             assert counting_upper_bound(2, rx, delta) >= counting_function(src, z, z, delta)
 
 
+# the lattices of the counting argument: Gaussian, Eisenstein with offset
+# 1/4 on its odd columns, and offsets 0.1 (m mod 3) that are not symmetric
+_ARGUMENT_SPECS = {
+    "gaussian": GAUSSIAN_SPEC,
+    "eisenstein": LatticeSpec(
+        a2=complex(0.5, math.sqrt(3) / 2),
+        beta_step=0.5,
+        beta_offset_rule=lambda m, n: 0.25 * ((m * n) % 2),
+    ),
+    "skew": LatticeSpec(beta_offset_rule=lambda m, n: 0.1 * (m % 3)),
+}
+
+
+def random_m3_points(seed, count):
+    """Model-3 points (z1, z2) with height q = -2 Re z1 - |z2|^2 log-uniform
+    in [10^-1.5, 10^0.5], so that min_displacement runs from ~0.5 to ~7."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        q = 10.0 ** rng.uniform(-1.5, 0.5)
+        z2 = complex(*rng.normal(size=2))
+        points.append(ModelPoint.m3(complex(-(q + abs(z2) ** 2) / 2, rng.normal()), z2))
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENT_SPECS))
+def test_paper_counting_argument_on_random_orbits(name):
+    """The paper's counting argument on concrete orbits.  With r_x the
+    orbit's minimal displacement, the radius-r_x/2 balls around the orbit
+    points are disjoint, so counting_upper_bound bounds the count within
+    any delta, and the cocompact closed form with C(k) = 1 bounds the whole
+    orbit sum of cosh^-k(d/2), so also its exact head within delta = 6."""
+    spec = _ARGUMENT_SPECS[name]
+    src = OrbitSource.from_lattice(spec)
+    for z in random_m3_points(7, 8):
+        rx = min_displacement(src, z)
+        for k in (6, 8, 20):
+            f = lambda rho, k=k: math.cosh(rho / 2.0) ** -float(k)
+            head = tail_bound_terms(f, 2, rx, 6.0, src, z, z).head
+            closed = cocompact_bound(2, k, rx, ConstantModel(1.0, 0)).total.to_float()
+            assert 1.0 - 1e-9 <= head <= closed, (k, rx, head, closed)
+        for delta in np.linspace(0.0, 6.0, 13).tolist():
+            assert counting_function(src, z, z, delta) <= counting_upper_bound(2, rx, delta)
+
+
 class TestTailBound:
     def setup_method(self):
         self.z = ridge_point(6)
