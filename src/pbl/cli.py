@@ -247,12 +247,53 @@ def _range(text: str, kind: type) -> _Parsed:
 # -- verify ------------------------------------------------------------------
 
 
+def _standard_normals(rng, n: int):
+    """n standard normals as a float array from the stream of rng, a
+    random.Random: Box-Muller on 53-bit uniforms cut from rng.randbytes,
+    so that a large sample costs one call into the stream."""
+    import numpy as np
+
+    m = (n + 1) // 2
+    u = (np.frombuffer(rng.randbytes(16 * m), dtype="<u8") >> np.uint64(11)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-u[:m]))  # 1 - u lies in (0, 1]
+    angle = 2.0 * math.pi * u[m:]
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n]
+
+
+def _verify_draws(seed: int):
+    """The samples of the identity suite, all from random.Random(seed):
+    100 Heisenberg parameters with standard normal parts; 10_000 points
+    (z0, z1) of C^2 with standard normal parts; and for n in (2, 3), five
+    ball points of C^n in random directions with norms uniform in
+    [0.06, 0.6]."""
+    import random
+
+    import numpy as np
+
+    from .lattice import HeisenbergParam
+
+    rng = random.Random(seed)
+
+    def gauss():
+        return rng.gauss(0.0, 1.0)
+
+    def ball_point(n):
+        v = np.array([complex(gauss(), gauss()) for _ in range(n)])
+        return v * (0.6 * rng.uniform(0.1, 1.0) / np.linalg.norm(v))
+
+    params = [HeisenbergParam(complex(gauss(), gauss()), gauss()) for _ in range(100)]
+    s = _standard_normals(rng, 40_000).reshape(10_000, 2, 2)
+    points = (s[:, 0] + 1j * s[:, 1]).T
+    balls = {n: [ball_point(n) for _ in range(5)] for n in (2, 3)}
+    return params, points, balls
+
+
 def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
     import numpy as np
 
     from .geometry import curvature_determinant
     from .hermitian import Model, ModelPoint, ball_form, model2_form, model3_form
-    from .lattice import HeisenbergParam, stabilizer_matrix
+    from .lattice import stabilizer_matrix
     from .transforms import _GAMMA3, cayley_gamma2, cayley_gamma23, verify_isometry
 
     h_ball, h2, h3 = ball_form(2), model2_form(), model3_form()
@@ -265,18 +306,15 @@ def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
     yield ("cayley_gamma23_identity", verify_isometry(g23, h3, h2), 1e-12)
     yield ("cayley_gamma2_identity", verify_isometry(cayley_gamma2().mat, h_ball, h2), 1e-12)
 
-    rng = np.random.default_rng(seed)
+    params, (z0, z1), balls = _verify_draws(seed)
     g23_inv = np.linalg.inv(g23)
     worst = 0.0
-    for _ in range(100):
-        p = HeisenbergParam(complex(rng.normal(), rng.normal()), float(rng.normal()))
+    for p in params:
         m2 = stabilizer_matrix(p, Model.M2).mat
         m3 = stabilizer_matrix(p, Model.M3).mat
         worst = max(worst, float(np.abs(g23 @ m2 @ g23_inv - m3).max()))
     yield ("stabilizer_conjugation", worst, 1e-12)
 
-    s = rng.normal(size=(10_000, 2, 2))
-    z0, z1 = (s[:, 0] + 1j * s[:, 1]).T
     zt = np.stack([z0, z1, np.ones_like(z0)], axis=1)
 
     def negative(h):
@@ -290,12 +328,10 @@ def _verify_checks(curvature_step: float, perturb_gamma3: bool, seed: int):
     yield ("membership_equivalence", float(mismatches), 0.0)
 
     curv_tol = max(1e-4, 10.0 * curvature_step * curvature_step)
-    for n in (2, 3):
+    for n, vs in balls.items():
         target = (4 * math.pi) ** -n
         worst = 0.0
-        for _ in range(5):
-            v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            v *= 0.6 * rng.uniform(0.1, 1.0) / np.linalg.norm(v)
+        for v in vs:
             try:
                 det = curvature_determinant(ModelPoint.ball(v), h=curvature_step)
             except (DomainError, PreconditionError) as exc:  # the step is at fault

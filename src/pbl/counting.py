@@ -78,12 +78,23 @@ def _pairing_offsets(alpha, s0, z2, w2):
 
 def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
     """Distances d(z, gamma w) for the model-3 stabilizer elements with the
-    given (alpha, beta) arrays, vectorized."""
+    given (alpha, beta) arrays, vectorized.
+
+    For z = w, with q = -<z,z> and h = |alpha|^2/2, Re A = -(q + h), so
+    sinh^2(d/2) = (h (2q + h) + (Im A + beta)^2) / q^2 is formed without
+    the cancellation of cosh^2 - 1, which loses digits like eps q^2: a
+    small displacement at a large q keeps its digits, as in
+    stabilizer_injectivity_radius.
+    """
     s0, z2, w2, qzw = _m3_pair(z, w)
     # a |alpha|^2 or cosh^2 past the double range is an infinite distance
     with np.errstate(over="ignore"):
         s = _pairing_offsets(alpha, s0, z2, w2) + 1j * beta
-        return _distance_from_cosh2(np.abs(s) ** 2 / qzw)
+        if z != w:
+            return _distance_from_cosh2(np.abs(s) ** 2 / qzw)
+        q = -model_indicator(z)
+        h = np.abs(alpha) ** 2 / 2.0
+        return 2.0 * np.arcsinh(np.sqrt(h * (2.0 * q + h) + s.imag**2) / q)
 
 
 def _seed_box(spec: LatticeSpec):

@@ -934,6 +934,21 @@ class TestCuspBound:
         assert terms.head <= value + res.tail_majorant
         assert value <= terms.total
 
+    @pytest.mark.parametrize("k, delta", [(12, 9.0), (60, 3.0)])
+    def test_orbit_head_is_the_whole_lattice_sum_on_the_ridge(self, k, delta):
+        # at these delta the exact orbit head misses less of the sum than the
+        # lattice sum's certificate allows (4.6e-12 and 3.5e-14 relative),
+        # so the head lies between the value, a partial sum of the same
+        # terms, and the value plus its certified tail; a head or a sum
+        # without the identity term falls outside
+        z = ModelPoint.m3(complex(-k / (4 * math.pi), 0.0), 0.0)
+        src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
+        f = lambda rho: math.cosh(rho / 2.0) ** -float(k)
+        head = tail_bound_terms(f, 2, min_displacement(src, z), delta, src, z, z).head
+        res = cusp_lattice_sum(k, GAUSSIAN_SPEC, 1e-8)
+        value = res.value.to_float()
+        assert value <= head <= value + res.tail_majorant
+
     def test_bounded_normalized_by_k52(self):
         cm = ConstantModel(1.0, 2)
         vals = [

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -85,7 +86,8 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 # `import pbl` alone with no argv, else one pbl.cli.main call; prints the
-# exit code and whether numpy, dataclasses, inspect and csv got loaded
+# exit code and whether numpy, numpy.random, dataclasses, inspect and csv
+# got loaded
 _LAZY_SCRIPT = """
 import contextlib, io, sys
 if len(sys.argv) == 1:
@@ -98,12 +100,13 @@ else:
             code = main(sys.argv[1:])
         except SystemExit as exc:
             code = exc.code
-print(code, *(m in sys.modules for m in ("numpy", "dataclasses", "inspect", "csv")))
+print(code, *(m in sys.modules for m in ("numpy", "numpy.random", "dataclasses", "inspect", "csv")))
 """
 
 _SWEEP = ["--k", "50..400:25", "--rx", "6", "--c-exponent", "2", "--fit"]
 
 
+# no command loads numpy.random: verify draws from random.Random
 @pytest.mark.parametrize(
     "argv, want_code, loads_numpy, loads_dataclasses, loads_inspect, loads_csv",
     [
@@ -115,8 +118,14 @@ _SWEEP = ["--k", "50..400:25", "--rx", "6", "--c-exponent", "2", "--fit"]
         (["lattice-sum", "--k", "4"], 2, False, False, False, False),
         (["--help"], 0, False, False, False, False),
         (["verify", "--seed", "0"], 0, True, True, True, False),
+        (["lattice-sum", "--k", "6"], 0, True, True, True, False),
+        (["count", "--delta", "0..1:0.5"], 0, True, True, True, False),
+        (["bound", "cusp", "--k", "50..100:25", "--rx", "6"], 0, True, True, True, False),
     ],
-    ids=["import", "bound-cocompact", "gamma-chain", "fit", "maxima", "usage-error", "help", "verify"],
+    ids=[
+        "import", "bound-cocompact", "gamma-chain", "fit", "maxima", "usage-error", "help",
+        "verify", "lattice-sum", "count", "bound-cusp",
+    ],
 )
 def test_numpy_loads_only_for_array_commands(
     tmp_path, argv, want_code, loads_numpy, loads_dataclasses, loads_inspect, loads_csv
@@ -131,7 +140,7 @@ def test_numpy_loads_only_for_array_commands(
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    loads = (loads_numpy, loads_dataclasses, loads_inspect, loads_csv)
+    loads = (loads_numpy, False, loads_dataclasses, loads_inspect, loads_csv)
     assert proc.stdout.split() == [str(want_code), *map(str, loads)]
 
 
@@ -220,6 +229,49 @@ class TestVerify:
         assert code == 1
         bad = [r for r in rows_of(out) if not r["pass"]]
         assert any(r["name"] == "cayley_gamma3_identity" for r in bad)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_seed_passes_and_repeats(self, capsys, seed):
+        code, out, _ = run(capsys, "verify", "--seed", str(seed))
+        assert code == 0
+        assert all(r["pass"] is True for r in rows_of(out))
+        assert run(capsys, "verify", "--seed", str(seed)) == (0, out, "")
+
+    def test_seeds_move_the_curvature_residuals(self, capsys):
+        residuals = {}
+        for seed in range(5):
+            for r in rows_of(run(capsys, "verify", "--seed", str(seed))[1]):
+                if r["name"].startswith("curvature"):
+                    residuals.setdefault(r["name"], set()).add(r["residual"])
+        assert len(residuals) == 2
+        assert all(len(values) == 5 for values in residuals.values())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_keep_their_kind_size_and_range(self, seed):
+        params, (z0, z1), balls = cli._verify_draws(seed)
+        assert len(params) == 100
+        assert z0.shape == z1.shape == (10_000,)
+        # the membership check cannot pass vacuously: each model's boundary
+        # has at least 100 sample points on either side
+        for inside in (
+            np.abs(z0) ** 2 + np.abs(z1) ** 2 < 1,
+            2 * z0.imag - np.abs(z1) ** 2 > 0,
+            2 * z0.real + np.abs(z1) ** 2 < 0,
+        ):
+            assert 100 <= np.count_nonzero(inside) <= 10_000 - 100
+        for n, vs in balls.items():
+            assert len(vs) == 5
+            assert all(v.shape == (n,) and 0.06 <= np.linalg.norm(v) <= 0.6 for v in vs)
+
+    def test_standard_normals_are_standard_normal(self):
+        x = cli._standard_normals(random.Random(0), 40_001)
+        assert x.shape == (40_001,) and np.isfinite(x).all()
+        # mean, variance and the share within one standard deviation, each
+        # within about 4 standard errors of a standard normal's
+        assert abs(x.mean()) < 0.02
+        assert abs(x.var() - 1) < 0.03
+        assert abs(np.mean(np.abs(x) < 1) - 0.6827) < 0.01
+        assert np.array_equal(x, cli._standard_normals(random.Random(0), 40_001))
 
 
 class TestBound:
@@ -637,6 +689,16 @@ class TestCountCmd:
         code, out, err = run(capsys, *argv, "--delta", "0..1:0.5", "--rx", "1")
         assert code == 0, err
         assert [r["counted"] for r in rows_of(out)] == [1, 7141, 56561]
+
+    def test_ridge_displacement_at_k_1e9(self, capsys):
+        # cosh^2(d/2) - 1 = 1/q^2 is below eps here; the auto radius keeps
+        # its digits rather than reaching 0 and failing the --rx check
+        code, out, err = run(capsys, "count", "--k", "1000000000", "--delta", "0")
+        assert (code, err) == (0, "")
+        header = json.loads(out.splitlines()[0])["config"]
+        rx = float(header.rpartition("rx_effective=")[2])
+        assert rx == pytest.approx(2 * math.asinh(2 * math.pi / 1e9), rel=1e-15)
+        assert [r["counted"] for r in rows_of(out)] == [1]
 
 
 class TestMaximaCmd:

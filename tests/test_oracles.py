@@ -524,6 +524,28 @@ def test_slice_radius_finds_the_short_column_of_a_skewed_tiny_cell(scale):
         stabilizer_injectivity_radius(flat, q_max)
 
 
+@pytest.mark.parametrize("k", [6, 10**4, 10**6, 10**9])
+def test_ridge_min_displacement_matches_40_digit_minimum(k):
+    # on the Gaussian ridge q = k / (2 pi) and z2 = 0, so gamma = (alpha, l)
+    # moves z by cosh^2(d/2) = ((q + |alpha|^2/2)^2 + l^2) / q^2, which the
+    # oracle minimizes at 40 digits over m, n, l in -2..2; in doubles
+    # cosh^2 - 1 keeps only eps q^2 of 1/q^2, and at k = 1e9 none of it
+    z = ModelPoint.m3(complex(-k / (4 * math.pi), 0.0), 0.0)
+    got = min_displacement(OrbitSource.from_lattice(GAUSSIAN_SPEC), z)
+    with mp.workdps(40):
+        q = -2 * mp.mpf(z.coords[0].real)
+        want = min(
+            2 * mp.acosh(mp.sqrt(((q + mp.mpf(m * m + n * n) / 2) ** 2 + l * l) / q**2))
+            for m in range(-2, 3)
+            for n in range(-2, 3)
+            for l in range(-2, 3)
+            if (m, n, l) != (0, 0, 0)
+        )
+    assert abs(got - want) <= 1e-15 * want
+    if k == 6:
+        assert got == 1.8287133107857718  # the bits of the cosh^2 form
+
+
 @pytest.mark.parametrize("delta", [14.0, 20.0])
 def test_ridge_count_matches_40_digit_column_count(delta):
     """The lattice count on the k = 6 ridge, where a box scan needs 7.2e6
