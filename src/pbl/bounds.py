@@ -25,7 +25,7 @@ from .closed_forms import (
     ridge_locate,
 )
 from .errors import NumericalError, _check_exact_int, _check_positive, _check_rel_tol
-from .geometry import _cosh2
+from .geometry import _sinh2
 from .hermitian import ModelPoint
 from .lattice import _MAX_ENUM, LatticeSpec, _check_budget, lattice_covolume
 from .logreal import LogReal, log_sum_exp
@@ -443,6 +443,5 @@ def orbit_cosh_power_sum(elements: Sequence[Isometry], z: ModelPoint, k: int) ->
     """Truncated series sum_gamma cosh^{-k}(d(z, gamma z)/2) over an explicit
     list of group elements, in the log domain with order-independent reduction."""
     _check_exact_int(k, "k")
-    c2 = _cosh2(z, z, _isometry_stack(elements, z))
-    logs = -(k / 2.0) * np.log(np.maximum(c2, 1.0))
+    logs = -(k / 2.0) * np.log1p(_sinh2(z, z, _isometry_stack(elements, z)))
     return LogReal(log_sum_exp(logs.tolist()))

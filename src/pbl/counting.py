@@ -22,7 +22,7 @@ import numpy as np
 
 from .closed_forms import _gl_pair
 from .errors import DomainError, NumericalError, PreconditionError, _check_exact_int, _check_positive
-from .geometry import _cosh2, _distance_from_cosh2, ball_volume_constant
+from .geometry import _sinh2, ball_volume_constant
 from .hermitian import Model, ModelPoint, model_indicator
 from .lattice import LatticeSpec, _enumerate_points
 from .logreal import exp_or_raise, log_cosh, log_sinh
@@ -80,21 +80,20 @@ def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
     """Distances d(z, gamma w) for the model-3 stabilizer elements with the
     given (alpha, beta) arrays, vectorized.
 
-    For z = w, with q = -<z,z> and h = |alpha|^2/2, Re A = -(q + h), so
-    sinh^2(d/2) = (h (2q + h) + (Im A + beta)^2) / q^2 is formed without
-    the cancellation of cosh^2 - 1, which loses digits like eps q^2: a
-    small displacement at a large q keeps its digits, as in
-    stabilizer_injectivity_radius.
+    _sinh2 in closed form: with m = (qz + qw)/2 and
+    g = |alpha - (z2 - w2)|^2/2, Re A = -(m + g), so
+    sinh^2(d/2) qz qw = |A + i beta|^2 - qz qw
+    = ((qz - qw)/2)^2 + g (qz + qw + g) + (Im A + beta)^2,
+    a sum of nonnegative terms, so no digits cancel as in cosh^2 - 1.
     """
     s0, z2, w2, qzw = _m3_pair(z, w)
-    # a |alpha|^2 or cosh^2 past the double range is an infinite distance
+    qz, qw = -model_indicator(z), -model_indicator(w)
+    # a |alpha|^2 past the double range is an infinite distance
     with np.errstate(over="ignore"):
-        s = _pairing_offsets(alpha, s0, z2, w2) + 1j * beta
-        if z != w:
-            return _distance_from_cosh2(np.abs(s) ** 2 / qzw)
-        q = -model_indicator(z)
-        h = np.abs(alpha) ** 2 / 2.0
-        return 2.0 * np.arcsinh(np.sqrt(h * (2.0 * q + h) + s.imag**2) / q)
+        g = np.abs(alpha - (z2 - w2)) ** 2 / 2.0
+        im = _pairing_offsets(alpha, s0, z2, w2).imag + beta
+        num = ((qz - qw) / 2.0) ** 2 + g * (qz + qw + g) + im**2
+        return 2.0 * np.arcsinh(np.sqrt(num) / math.sqrt(qzw))
 
 
 def _seed_box(spec: LatticeSpec):
@@ -112,12 +111,13 @@ def _seed_box(spec: LatticeSpec):
 # Rounding bounds of the column intervals, generous against the few units
 # of eps = 2^-52 each step rounds by.  _ROUND_COSH2 (32 eps) per unit of
 # 4 + delta + |log qz qw| bounds the relative error of T^2 against the
-# |<gamma w, z>|^2 at which the computed d(z, gamma w) <= delta flips (the
-# computed distance is within ~8 eps relative of 2 arccosh of a cosh(d/2)
-# within ~4 eps, and T = exp(log sqrt(qz qw) + log cosh(delta/2)) is within
-# ~4 eps per unit of its log).  _ROUND_TERMS (16 eps) per unit of the terms
-# summed bounds the error of A(alpha), and of the beta ends and their
-# division by the step.
+# |<gamma w, z>|^2 at which the computed d(z, gamma w) <= delta flips: the
+# three nonnegative terms of sinh^2(d/2) qz qw are each within ~6 eps, 2 asinh
+# of their root moves sinh^2(delta/2) by ~4 (2 + delta) eps, and T is within
+# ~4 eps per unit of its log.  _ROUND_TERMS (16 eps) per unit of the terms
+# summed bounds the error of A(alpha), of the distances' Re A = -(m + g) (as
+# (|z2| + |w2|)^2 < 2 (|z1| + |w1| + |z2||w2|) at interior points), and of
+# the beta ends and their division by the step.
 _ROUND_COSH2 = 2.0**-47
 _ROUND_TERMS = 2.0**-48
 # largest |l| a column interval may reach: l is exact in a double, and
@@ -147,7 +147,9 @@ def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> C
     two decide, and the points inside the narrow one all count.
     """
     s0, z2, w2, qzw = _m3_pair(z, w)
-    c0, c1 = abs(s0), abs(z2) + abs(w2)
+    # s0 is a sum with cancellation, so its rounding is bounded by its terms
+    c0 = abs(z.coords[0]) + abs(w.coords[0]) + abs(z2) * abs(w2)
+    c1 = abs(z2) + abs(w2)
     t = exp_or_raise(0.5 * math.log(qzw) + log_cosh(delta / 2.0), "the orbit radius")
     eta = _ROUND_COSH2 * (4.0 + delta + abs(math.log(qzw)))
     # a kept column has Re A >= -T (1 + eta) - 2 err(|alpha|), with err the
@@ -202,7 +204,7 @@ def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: floa
         )
         return _stabilizer_distances(alpha, beta, z, w), (alpha != 0) | (beta != 0)
     mats = _isometry_stack(src.elements, w)
-    d = _distance_from_cosh2(_cosh2(z, w, mats))
+    d = 2.0 * np.arcsinh(np.sqrt(_sinh2(z, w, mats)))
     return d, np.abs(mats - np.eye(z.n + 1)).max(axis=(1, 2)) >= 1e-12
 
 

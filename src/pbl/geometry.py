@@ -30,50 +30,45 @@ def _check_same_model(z: ModelPoint, w: ModelPoint):
         raise DomainError("points must lie in the same model")
 
 
-def _cosh2(z: ModelPoint, w: ModelPoint, mats):
-    """cosh^2(d(z, g w)/2) = |<g w, z>|^2 / (<z,z><g w,g w>) over a stack of
-    form-preserving matrices g (..., n+1, n+1).  The ratio is projective,
-    so the images g lift(w) need no normalising."""
+def _sinh2(z: ModelPoint, w: ModelPoint, mats=None):
+    """sinh^2(d(z, g w)/2) for g = I, or over a stack of form-preserving
+    matrices g (..., n+1, n+1).
+
+    With Z = lift(z), W the lift of g w scaled to last coordinate 1 and
+    U = W - Z, |<W,Z>|^2 - <Z,Z><W,W> = |<U,Z>|^2 - <Z,Z><U,U> exactly.  U
+    has last coordinate 0, where each model's form is positive
+    semidefinite, so sinh^2 = (|<U,Z>|^2 + qz <U,U>) / (qz qw), with
+    q = -<.,.>, sums nonnegative terms and cancels no digits.
+    """
     _check_same_model(z, w)
+    form = z.form().entries
     zt = lift(z)
-    wt = mats @ lift(w)
-    wh = wt.conj() @ z.form().entries
-    # <z,z> is the stored indicator; <g w, g w> is summed from the images and
-    # never taken as <w,w>, which would assume that g preserves the form exactly
-    return np.abs(wh @ zt) ** 2 / (model_indicator(z) * (wh * wt).sum(axis=-1).real)
+    qz = -model_indicator(z)
+    if mats is None:
+        wt, qw = lift(w), -model_indicator(w)
+    else:
+        wt = mats @ lift(w)
+        wt /= wt[..., -1:]
+        wt[..., -1] = 1.0
+        # qw is summed from each image, not taken as -<w,w>, which would
+        # assume that g preserves the form exactly
+        qw = -(wt.conj() @ form * wt).sum(axis=-1).real
+    u = wt - zt
+    # .dot is @ bit for bit (the same BLAS call) with less overhead
+    uh = u.conj().dot(form)
+    uu = uh.dot(u) if mats is None else (uh * u).sum(axis=-1)
+    return (np.abs(uh.dot(zt)) ** 2 + qz * uu.real) / (qz * qw)
 
 
 def cosh2_half_distance(z: ModelPoint, w: ModelPoint) -> float:
-    """cosh^2(d(z,w)/2) = <z,w><w,z> / (<z,z><w,w>) on lifted vectors.
-
-    At least 1, with equality exactly on the diagonal.  The arithmetic of
-    _cosh2 with g = I, on the two stored lifts.
-    """
-    _check_same_model(z, w)
-    wt = lift(w)
-    # .dot is @ bit for bit (the same BLAS call) with less overhead, while
-    # numpy's complex abs and scalar power round differently from Python's
-    wh = wt.conj().dot(z.form().entries)
-    return float(np.abs(wh.dot(lift(z))) ** 2 / (model_indicator(z) * (wh * wt).sum().real))
-
-
-def _distance_from_cosh2(c2):
-    """2 arccosh(sqrt(max(c2, 1))), the distance whose cosh^2(d/2) is c2, for
-    floats and arrays alike; the log1p form keeps full precision near c2 = 1."""
-    y = np.sqrt(np.maximum(c2, 1.0))
-    dy = y - 1.0
-    return 2.0 * np.log1p(dy + np.sqrt(dy * (y + 1.0)))
+    """cosh^2(d(z,w)/2) = <z,w><w,z> / (<z,z><w,w>) on lifted vectors,
+    taken as 1 + _sinh2: at least 1, and exactly 1 on the diagonal."""
+    return 1.0 + float(_sinh2(z, w))
 
 
 def distance(z: ModelPoint, w: ModelPoint) -> float:
-    """Hyperbolic distance 2 arccosh(sqrt(cosh2_half_distance)).
-
-    _distance_from_cosh2 in Python floats: math.sqrt rounds as np.sqrt
-    does, while np.log1p stays, since math.log1p can differ by an ulp.
-    """
-    y = math.sqrt(max(cosh2_half_distance(z, w), 1.0))
-    dy = y - 1.0
-    return 2.0 * float(np.log1p(dy + math.sqrt(dy * (y + 1.0))))
+    """Hyperbolic distance 2 asinh(sqrt(sinh^2(d/2))), from _sinh2."""
+    return 2.0 * math.asinh(math.sqrt(_sinh2(z, w)))
 
 
 def ball_volume_constant(n: int) -> float:

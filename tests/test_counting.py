@@ -179,6 +179,28 @@ class TestColumnCount:
             want = float(np.sum([f(x) for x in d[d <= delta].tolist()]))
             assert tail_bound_terms(f, 2, 0.5, delta, src, z, w).head == want
 
+    def test_counts_far_from_the_axis_match_the_box_scan(self):
+        # s0 = w1 + conj(z1) + w2 conj(z2) cancels down to about -q at
+        # z = w, so far from the axis its rounding is bounded by its terms,
+        # not by |s0|: at |z2|^2 / q ~ 2e3 a bound by |s0| dropped the
+        # alpha = 0 column, and the identity with it
+        src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
+        z = ModelPoint.m3(-1.1705, 1.5 + 0.3j)
+        assert counting_function(src, z, z, 0.0) == 1
+        rng = np.random.default_rng(11)
+
+        def draw():
+            z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 3.5
+            q = 10 ** rng.uniform(-3, 0)
+            return ModelPoint.m3(complex(-(q + abs(z2) ** 2) / 2, rng.normal()), z2)
+
+        for _ in range(60):
+            z = draw()
+            w = z if rng.uniform() < 0.5 else draw()
+            d, _ = self.box_distances(GAUSSIAN_SPEC, z, w, 3.0)
+            for delta in (0.0, 1.0, 2.0, 3.0):
+                assert counting_function(src, z, w, delta) == np.count_nonzero(d <= delta)
+
     @pytest.mark.parametrize("k, delta_max", [(60, 1.5), (200, 1.0)])
     def test_skewed_basis_on_the_ridge_matches_the_box_scan(self, k, delta_max):
         # a2 = 0.999 + 0.01i puts ~100 columns in each unit of alpha area.

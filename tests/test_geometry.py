@@ -40,7 +40,7 @@ def random_m2_point(rng):
 class TestDistance:
     def test_coincident(self):
         z = ModelPoint.ball([0.1, 0.2j])
-        assert cosh2_half_distance(z, z) == pytest.approx(1.0, abs=1e-12)
+        assert cosh2_half_distance(z, z) == 1.0
         assert distance(z, z) == 0.0
 
     def test_poincare_slice(self):
@@ -65,10 +65,14 @@ class TestDistance:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_symmetry(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            z, w = random_ball_point(rng), random_ball_point(rng)
-            assert abs(distance(z, w) - distance(w, z)) < 1e-12
+        # the kernel takes U = W - Z against Z, so swapping the points
+        # changes only its rounding
+        rng = np.random.default_rng(5)
+        for i in range(2000):
+            draw = random_ball_point if i % 2 else random_m2_point
+            z, w = draw(rng), draw(rng)
+            d = distance(z, w)
+            assert abs(distance(w, z) - d) <= 8 * np.finfo(float).eps * d
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(14)
@@ -242,19 +246,17 @@ class TestCurvatureDeterminant:
 
 def test_distance_bit_identical_to_the_lift_formulas():
     """cosh2_half_distance and distance on 200 seeded ball pairs equal,
-    bit for bit, the formulas written out on freshly built lifts:
-    |w* H z|^2 / (<z,z> <w,w>), with <w,w> summed as (w* H) * w, and
-    2 log1p(dy + sqrt(dy (y + 1))) with y = sqrt(max(c2, 1)), dy = y - 1."""
+    bit for bit, the formulas written out on freshly built lifts Z and W:
+    with U = W - Z, q = -<.,.> and s2 = (|U* H Z|^2 + q_z (U* H) U) /
+    (q_z q_w), cosh^2(d/2) = 1 + s2 and d = 2 asinh(sqrt(s2))."""
     h = ball_form(2).entries
     rng = np.random.default_rng(2024)
     for _ in range(200):
         v, u = (random_ball_point(rng).coords.copy() for _ in range(2))
         zt, wt = np.append(v, 1.0 + 0.0j), np.append(u, 1.0 + 0.0j)
-        wh = wt.conj() @ h
-        c2 = float(np.abs(wh @ zt) ** 2 / ((zt.conj() @ h @ zt).real * (wh * wt).sum(axis=-1).real))
-        y = np.sqrt(np.maximum(c2, 1.0))
-        dy = y - 1.0
-        d = float(2.0 * np.log1p(dy + np.sqrt(dy * (y + 1.0))))
+        qz, qw = (-float((x.conj() @ h @ x).real) for x in (zt, wt))
+        uh = (wt - zt).conj() @ h
+        s2 = float((np.abs(uh @ zt) ** 2 + qz * (uh @ (wt - zt)).real) / (qz * qw))
         z, w = ModelPoint.ball(v), ModelPoint.ball(u)
-        assert cosh2_half_distance(z, w) == c2
-        assert distance(z, w) == d
+        assert cosh2_half_distance(z, w) == 1.0 + s2
+        assert distance(z, w) == 2.0 * math.asinh(math.sqrt(s2))

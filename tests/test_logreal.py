@@ -18,7 +18,7 @@ from pbl import (
     orbit_cosh_power_sum,
     stabilizer_matrix,
 )
-from pbl.geometry import _cosh2
+from pbl.geometry import _sinh2
 from pbl.transforms import _isometry_stack
 
 positive = st.floats(min_value=1e-8, max_value=1e8)
@@ -181,6 +181,6 @@ class TestLogSum:
             for n in box
             for l in box
         ]
-        logs = -(k / 2.0) * np.log(np.maximum(_cosh2(z, z, _isometry_stack(gs, z)), 1.0))
+        logs = -(k / 2.0) * np.log1p(_sinh2(z, z, _isometry_stack(gs, z)))
         terms = [LogReal.from_log(v) for v in logs]
         assert orbit_cosh_power_sum(gs, z, k) == log_sum(terms)

@@ -26,6 +26,7 @@ from pbl import (
     counting_function,
     cusp_lattice_sum,
     cusp_term_log,
+    distance,
     maxima_locate,
     min_displacement,
     model2_form,
@@ -562,3 +563,52 @@ def test_ridge_count_matches_40_digit_column_count(delta):
             assert main(["count", "--delta", "20"]) == 0
         row = json.loads(out.getvalue().splitlines()[1])
         assert row["delta"] == 20.0 and row["counted"] == want
+
+
+_EPS = sys.float_info.epsilon
+
+
+def _oracle_distance(z, w):
+    """2 arccosh(sqrt(|<w,z>|^2 / (<z,z><w,w>))) on the stored coordinates
+    at 80 digits: cosh^2(d/2) - 1 cancels at most ~32 of them here."""
+    with mp.workdps(80):
+        h = mp.matrix(z.form().entries.tolist())
+        zt, wt = ([mp.mpc(c) for c in p.coords.tolist()] + [mp.mpf(1)] for p in (z, w))
+
+        def pair(x, y):
+            return mp.fsum(mp.conj(y[i]) * h[i, j] * x[j] for i in range(3) for j in range(3))
+
+        cosh2 = abs(pair(wt, zt)) ** 2 / (pair(zt, zt).real * pair(wt, wt).real)
+        return 2 * mp.acosh(mp.sqrt(cosh2))
+
+
+def _ridge_pair(k):
+    # the Gaussian ridge point at weight k, and the same point with Im z1
+    # moved by 0.5: the pair is d ~ 2 pi / k apart
+    x1 = -k / (4 * math.pi)
+    return ModelPoint.m3(complex(x1, 0.0), 0.0), ModelPoint.m3(complex(x1, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("sep", [1e-3, 1e-6, 1e-9])
+def test_ball_distance_of_close_points_within_8_eps(sep):
+    # cosh^2(d/2) - 1 ~ sep^2 keeps only eps / sep^2 of its digits in doubles
+    z = ModelPoint.ball([0.3 + 0.1j, -0.2j])
+    w = ModelPoint.ball([0.3 + 0.1j + sep * (0.6 - 0.8j), -0.2j + sep * 0.5])
+    want = _oracle_distance(z, w)
+    assert abs(distance(z, w) - want) <= 8 * _EPS * want
+
+
+@pytest.mark.parametrize("k", [6, 10**4, 10**6, 10**8])
+def test_ridge_pair_distance_within_8_eps(k):
+    # at q = k / (2 pi), cosh^2(d/2) - 1 ~ 1/(4 q^2) keeps eps q^2 of it
+    z, w = _ridge_pair(k)
+    want = _oracle_distance(z, w)
+    assert abs(distance(z, w) - want) <= 8 * _EPS * want
+
+
+def test_count_just_below_a_ridge_pair_distance_is_zero():
+    # no stabilizer element moves w within 0.9999 d(z, w) of z at k = 1e8;
+    # the cosh^2 - 1 form of the distance made two of them do so
+    z, w = _ridge_pair(10**8)
+    delta = 0.9999 * float(_oracle_distance(z, w))
+    assert counting_function(OrbitSource.from_lattice(GAUSSIAN_SPEC), z, w, delta) == 0
