@@ -96,16 +96,22 @@ def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
         return 2.0 * np.arcsinh(np.sqrt(num) / math.sqrt(qzw))
 
 
-def _seed_box(spec: LatticeSpec):
-    """(alpha, beta) arrays of the nontrivial lattice points with m, n, l
-    in {-1, 0, 1}, whose minima seed the certified searches."""
-    m, n = np.indices((3, 3)).reshape(2, -1) - 1
-    alpha, offset = spec.alpha(m, n), spec._offsets(m, n)
-    *_, alpha, beta = _enumerate_points(
-        spec.beta_step, alpha, offset, np.full(9, -1), np.full(9, 3), "the seed box"
-    )
+def _near_zero(spec: LatticeSpec, alpha, offset, what: str):
+    """The nontrivial (alpha, beta) of the four points of each column with
+    beta nearest 0: floor(-offset / step) is within one of the last l with
+    beta <= 0; l stays a float, as an int64 cast of it wraps at a huge offset."""
+    step = spec.beta_step
+    l_lo = np.floor(-offset / step) - 1.0
+    with np.errstate(over="ignore"):  # a beta past the double range is infinitely far
+        *_, alpha, beta = _enumerate_points(step, alpha, offset, l_lo, np.full_like(l_lo, 4), what)
     keep = (alpha != 0) | (beta != 0)
     return alpha[keep], beta[keep]
+
+
+def _seed_box(spec: LatticeSpec):
+    """The `_near_zero` points of the columns m, n in {-1, 0, 1}: search seeds."""
+    m, n = np.indices((3, 3)).reshape(2, -1) - 1
+    return _near_zero(spec, spec.alpha(m, n), spec._offsets(m, n), "the seed box")
 
 
 # Rounding bounds of the column intervals, generous against the few units
@@ -472,15 +478,9 @@ def stabilizer_injectivity_radius(
     root_u_max = cand / math.sqrt(1 + math.hypot(1, cand)) if cand < math.inf else cand
     disc = spec.disc(math.sqrt(2 * q_max) * root_u_max * (1 + 1e-12))
     # per column the slice sinh grows with |beta|, so its minimum sits at
-    # the lattice beta nearest 0, or the nearest nonzero one on alpha = 0;
-    # floor(-offset / step) is within one of the last l with beta <= 0; l
-    # stays a float, as an int64 cast of it wraps at a huge offset
-    l_lo = np.floor(-disc.offset / spec.beta_step) - 1.0
-    *_, alpha, beta = _enumerate_points(
-        spec.beta_step, disc.alpha, disc.offset, l_lo, np.full(l_lo.size, 4), "the slice grid"
-    )
-    nontrivial = (alpha != 0) | (beta != 0)
-    best = float(slice_sinh(alpha, beta)[nontrivial].min(initial=cand))
+    # the lattice beta nearest 0, or the nearest nonzero one on alpha = 0
+    grid = _near_zero(spec, disc.alpha, disc.offset, "the slice grid")
+    best = float(slice_sinh(*grid).min(initial=cand))
     # every nontrivial element has sinh > 0; one that underflows to 0 has
     # lost its distance to the double range
     if not best > 0.0:

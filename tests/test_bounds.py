@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from pbl import (
     scaling_fit,
     stabilizer_matrix,
 )
-from pbl.bounds import _MAX_TERMS, CuspSumResult, _beta_lines, _beta_rows, _box_sum, _fold
+from pbl.bounds import _MAX_TERMS, CuspSumResult, _beta_lines, _beta_row, _box_sum
 from pbl.closed_forms import _log_gamma_ratio
 from pbl.logreal import log_cosh, log_sinh
 from pbl.counting import tail_bound_terms, OrbitSource, min_displacement
@@ -528,11 +529,11 @@ class TestLineTable:
         fresh = {}
         for k, tol in _TABLE_RUNS:
             _beta_lines.cache_clear()
-            _beta_rows.clear()
+            _beta_row.cache_clear()
             fresh[k, tol] = _result_fields(cusp_lattice_sum(k, spec, tol))
         for runs in (_TABLE_RUNS, _TABLE_RUNS[::-1], _SHUFFLED_RUNS):
             _beta_lines.cache_clear()
-            _beta_rows.clear()
+            _beta_row.cache_clear()
             # an equal spec, which shares the cached lines
             reused = dataclasses.replace(spec)
             for k, tol in runs:
@@ -690,21 +691,16 @@ def _hex_fields(res):
 
 
 class TestBetaRows:
-    """`bounds._beta_rows` keeps one folded beta row per (beta_step, class
-    offset), grown on demand, which every lattice sum slices."""
+    """`bounds._beta_row` keeps the folded beta row of each (beta_step,
+    class offset, r_beta) in an lru_cache, from which every lattice sum
+    reads, but for rows too long to keep."""
 
     @pytest.fixture(autouse=True)
     def empty_tables(self):
         _beta_lines.cache_clear()
-        _beta_rows.clear()
+        _beta_row.cache_clear()
         yield
-        _beta_rows.clear()
-
-    @staticmethod
-    def table_state():
-        rows = dict(_beta_rows.rows)
-        assert _beta_rows.values == sum(row.beta_abs.size for row in rows.values())
-        return rows, _beta_rows.values
+        _beta_row.cache_clear()
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_sweeps_keep_the_pinned_bits(self, order):
@@ -717,41 +713,29 @@ class TestBetaRows:
             got = _hex_fields(cusp_lattice_sum(k, _PINNED_SPECS[name], tol))
             assert got == tuple(want), (name, k, tol)
 
-    @pytest.mark.parametrize("spec", [GAUSSIAN_SPEC, EISENSTEIN_OFFSET], ids=["gaussian", "eisenstein"])
+    @pytest.mark.parametrize(
+        "spec", [GAUSSIAN_SPEC, EISENSTEIN_OFFSET, SKEW_SPEC], ids=["gaussian", "eisenstein", "skew"]
+    )
     @pytest.mark.parametrize("r_beta", [4.0, 9.75, 37.5, 300.0])
-    def test_symmetric_prefix_is_the_folded_window(self, spec, r_beta):
-        # a prefix of a row grown far past r_beta is bit for bit what
-        # folding the window |beta| <= r_beta alone gives
+    def test_rows_count_the_window(self, spec, r_beta):
+        # each class's row against a count of the |offset + l step| <= r_beta
+        # in Python floats; the skew classes 0.1 and 0.2 are asymmetric, so
+        # none of their betas pair up
         step = spec.beta_step
         for offset in sorted(set(_beta_lines(spec, 3.0).offset.tolist())):
-            _beta_rows.prefix(step, offset, 4 * r_beta)
-            beta_sq, mult, points = _beta_rows.prefix(step, offset, r_beta)
-            beta = offset + np.arange(-1000, 1001) * step
-            window = beta[np.abs(beta) <= r_beta]
-            beta_abs, want_mult = _fold(window, int(np.count_nonzero(window < 0)))
-            assert (beta_abs * beta_abs).tolist() == beta_sq.tolist()
-            assert want_mult.tolist() == mult.tolist()
-            assert points == window.size
-
-    def test_rows_grow_by_doubling(self):
-        _beta_rows.prefix(1.0, 0.0, 10.0)
-        _beta_rows.prefix(1.0, 0.0, 11.0)
-        assert _beta_rows.rows[1.0, 0.0].radius == 20.0
-        # past twice the radius, straight to the radius asked for
-        _beta_rows.prefix(1.0, 0.0, 100.0)
-        assert _beta_rows.rows[1.0, 0.0].radius == 100.0
-        # a shorter window is a prefix of the row, not a new row
-        row = _beta_rows.rows[1.0, 0.0]
-        beta_sq, mult, points = _beta_rows.prefix(1.0, 0.0, 2.5)
-        assert _beta_rows.rows[1.0, 0.0] is row
-        assert (beta_sq.tolist(), mult.tolist(), points) == ([0.0, 1.0, 4.0], [1.0, 2.0, 2.0], 5)
-        with pytest.raises(ValueError):
-            beta_sq[0] = 1.0
+            beta_sq, mult, points = _beta_row(step, offset, r_beta)
+            betas = (abs(offset + l * step) for l in range(-1000, 1001))
+            want = Counter(b for b in betas if b <= r_beta)
+            assert beta_sq.tolist() == [b * b for b in sorted(want)]
+            assert mult.tolist() == [want[b] for b in sorted(want)]
+            assert points == sum(want.values())
+            with pytest.raises(ValueError):
+                beta_sq[0] = 1.0
 
     def test_budgets_raise_before_the_table_grows(self):
         lines = _beta_lines(GAUSSIAN_SPEC, 5.0)
         _box_sum(GAUSSIAN_SPEC, lines, 6, 50.0)
-        before = self.table_state()
+        before = _beta_row.cache_info()
         # one beta line past _MAX_ENUM, and a box past _MAX_TERMS
         long_line = (pbl.bounds._MAX_ENUM - 1) / 2.0
         with pytest.raises(NumericalError, match=r"^the beta line of radius 2\.5e\+06 needs"):
@@ -762,47 +746,38 @@ class TestBetaRows:
         for spec in (GAUSSIAN_SPEC, EISENSTEIN_OFFSET):
             with pytest.raises(NumericalError, match="terms"):
                 cusp_lattice_sum(6, spec, float(np.finfo(float).eps))
-        rows, values = self.table_state()
-        assert values == before[1]
-        assert rows.keys() == before[0].keys()
-        assert all(rows[key] is row for key, row in before[0].items())
+        assert _beta_row.cache_info() == before
 
     def test_table_keeps_to_its_budget(self, monkeypatch):
-        runs = [(GAUSSIAN_SPEC, 6, 1e-12), (EISENSTEIN_OFFSET, 6, 1e-12)]
-        want = [_hex_fields(cusp_lattice_sum(k, spec, tol)) for spec, k, tol in runs]
-        rows, values = self.table_state()
-        assert values <= pbl.bounds._MAX_ENUM
-        assert len(rows) == 3  # the Gaussian's offset 0, the Eisenstein's 0 and 1/4
-        # a budget one value short of those rows: the least recently used,
-        # the Gaussian's, goes, and every sum keeps its bits
-        budget = values - 1
-        monkeypatch.setattr(pbl.bounds, "_MAX_ENUM", budget)
-        _beta_rows.clear()
-        assert [_hex_fields(cusp_lattice_sum(k, spec, tol)) for spec, k, tol in runs] == want
-        rows, values = self.table_state()
-        assert values <= budget
-        assert list(rows) == [(0.5, 0.0), (0.5, 0.25)]
+        lines = _beta_lines(GAUSSIAN_SPEC, 5.0)
+        want = [_box_sum(GAUSSIAN_SPEC, lines, 6, r_beta) for r_beta in (50.0, 600.0)]
+        # rows of up to 1000 betas are kept, and the 1203 of the line of
+        # radius 600 is built for its call only
+        monkeypatch.setattr(pbl.bounds, "_MAX_ENUM", 64_000)
+        _beta_row.cache_clear()
+        assert _box_sum(GAUSSIAN_SPEC, lines, 6, 50.0) == want[0]
+        kept = _beta_row.cache_info()
+        assert kept.currsize == 1
+        assert _box_sum(GAUSSIAN_SPEC, lines, 6, 600.0) == want[1]
+        assert _beta_row.cache_info() == kept
+        # the pinned sums, some of whose rows are kept and some not
+        for name, k, tol, *pinned in _PINNED_SUMS:
+            got = _hex_fields(cusp_lattice_sum(k, _PINNED_SPECS[name], tol))
+            assert got == tuple(pinned), (name, k, tol)
 
     def test_threads_share_the_table(self, monkeypatch):
-        # more threads than cores, switching often, on a budget that evicts
-        # rows all the time: the value count stays the sum of the rows
-        monkeypatch.setattr(pbl.bounds, "_MAX_ENUM", 400)
-        offsets = [i / 10 for i in range(10)]
-        radii = [5.0, 20.0, 60.0, 120.0]
-
-        def want(offset, r):
-            beta = offset + np.arange(-200, 201)
-            return int(np.count_nonzero(np.abs(beta) <= r))
-
+        # more threads than cores, switching often, on a budget that keeps
+        # only rows of up to 400 betas, so that the threads both fill the
+        # cache and build rows of their own: every thread gets the pinned bits
+        monkeypatch.setattr(pbl.bounds, "_MAX_ENUM", 64 * 400)
         wrong = []
 
         def work(seed):
-            rng = random.Random(seed)
-            for _ in range(300):
-                offset, r = rng.choice(offsets), rng.choice(radii)
-                beta_sq, mult, points = _beta_rows.prefix(1.0, offset, r)
-                if points != want(offset, r) or mult.sum() != points:
-                    wrong.append((offset, r, points))
+            runs = random.Random(seed).sample(_PINNED_SUMS, len(_PINNED_SUMS))
+            for name, k, tol, *pinned in runs:
+                got = _hex_fields(cusp_lattice_sum(k, _PINNED_SPECS[name], tol))
+                if got != tuple(pinned):
+                    wrong.append((name, k, tol))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -811,20 +786,18 @@ class TestBetaRows:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join(timeout=30)
+                t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        _, values = self.table_state()
-        assert values <= 400
 
     @pytest.mark.parametrize(
         "spec", [GAUSSIAN_SPEC, EISENSTEIN_OFFSET, SKEW_SPEC], ids=["gaussian", "eisenstein", "skew"]
     )
     def test_grown_rows_keep_the_direct_sum(self, spec):
-        # rows grown by a 1e-12 sum first, then sliced by the 1e-8 boxes of
-        # test_grouped_box_equals_direct_sum, to its tolerances
+        # a cache warmed by a 1e-12 sum first, then read by the 1e-8 boxes
+        # of test_grouped_box_equals_direct_sum, to its tolerances
         cusp_lattice_sum(6, spec, 1e-12)
         for k in (6, 60, 1000):
             res = cusp_lattice_sum(k, spec, 1e-8)

@@ -554,15 +554,45 @@ class TestDisplacement:
         ids=["gaussian", "eisenstein", "skew"],
     )
     def test_seed_box_is_the_nontrivial_unit_box(self, rule):
-        # the 26 nontrivial points with m, n, l in {-1, 0, 1}, in the order
-        # and with the values spec.param gives them one at a time
+        # the 35 nontrivial points with m, n in {-1, 0, 1} and, per column,
+        # the two l whose beta is <= 0 nearest it and the two with beta > 0
+        # nearest it, in the order and with the values spec.param gives them
+        # one at a time
         spec = LatticeSpec(a2=cmath.exp(1j * math.pi / 3), beta_step=0.5, beta_offset_rule=rule)
-        params = [spec.param(m, n, l) for m in (-1, 0, 1) for n in (-1, 0, 1) for l in (-1, 0, 1)]
+        params = []
+        for m in (-1, 0, 1):
+            for n in (-1, 0, 1):
+                column = [spec.param(m, n, l) for l in range(-6, 7)]
+                below = [p for p in column if p.beta <= 0][-2:]
+                params += below + [p for p in column if p.beta > 0][:2]
         params = [p for p in params if (p.alpha, p.beta) != (0, 0)]
         alpha, beta = _seed_box(spec)
-        assert len(params) == 26
+        assert len(params) == 35
         assert alpha.tolist() == [p.alpha for p in params]
         assert beta.tolist() == [p.beta for p in params]
+
+    def test_offsets_shifted_by_whole_steps_keep_their_minima(self):
+        # 1e6 + 0.3 m is the lattice of 0.3 m, up to the rounding of the
+        # shift: a seed taken at l in {-1, 0, 1} sat near |beta| = 1e6, and
+        # its candidate radius asked for an alpha disc of ~8e6 points
+        shifted = LatticeSpec(beta_offset_rule=lambda m, n: 1e6 + 0.3 * m)
+        plain = LatticeSpec(beta_offset_rule=lambda m, n: 0.3 * m)
+        z = ridge_point(6)
+        assert min_displacement(OrbitSource.from_lattice(shifted), z) == pytest.approx(
+            min_displacement(OrbitSource.from_lattice(plain), z), rel=1e-9
+        )
+        assert stabilizer_injectivity_radius(shifted, 1.0) == pytest.approx(
+            stabilizer_injectivity_radius(plain, 1.0), rel=1e-9
+        )
+
+    def test_slice_radius_takes_a_step_near_the_double_range(self):
+        # l = 2 puts beta past 1.8e308, infinitely far, without an overflow
+        # warning; the minimum is alpha = 1, beta = 0: u = 1/2, so
+        # sinh(d/2) = sqrt(u (2 + u))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stabilizer_injectivity_radius(LatticeSpec(beta_step=1e308), 1.0)
+        assert got == pytest.approx(2 * math.asinh(math.sqrt(1.25)), rel=1e-15)
 
     @pytest.mark.parametrize("height", [1e5, 1e6])
     def test_elongated_cell_keeps_its_gaussian_minimum(self, height):
@@ -638,7 +668,12 @@ def _band_of_two():
     return counting_function(OrbitSource.from_lattice(GAUSSIAN_SPEC), z, z, delta)
 
 
-_HEXAGONAL = LatticeSpec(a2=cmath.exp(1j * math.pi / 3))
+# the hexagonal lattice with beta offsets 0, 10, 20 of step 30 on the three
+# cosets of m - n mod 3: every nonzero alpha of the seed box off the coset
+# of 0 has |beta| >= 10, so the slice minimum comes from |alpha| = sqrt(3)
+_THIRDS = LatticeSpec(
+    a2=cmath.exp(1j * math.pi / 3), beta_step=30.0, beta_offset_rule=lambda m, n: 10.0 * ((m - n) % 3)
+)
 
 
 def _head_of_787():
@@ -657,15 +692,15 @@ class TestEnumerationBudget:
         [
             (30, "the lattice ball", lambda: GAUSSIAN_SPEC.points(2.0, 10.0)),
             (
-                26,
+                35,
                 "the seed box",
                 lambda: min_displacement(OrbitSource.from_lattice(GAUSSIAN_SPEC), ridge_point(6)),
             ),
             (1, "the orbit band", _band_of_two),
             (100, "the orbit ball", _head_of_787),
-            # the seed box (27 points) and the index box of the 7-column
-            # Eisenstein disc (9) fit, its 4 l per column do not
-            (27, "the slice grid", lambda: stabilizer_injectivity_radius(_HEXAGONAL, 0.1)),
+            # the seed box (36 points) and the index box of the 13-column
+            # disc (25) fit, its 4 l per column do not
+            (36, "the slice grid", lambda: stabilizer_injectivity_radius(_THIRDS, 1.0)),
         ],
         ids=["points", "min_displacement", "counting_function", "tail_bound_terms", "slice"],
     )
