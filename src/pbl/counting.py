@@ -4,10 +4,12 @@ volume-ratio upper bound, and the integrated tail estimate for sums of a
 decreasing function over an orbit.
 
 A lattice orbit is counted column by column: for gamma = (alpha, beta),
-<gamma w, z> = A(alpha) + i beta, so the elements within delta of each
-alpha column form one beta interval, whose lattice points are counted from
-their index range.  Only the points within a rounding bound of an interval
-end have their distance evaluated.
+sinh^2(d(z, gamma w)/2) qz qw = b(alpha) + (Im A(alpha) + beta)^2, a sum
+of nonnegative terms (see _column_terms), so the elements within delta of
+each alpha column form one beta interval, whose lattice points are counted
+from their index range.  The interval ends come from the same sum as the
+distances, and only the points within a rounding bound of an end have
+their distance evaluated.
 """
 
 from __future__ import annotations
@@ -70,30 +72,31 @@ def _m3_pair(z: ModelPoint, w: ModelPoint):
     return w1 + np.conj(z1) + w2 * np.conj(z2), z2, w2, model_indicator(z) * model_indicator(w)
 
 
-def _pairing_offsets(alpha, s0, z2, w2):
-    """A(alpha) = s0 + alpha conj(z2) - conj(alpha) w2 - |alpha|^2/2, so that
-    <gamma w, z> = A(alpha) + i beta for gamma = (alpha, beta)."""
-    return s0 + alpha * np.conj(z2) - np.conj(alpha) * w2 - np.abs(alpha) ** 2 / 2.0
-
-
-def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
-    """Distances d(z, gamma w) for the model-3 stabilizer elements with the
-    given (alpha, beta) arrays, vectorized.
-
-    _sinh2 in closed form: with m = (qz + qw)/2 and
-    g = |alpha - (z2 - w2)|^2/2, Re A = -(m + g), so
-    sinh^2(d/2) qz qw = |A + i beta|^2 - qz qw
-    = ((qz - qw)/2)^2 + g (qz + qw + g) + (Im A + beta)^2,
-    a sum of nonnegative terms, so no digits cancel as in cosh^2 - 1.
-    """
-    s0, z2, w2, qzw = _m3_pair(z, w)
+def _column_terms(alpha, z: ModelPoint, w: ModelPoint):
+    """(b, Im A) per alpha, vectorized: with <gamma w, z> = A + i beta for
+    gamma = (alpha, beta), m = (qz + qw)/2 and g = |alpha - (z2 - w2)|^2/2,
+    Re A = -(m + g), so
+    sinh^2(d(z, gamma w)/2) qz qw = |A + i beta|^2 - qz qw = b + (Im A + beta)^2
+    with b = ((qz - qw)/2)^2 + g (qz + qw + g): a sum of nonnegative terms,
+    so no digits cancel as in cosh^2 - 1.  Im A = Im(s0 + alpha conj(z2) -
+    conj(alpha) w2)."""
+    s0, z2, w2, _ = _m3_pair(z, w)
     qz, qw = -model_indicator(z), -model_indicator(w)
     # a |alpha|^2 past the double range is an infinite distance
     with np.errstate(over="ignore"):
         g = np.abs(alpha - (z2 - w2)) ** 2 / 2.0
-        im = _pairing_offsets(alpha, s0, z2, w2).imag + beta
-        num = ((qz - qw) / 2.0) ** 2 + g * (qz + qw + g) + im**2
-        return 2.0 * np.arcsinh(np.sqrt(num) / math.sqrt(qzw))
+        b = ((qz - qw) / 2.0) ** 2 + g * (qz + qw + g)
+        return b, (s0 + alpha * np.conj(z2) - np.conj(alpha) * w2).imag
+
+
+def _stabilizer_distances(alpha, beta, z: ModelPoint, w: ModelPoint):
+    """Distances d(z, gamma w) = 2 asinh(sqrt(b + (Im A + beta)^2) / sqrt(qz qw))
+    for the model-3 stabilizer elements with the given (alpha, beta) arrays,
+    vectorized: _sinh2 in the closed form of _column_terms."""
+    b, im = _column_terms(alpha, z, w)
+    with np.errstate(over="ignore"):
+        num = b + (im + beta) ** 2
+        return 2.0 * np.arcsinh(np.sqrt(num) / math.sqrt(model_indicator(z) * model_indicator(w)))
 
 
 def _near_zero(spec: LatticeSpec, alpha, offset, what: str):
@@ -115,16 +118,16 @@ def _seed_box(spec: LatticeSpec):
 
 
 # Rounding bounds of the column intervals, generous against the few units
-# of eps = 2^-52 each step rounds by.  _ROUND_COSH2 (32 eps) per unit of
-# 4 + delta + |log qz qw| bounds the relative error of T^2 against the
-# |<gamma w, z>|^2 at which the computed d(z, gamma w) <= delta flips: the
-# three nonnegative terms of sinh^2(d/2) qz qw are each within ~6 eps, 2 asinh
-# of their root moves sinh^2(delta/2) by ~4 (2 + delta) eps, and T is within
-# ~4 eps per unit of its log.  _ROUND_TERMS (16 eps) per unit of the terms
-# summed bounds the error of A(alpha), of the distances' Re A = -(m + g) (as
-# (|z2| + |w2|)^2 < 2 (|z1| + |w1| + |z2||w2|) at interior points), and of
-# the beta ends and their division by the step.
-_ROUND_COSH2 = 2.0**-47
+# of eps = 2^-52 each step rounds by, each relative to a computed value.
+# _ROUND_SINH2 (32 eps) per unit of 4 + delta bounds the relative error of
+# S = qz qw sinh^2(delta/2) against the b + (Im A + beta)^2 at which the
+# computed d(z, gamma w) <= delta flips: S's product, that sum of
+# nonnegative terms, its root and the division by sqrt(qz qw) are each
+# within a few eps, and 2 asinh moves sinh^2(delta/2) by ~2 (2 + delta) eps.
+# _ROUND_TERMS (16 eps) per unit of the terms summed bounds the error of the
+# beta ends and their division by the step, and of Im A between two array
+# lengths, should a SIMD lane of numpy's complex product round differently.
+_ROUND_SINH2 = 2.0**-47
 _ROUND_TERMS = 2.0**-48
 # largest |l| a column interval may reach: l is exact in a double, and
 # _MAX_ENUM columns of 2^40 points each still sum exactly in an int64
@@ -141,47 +144,42 @@ def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> C
     """The column intervals of the stabilizer elements moving w within
     delta of z.
 
-    With <gamma w, z> = A + i beta (A = _pairing_offsets) and
-    T = sqrt(qz qw) cosh(delta/2), d(z, gamma w) <= delta is
-    (Re A)^2 + (Im A + beta)^2 <= T^2: one beta interval per column with
-    |Re A| <= T, centred on -Im A.  Since Re(alpha conj(z2) - conj(alpha) w2)
-    = Re(alpha conj(z2 - w2)), Re A >= -T gives |alpha|^2/2 - c |alpha| <=
-    T + Re s0 (c = |z2 - w2|), so these columns lie in the disc that bound
-    defines, widened by the rounding bounds below.  Each interval is taken once
-    with T^2 and A widened by their rounding bounds (out) and once narrowed
-    by them (in), so that the computed distances of the points between the
-    two decide, and the points inside the narrow one all count.
+    With b and Im A of _column_terms and S = qz qw sinh^2(delta/2),
+    d(z, gamma w) <= delta is b + (Im A + beta)^2 <= S: one beta interval
+    -Im A +- sqrt(S - b) per column with b <= S.  As b >= g (c + g) with
+    c = qz + qw, such a column has g <= g_max, the root of g (c + g) = S,
+    so it lies in the disc |alpha| <= |z2 - w2| + sqrt(2 g_max).  Each
+    interval is taken once with S widened by its rounding bound (out) and
+    once narrowed by it (in), so that the computed distances of the points
+    between the two decide, and the points inside the narrow one all count.
     """
-    s0, z2, w2, qzw = _m3_pair(z, w)
-    # s0 is a sum with cancellation, so its rounding is bounded by its terms
-    c0 = abs(z.coords[0]) + abs(w.coords[0]) + abs(z2) * abs(w2)
-    c1 = abs(z2) + abs(w2)
-    t = exp_or_raise(0.5 * math.log(qzw) + log_cosh(delta / 2.0), "the orbit radius")
-    eta = _ROUND_COSH2 * (4.0 + delta + abs(math.log(qzw)))
-    # a kept column has Re A >= -T (1 + eta) - 2 err(|alpha|), with err the
-    # rounding bound of A below, so r = |alpha| has (1/2 - p) r^2 - lin r <= rhs
-    p = 2.0 * _ROUND_TERMS
-    lin = abs(z2 - w2) + p * c1
-    rhs = max(t * (1.0 + eta) + s0.real + p * c0, 0.0)
-    disc = spec.disc((lin + math.sqrt(lin * lin + (2.0 - 4.0 * p) * rhs)) / (1.0 - 2.0 * p))
-    # past the double range A is infinite or nan, and such a column fails
-    # the comparison and is dropped, as its distances are infinite or nan;
-    # an infinite T^2 fails the index check
+    _, z2, w2, qzw = _m3_pair(z, w)
+    eta = _ROUND_SINH2 * (4.0 + delta)
+    try:  # formed from its root, so that no factor of S overflows alone
+        root = math.sqrt(qzw) * math.sinh(delta / 2.0)
+    except OverflowError:
+        root = math.inf
+    s_out, s_in = root * root * (1.0 + eta), root * root * (1.0 - eta)
+    if not s_out < math.inf:
+        raise NumericalError(f"the orbit ball of radius {delta:.6g} overflows a double")
+    # g_max = S / (c/2 + sqrt(c^2/4 + S)), by hypot, as c^2 and 4 S may
+    # each overflow; 1 + 1e-12 covers the rounding of g and |z2 - w2|
+    c = -model_indicator(z) - model_indicator(w)
+    g_max = s_out / (c / 2.0 + math.hypot(c, 2.0 * math.sqrt(s_out)) / 2.0)
+    disc = spec.disc((abs(z2 - w2) + math.sqrt(2.0 * g_max)) * (1.0 + 1e-12))
+    b, im = _column_terms(disc.alpha, z, w)
+    # an infinite b is dropped, as its distances are infinite; an infinite
+    # or nan Im A of a kept column fails the index check
     with np.errstate(over="ignore", invalid="ignore"):
-        a = _pairing_offsets(disc.alpha, s0, z2, w2)
-        r = np.abs(disc.alpha)
-        err = _ROUND_TERMS * (c0 + r * (c1 + r))
-        x = np.abs(a.real)
-        out2 = t * t * (1.0 + eta) - np.maximum(x - err, 0.0) ** 2
-        keep = out2 >= 0.0
-        x, y, err, offset = x[keep], a.imag[keep], err[keep], disc.offset[keep]
-        in2 = t * t * (1.0 - eta) - (x + err) ** 2
+        keep = b <= s_out
+        alpha, b, im, offset = disc.alpha[keep], b[keep], im[keep], disc.offset[keep]
+        err = _ROUND_TERMS * np.abs(alpha) * (abs(z2) + abs(w2))
         # half-widths of the wide and the narrow interval, each padded for
-        # the rounding of its ends and of the points' beta
-        hw_out = np.sqrt(out2[keep]) + err
-        pad = _ROUND_TERMS * (hw_out + np.abs(y) + np.abs(offset))
-        half = np.stack((hw_out + pad, np.sqrt(np.maximum(in2, 0.0)) - err - pad))
-        centre = -y - offset
+        # the rounding of Im A, of its ends and of the points' beta
+        hw_out = np.sqrt(s_out - b) + err
+        pad = _ROUND_TERMS * (hw_out + np.abs(im) + np.abs(offset))
+        half = np.stack((hw_out + pad, np.sqrt(np.maximum(s_in - b, 0.0)) - err - pad))
+        centre = -im - offset
         if not (np.abs(centre) + half[0] <= _MAX_L * spec.beta_step).all():
             raise NumericalError(
                 f"the orbit ball of radius {delta:.6g} reaches beta indices past 2^39"
@@ -193,7 +191,7 @@ def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> C
     hi[1] = np.maximum(hi[1], lo[1] - 1.0)
     out_lo, in_lo = lo.astype(np.int64)
     out_hi, in_hi = hi.astype(np.int64)
-    return Columns(disc.alpha[keep], offset, out_lo, out_hi, in_lo, in_hi)
+    return Columns(alpha, offset, out_lo, out_hi, in_lo, in_hi)
 
 
 def _orbit_distances(src: OrbitSource, z: ModelPoint, w: ModelPoint, delta: float):

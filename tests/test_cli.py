@@ -764,6 +764,18 @@ class TestFitCmd:
         code, _, err = run(capsys, "fit")
         assert code == 2 and "--in" in err
 
+    def test_non_numeric_log_total(self, capsys, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(
+            "".join(
+                f'{{"k": {k}, "log_total": {chr(34) + "x" + chr(34) if k == 8 else k / 4}}}\n'
+                for k in range(6, 11)
+            )
+        )
+        code, out, err = run(capsys, "fit", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == "pbl: precondition violated: --in: could not convert string to float: 'x'\n"
+
     def test_unreadable_input(self, capsys, tmp_path):
         code, out, err = run(capsys, "fit", "--in", str(tmp_path / "absent.jsonl"))
         assert code == 2 and out == ""
@@ -1101,3 +1113,9 @@ def test_fuzzed_config_exits_cleanly(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "verify", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "pbl: precondition violated: --seed: must be nonnegative\n"

@@ -179,6 +179,25 @@ class TestColumnCount:
             want = float(np.sum([f(x) for x in d[d <= delta].tolist()]))
             assert tail_bound_terms(f, 2, 0.5, delta, src, z, w).head == want
 
+    @pytest.mark.parametrize("name", SPECS)
+    def test_ties_far_out_in_beta_match_the_box_scan(self, name):
+        # Im w1 - Im z1 = 1e6 and z2 = w2 = 0 put every column's interval
+        # near beta = -1e6, where its ends and the points' beta round by
+        # ~1e-10, far more than S's own margin widens them; the betas within
+        # T of -1e6 - offset hold every element within delta
+        spec = SPECS[name]
+        z, w = ModelPoint.m3(complex(-0.6, 0.1), 0.0), ModelPoint.m3(complex(-0.4, 0.1 + 1e6), 0.0)
+        src = OrbitSource.from_lattice(spec)
+        t = math.sqrt(1.2 * 0.8) * math.cosh(1.5)
+        disc = spec.disc(math.sqrt(2 * t) + 1)
+        width = int(2 * t / spec.beta_step) + 6
+        l = np.floor((-1e6 - disc.offset - t) / spec.beta_step)[:, None] - 2 + np.arange(width)
+        beta = (disc.offset[:, None] + l * spec.beta_step).ravel()
+        d = _stabilizer_distances(np.repeat(disc.alpha, width), beta, z, w)
+        for x in np.unique(d[d <= 3.0]).tolist():
+            for delta in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+                assert counting_function(src, z, w, delta) == np.count_nonzero(d <= delta)
+
     def test_counts_far_from_the_axis_match_the_box_scan(self):
         # s0 = w1 + conj(z1) + w2 conj(z2) cancels down to about -q at
         # z = w, so far from the axis its rounding is bounded by its terms,
@@ -215,6 +234,115 @@ class TestColumnCount:
         for delta in np.arange(0.0, delta_max + 0.125, 0.25).tolist():
             assert counting_function(src, z, z, delta) == np.count_nonzero(d <= delta), delta
         assert min_displacement(src, z) == d[(pts.alpha != 0) | (pts.beta != 0)].min()
+
+
+def _dyadic(x, bits):
+    return round(x * 2.0**bits) / 2.0**bits
+
+
+def _raw_pairing_draw(rng):
+    """A lattice and two model-3 points on dyadic grids (a2 on 2^-8, step
+    and offsets on 2^-3, z2 on 2^-10, q on 2^-21), so that every term of
+    the raw pairing is exact in a 64-bit long double mantissa."""
+    angle, ratio = rng.uniform(0.1, math.pi / 2), 10 ** rng.uniform(-0.3, 0.3)
+    step = float(rng.choice([0.25, 0.5, 0.75, 1.0, 1.5, 2.5]))
+    a, c = (_dyadic(x, 3) for x in rng.uniform(0, 2, 2))
+    spec = LatticeSpec(
+        a2=complex(_dyadic(ratio * math.cos(angle), 8), _dyadic(ratio * math.sin(angle), 8)),
+        beta_step=step,
+        beta_offset_rule=lambda m, n, a=a, c=c, s=step: (a * m + c * n) % s,
+    )
+
+    def point(q, z2, im):
+        q = max(_dyadic(q, 21), 2.0**-20)
+        return ModelPoint.m3(complex(-(q + z2.real**2 + z2.imag**2) / 2, _dyadic(im, 20)), z2)
+
+    def grid(x):
+        return complex(_dyadic(x.real, 10), _dyadic(x.imag, 10))
+
+    qz = 10 ** rng.uniform(-6, 1)
+    z2 = grid(10 ** rng.uniform(-2, 4) * cmath.exp(2j * math.pi * rng.uniform()))
+    z = point(qz, z2, rng.normal())
+    # w near z on the scale of sqrt(q), with Im w1 chosen to keep Im A(0)
+    # near 0, or on the scale of the cell, so that counts are not all 0
+    near = rng.uniform() < 0.7
+    scale = math.sqrt(qz) * 10 ** rng.uniform(-1, 0.3) if near else 1.0
+    shift = grid(complex(*rng.normal(size=2)) * scale)
+    im = z.coords[0].imag - (shift * z2.conjugate()).imag + near * qz * rng.normal()
+    w = point(qz * 10 ** rng.uniform(-0.3, 0.3), z2 + shift, im)
+    return spec, z, w, float(rng.uniform(0, 4))
+
+
+def _raw_pairing_count(spec, z, w, delta):
+    """#{gamma : |<gamma w, z>|^2 <= qz qw cosh^2(delta/2)} over a box of
+    columns centred at z2 - w2, with <gamma w, z> written out from the
+    matrices in long double (exact on _raw_pairing_draw's grids), and the
+    largest relative gap between a brute value and the threshold.  The box
+    is sized by |<gamma w, z>| >= |Re| = (qz + qw + |alpha - (z2 - w2)|^2)/2
+    and widened by half, and its outer ring must hold no counted point."""
+    ld = np.longdouble
+    (z1, z2), (w1, w2) = z.coords, w.coords
+    qz, qw = (-(2 * ld(p1.real) + ld(p2.real) ** 2 + ld(p2.imag) ** 2) for p1, p2 in ((z1, z2), (w1, w2)))
+    t = math.sqrt(float(qz * qw)) * math.cosh(delta / 2)
+    radius = math.sqrt(2 * max(t - float(qz + qw) / 2, 0.0))
+    centre = z2 - w2
+    # the box of (m, n) around centre = x a1 + y a2 that holds the disc
+    # |alpha - centre| <= 1.5 radius + 1
+    a1, a2 = complex(spec.a1), complex(spec.a2)
+    area = spec.cell_area
+    x = (centre.real * a2.imag - centre.imag * a2.real) / area
+    y = (a1.real * centre.imag - a1.imag * centre.real) / area
+    reach = 1.5 * radius + 1
+    m = np.arange(math.floor(x - reach * abs(a2) / area) - 1, math.ceil(x + reach * abs(a2) / area) + 2)
+    n = np.arange(math.floor(y - reach * abs(a1) / area) - 1, math.ceil(y + reach * abs(a1) / area) + 2)
+    m, n = (v.ravel() for v in np.meshgrid(m, n, indexing="ij"))
+    alpha = (m * a1 + n * a2).astype(np.clongdouble)
+    offset = np.asarray(spec.beta_offset_rule(m, n), dtype=float)
+
+    def pairing(alpha, beta):
+        u1 = w1 - np.conj(alpha) * w2 - (alpha.real**2 + alpha.imag**2) / 2 + 1j * beta
+        return u1 + (w2 + alpha) * np.conj(z2) + np.conj(z1)
+
+    # per column, the betas within t + 2 steps of -Im <gamma w, z> at beta = 0
+    mid = -pairing(alpha, np.zeros(alpha.size, ld)).imag.astype(float) - offset
+    lo = np.floor((mid - t) / spec.beta_step) - 2
+    width = int(math.ceil(2 * t / spec.beta_step)) + 5
+    col = np.repeat(np.arange(alpha.size), width)
+    l = lo[col] + np.tile(np.arange(width), alpha.size)
+    p = pairing(alpha[col], ld(offset[col]) + ld(l) * ld(spec.beta_step))
+    ratio = (p.real**2 + p.imag**2) / (qz * qw) / ld(math.cosh(delta / 2)) ** 2
+    inside = ratio <= 1
+    ring = np.abs(alpha[col] - centre) > 1.01 * radius + 1e-9
+    assert not (inside & ring).any()
+    return int(np.count_nonzero(inside)), float(np.abs(ratio - 1).min())
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+def test_off_diagonal_counts_match_a_raw_pairing_brute_force():
+    # z != w on skewed bases with dyadic offset rules, q from 1e-6 to 10
+    # and |z2| up to 1e4, where s0 cancels ~1e14-fold; draws with a brute
+    # value within 1e-12 relative of the threshold are skipped as ties
+    rng = np.random.default_rng(2031)
+    checked = positive = 0
+    for _ in range(150):
+        spec, z, w, delta = _raw_pairing_draw(rng)
+        want, gap = _raw_pairing_count(spec, z, w, delta)
+        if gap <= 1e-12:
+            continue
+        assert counting_function(OrbitSource.from_lattice(spec), z, w, delta) == want
+        checked += 1
+        positive += want > 0
+    assert checked >= 140 and positive >= 60
+
+
+def test_far_pair_counts_in_a_disc_about_z2_minus_w2():
+    # w is 800 from z in z2, so the columns within delta sit near
+    # alpha = -800; a disc sized by |z2 - w2| + sqrt(2 g_max) holds them in
+    # ~2.1e6 cells, where one sized by a quadratic in |alpha| asked for 1e7
+    z = ModelPoint.m3(-0.5, 0.0)
+    w = ModelPoint.m3(-(1 + 800**2) / 2, 800.0)
+    src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
+    assert [counting_function(src, z, w, d) for d in (1.0, 2.0, 4.0)] == [1, 7, 107]
 
 
 class TestElementSources:
@@ -261,6 +389,16 @@ class TestElementSources:
             with pytest.raises(DomainError):
                 min_displacement(OrbitSource.from_elements(elements), z)
 
+    def test_source_needs_exactly_one_of_elements_or_lattice(self):
+        for kwargs in ({}, {"elements": (), "lattice": GAUSSIAN_SPEC}):
+            with pytest.raises(DomainError, match="exactly one"):
+                OrbitSource(**kwargs)
+
+    def test_lattice_source_rejects_ball_points(self):
+        z = ModelPoint.ball([0.1, 0.2])
+        with pytest.raises(DomainError, match="act on model-3 points"):
+            counting_function(OrbitSource.from_lattice(GAUSSIAN_SPEC), z, z, 1.0)
+
 
 class TestCountingUpperBound:
     def test_delta_zero_collapse(self):
@@ -287,6 +425,8 @@ class TestCountingUpperBound:
         for r_x in (0.0, math.inf, math.nan):
             with pytest.raises(PreconditionError):
                 counting_upper_bound(2, r_x, 1.0)
+        with pytest.raises(PreconditionError, match="delta"):
+            counting_upper_bound(2, 1.0, -0.5)
 
     def test_dominates_lattice_counts(self):
         z = ridge_point(6)

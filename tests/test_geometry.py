@@ -243,6 +243,10 @@ class TestCurvatureDeterminant:
         with pytest.raises(DomainError):
             curvature_determinant(p, h=1e-2)
 
+    def test_model3_point_rejected(self):
+        with pytest.raises(DomainError, match="ball model"):
+            curvature_determinant(ModelPoint.m3(-1.0, 0.0))
+
 
 def test_distance_bit_identical_to_the_lift_formulas():
     """cosh2_half_distance and distance on 200 seeded ball pairs equal,

@@ -612,3 +612,41 @@ def test_count_just_below_a_ridge_pair_distance_is_zero():
     z, w = _ridge_pair(10**8)
     delta = 0.9999 * float(_oracle_distance(z, w))
     assert counting_function(OrbitSource.from_lattice(GAUSSIAN_SPEC), z, w, delta) == 0
+
+
+_EISENSTEIN_CELL = LatticeSpec(1.0, cmath.exp(1j * math.pi / 3))
+
+
+@pytest.mark.parametrize(
+    "spec, theta",
+    [
+        # theta_3(e^-pi)^2 = sqrt(pi) / Gamma(3/4)^2
+        (GAUSSIAN_SPEC, math.sqrt(math.pi) / math.gamma(0.75) ** 2),
+        (
+            _EISENSTEIN_CELL,
+            math.fsum(
+                math.exp(-math.pi * abs(_EISENSTEIN_CELL.alpha(m, n)) ** 2)
+                for m in range(-12, 13)
+                for n in range(-12, 13)
+            ),
+        ),
+    ],
+    ids=["gaussian", "eisenstein"],
+)
+def test_lattice_sum_tends_to_the_theta_series(spec, theta):
+    # Poisson summation of each beta line gives a^(1-k) J_k / step with
+    # J_k = sqrt(pi) Gamma((k-1)/2) / Gamma(k/2), and (a0/a)^(k-1) tends to
+    # exp(-pi |alpha|^2), so R(k) = S(k) step / (a0 J_k) = theta + c/k +
+    # O(k^-2).  J_k comes from mpmath: the difference of two lgamma loses
+    # ~1e-7 of it at k = 1e8.  The only oracle that reaches k = 1e8.
+    scaled = []
+    for k in (10**6, 10**8):
+        with mp.workdps(30):
+            j_k = mp.sqrt(mp.pi) * mp.gammaprod([mp.mpf(k - 1) / 2], [mp.mpf(k) / 2])
+            a0 = mp.mpf(k) / (2 * mp.pi)
+            s = mp.mpf(cusp_lattice_sum(k, spec, 1e-12).value.to_float())
+            r = float(s * spec.beta_step / (a0 * j_k))
+        assert abs(r - theta) <= 3.0 / k
+        scaled.append(k * (r - theta))
+    # c = 1.59188 (Gaussian), 2.12206 (Eisenstein)
+    assert scaled[0] == pytest.approx(scaled[1], rel=1e-3)

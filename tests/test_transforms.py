@@ -98,6 +98,11 @@ class TestApply:
             rhs = apply(g, apply(h, p))
             assert np.abs(lhs.coords - rhs.coords).max() < 1e-10
 
+    def test_compose_across_dimensions_rejected(self):
+        g, h = random_isometry(ball_form(2), 1), random_isometry(ball_form(3), 1)
+        with pytest.raises(DimensionError, match="different forms"):
+            g.compose(h)
+
     def test_interior_preserved(self):
         rng = np.random.default_rng(2)
         form = ball_form(2)
