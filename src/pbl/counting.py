@@ -4,12 +4,11 @@ volume-ratio upper bound, and the integrated tail estimate for sums of a
 decreasing function over an orbit.
 
 A lattice orbit is counted column by column: for gamma = (alpha, beta),
-sinh^2(d(z, gamma w)/2) qz qw = b(alpha) + (Im A(alpha) + beta)^2, a sum
-of nonnegative terms (see _column_terms), so the elements within delta of
-each alpha column form one beta interval, whose lattice points are counted
-from their index range.  The interval ends come from the same sum as the
-distances, and only the points within a rounding bound of an end have
-their distance evaluated.
+sinh^2(d(z, gamma w)/2) qz qw = b(alpha) + (Im A(alpha) + beta)^2, a sum of
+nonnegative terms (_column_terms), so the elements within delta of each
+alpha column form one beta interval, whose lattice points are counted from
+their index range.  Only the points within a rounding bound of an interval
+end have their distance evaluated.
 """
 
 from __future__ import annotations
@@ -69,17 +68,19 @@ def _m3_pair(z: ModelPoint, w: ModelPoint):
         raise DomainError("lattice orbit sources act on model-3 points")
     z1, z2 = z.coords
     w1, w2 = w.coords
-    return w1 + np.conj(z1) + w2 * np.conj(z2), z2, w2, model_indicator(z) * model_indicator(w)
+    qzw = model_indicator(z) * model_indicator(w)
+    if not 2.0**-1022 <= qzw < math.inf:  # the distances and bounds scale by it
+        raise NumericalError(f"qz qw = {qzw:.3g} is not a normal double")
+    return w1 + np.conj(z1) + w2 * np.conj(z2), z2, w2, qzw
 
 
 def _column_terms(alpha, z: ModelPoint, w: ModelPoint):
     """(b, Im A) per alpha, vectorized: with <gamma w, z> = A + i beta for
-    gamma = (alpha, beta), m = (qz + qw)/2 and g = |alpha - (z2 - w2)|^2/2,
-    Re A = -(m + g), so
-    sinh^2(d(z, gamma w)/2) qz qw = |A + i beta|^2 - qz qw = b + (Im A + beta)^2
-    with b = ((qz - qw)/2)^2 + g (qz + qw + g): a sum of nonnegative terms,
-    so no digits cancel as in cosh^2 - 1.  Im A = Im(s0 + alpha conj(z2) -
-    conj(alpha) w2)."""
+    gamma = (alpha, beta) and g = |alpha - (z2 - w2)|^2/2, Re A = -((qz +
+    qw)/2 + g), so sinh^2(d(z, gamma w)/2) qz qw = |A + i beta|^2 - qz qw =
+    b + (Im A + beta)^2 with b = ((qz - qw)/2)^2 + g (qz + qw + g), a sum of
+    nonnegative terms that cancels no digits as cosh^2 - 1 would.
+    Im A = Im(s0 + alpha conj(z2) - conj(alpha) w2)."""
     s0, z2, w2, _ = _m3_pair(z, w)
     qz, qw = -model_indicator(z), -model_indicator(w)
     # a |alpha|^2 past the double range is an infinite distance
@@ -118,40 +119,40 @@ def _seed_box(spec: LatticeSpec):
 
 
 # Rounding bounds of the column intervals, generous against the few units
-# of eps = 2^-52 each step rounds by, each relative to a computed value.
-# _ROUND_SINH2 (32 eps) per unit of 4 + delta bounds the relative error of
-# S = qz qw sinh^2(delta/2) against the b + (Im A + beta)^2 at which the
-# computed d(z, gamma w) <= delta flips: S's product, that sum of
-# nonnegative terms, its root and the division by sqrt(qz qw) are each
-# within a few eps, and 2 asinh moves sinh^2(delta/2) by ~2 (2 + delta) eps.
-# _ROUND_TERMS (16 eps) per unit of the terms summed bounds the error of the
-# beta ends and their division by the step, and of Im A between two array
-# lengths, should a SIMD lane of numpy's complex product round differently.
+# of eps = 2^-52 each step rounds by.  _ROUND_SINH2 (32 eps) per unit of
+# 4 + delta bounds the relative error of S = qz qw sinh^2(delta/2) against
+# the b + (Im A + beta)^2 at which the computed d(z, gamma w) <= delta
+# flips: S's product, that sum, its root and the division by sqrt(qz qw)
+# are each within a few eps, and 2 asinh moves sinh^2(delta/2) by ~2 (2 +
+# delta) eps.  _ROUND_TERMS (16 eps) per unit of the terms summed bounds
+# the error of the beta ends and their division by the step, and of Im A
+# between two array lengths, should a SIMD lane of numpy's complex product
+# round differently.  _ROUND_SUBNORMAL bounds, absolutely, what the steps
+# whose results fall below the normal doubles lose: 2^-1075 each.
 _ROUND_SINH2 = 2.0**-47
 _ROUND_TERMS = 2.0**-48
+_ROUND_SUBNORMAL = 2.0**-1000
 # largest |l| a column interval may reach: l is exact in a double, and
 # _MAX_ENUM columns of 2^40 points each still sum exactly in an int64
 _MAX_L = 2.0**39
 
-# the columns of an alpha disc that hold an element within delta, in disc
-# order: alpha, beta offset, the l range [out_lo, out_hi] outside which
-# d(z, gamma w) > delta, and the range [in_lo, in_hi] inside which
-# d(z, gamma w) <= delta (in_hi = in_lo - 1 where it is empty), as int64
+# the alpha disc's columns with an element within delta, in disc order:
+# alpha, beta offset, the l range [out_lo, out_hi] outside which d > delta
+# and [in_lo, in_hi] inside which d <= delta (in_hi = in_lo - 1 if empty)
 Columns = namedtuple("Columns", "alpha offset out_lo out_hi in_lo in_hi")
 
 
 def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> Columns:
-    """The column intervals of the stabilizer elements moving w within
-    delta of z.
+    """The column intervals of the elements moving w within delta of z.
 
     With b and Im A of _column_terms and S = qz qw sinh^2(delta/2),
     d(z, gamma w) <= delta is b + (Im A + beta)^2 <= S: one beta interval
     -Im A +- sqrt(S - b) per column with b <= S.  As b >= g (c + g) with
-    c = qz + qw, such a column has g <= g_max, the root of g (c + g) = S,
-    so it lies in the disc |alpha| <= |z2 - w2| + sqrt(2 g_max).  Each
-    interval is taken once with S widened by its rounding bound (out) and
-    once narrowed by it (in), so that the computed distances of the points
-    between the two decide, and the points inside the narrow one all count.
+    c = qz + qw, such a column has g <= g_max, the root of g (c + g) = S, in
+    the disc |alpha| <= |z2 - w2| + sqrt(2 g_max).  Each interval is taken
+    with S widened by its rounding bounds (out) and narrowed by them (in):
+    the computed distances of the points between the two decide, and the
+    points inside the narrow one all count.
     """
     _, z2, w2, qzw = _m3_pair(z, w)
     eta = _ROUND_SINH2 * (4.0 + delta)
@@ -159,7 +160,8 @@ def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> C
         root = math.sqrt(qzw) * math.sinh(delta / 2.0)
     except OverflowError:
         root = math.inf
-    s_out, s_in = root * root * (1.0 + eta), root * root * (1.0 - eta)
+    s_out = root * root * (1.0 + eta) + _ROUND_SUBNORMAL
+    s_in = root * root * (1.0 - eta) - _ROUND_SUBNORMAL
     if not s_out < math.inf:
         raise NumericalError(f"the orbit ball of radius {delta:.6g} overflows a double")
     # g_max = S / (c/2 + sqrt(c^2/4 + S)), by hypot, as c^2 and 4 S may
@@ -186,9 +188,8 @@ def _columns(spec: LatticeSpec, z: ModelPoint, w: ModelPoint, delta: float) -> C
             )
     lo = np.ceil((centre - half) / spec.beta_step)
     hi = np.floor((centre + half) / spec.beta_step)
-    # an empty narrow interval becomes [in_lo, in_lo - 1], so that the points
-    # outside it are the wide interval, once
-    hi[1] = np.maximum(hi[1], lo[1] - 1.0)
+    # an empty narrow interval, or any where b > s_in, is [in_lo, in_lo - 1]
+    hi[1] = np.where(b <= s_in, np.maximum(hi[1], lo[1] - 1.0), lo[1] - 1.0)
     out_lo, in_lo = lo.astype(np.int64)
     out_hi, in_hi = hi.astype(np.int64)
     return Columns(alpha, offset, out_lo, out_hi, in_lo, in_hi)

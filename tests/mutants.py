@@ -50,6 +50,27 @@ MUTANTS = [
         _COLUMN_TESTS,
     ),
     Mutant(
+        "no subnormal widening",
+        _COUNTING,
+        "s_out = root * root * (1.0 + eta) + _ROUND_SUBNORMAL",
+        "s_out = root * root * (1.0 + eta)",
+        _COLUMN_TESTS,
+    ),
+    Mutant(
+        "no subnormal narrowing",
+        _COUNTING,
+        "s_in = root * root * (1.0 - eta) - _ROUND_SUBNORMAL",
+        "s_in = root * root * (1.0 - eta)",
+        _COLUMN_TESTS,
+    ),
+    Mutant(
+        "narrow interval past s_in",
+        _COUNTING,
+        "hi[1] = np.where(b <= s_in, np.maximum(hi[1], lo[1] - 1.0), lo[1] - 1.0)",
+        "hi[1] = np.maximum(hi[1], lo[1] - 1.0)",
+        _COLUMN_TESTS,
+    ),
+    Mutant(
         "no Im A margin",
         _COUNTING,
         "err = _ROUND_TERMS * np.abs(alpha) * (abs(z2) + abs(w2))",
@@ -95,6 +116,10 @@ def run(mutant: Mutant) -> bool:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
+        # 1 is a test failure; any other nonzero code (interrupted, internal
+        # or usage error, nothing collected) says nothing about the mutant
+        if proc.returncode not in (0, 1):
+            raise SystemExit(f"{mutant.name}: pytest exited with {proc.returncode}")
         return proc.returncode == 0
 
 

@@ -345,6 +345,44 @@ def test_far_pair_counts_in_a_disc_about_z2_minus_w2():
     assert [counting_function(src, z, w, d) for d in (1.0, 2.0, 4.0)] == [1, 7, 107]
 
 
+@pytest.mark.parametrize("q", [1e-200, 1e-155, 1e160])
+def test_q_products_off_the_normal_doubles_raise(q):
+    # qz qw = 0 at q = 1e-200, though beta = +-1 lie 2 asinh(1e200) ~ 922
+    # from z, within delta = 1000; a subnormal or infinite qz qw loses the
+    # relative accuracy every interval bound rests on
+    src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
+    z = ModelPoint.m3(-q / 2, 0.0)
+    with pytest.raises(NumericalError, match="not a normal double"):
+        counting_function(src, z, z, 1000.0)
+    with pytest.raises(NumericalError, match="not a normal double"):
+        min_displacement(src, z)
+
+
+@pytest.mark.parametrize("eps", [3e-162, 2e-161, 1e-160, 1e-157])
+def test_subnormal_sums_count_by_the_distance_test(eps):
+    # d(z, w) = 2 eps puts S and the identity's b + (Im A + beta)^2 in the
+    # subnormals, where each step rounds by up to 2^-1075, not relatively;
+    # the identity counts exactly when its computed distance is within delta
+    z = ModelPoint.m3(-0.5, 0.0)
+    w = ModelPoint.m3(complex(-0.5, eps), 0.0)
+    src = OrbitSource.from_lattice(GAUSSIAN_SPEC)
+    d = float(_stabilizer_distances(np.array([0j]), np.array([0.0]), z, w)[0])
+    for delta in d * (1.0 + np.linspace(-1e-3, 1e-3, 41)):
+        assert counting_function(src, z, w, float(delta)) == int(d <= delta)
+
+
+def test_a_column_at_the_wide_bound_is_evaluated():
+    # at this delta, qz qw sinh^2(delta/2) widened by its rounding bound is
+    # b = 2.25 of the identity exactly, so the identity's column has an empty
+    # wide half-width and no pad; delta is below d(z, w) = log 4, and only
+    # evaluating the identity finds that it is out
+    z, w = ModelPoint.m3(-0.5, 0.0), ModelPoint.m3(-2.0, 0.0)
+    delta = float.fromhex("0x1.62e42fefa3988p+0")
+    d = float(_stabilizer_distances(np.array([0j]), np.array([0.0]), z, w)[0])
+    assert delta < d
+    assert counting_function(OrbitSource.from_lattice(GAUSSIAN_SPEC), z, w, delta) == 0
+
+
 class TestElementSources:
     """Element-list orbits keep the checks apply and cosh2_half_distance make."""
 
