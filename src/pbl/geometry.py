@@ -11,7 +11,7 @@ import numpy as np
 
 from .closed_forms import ridge_log_objective
 from .errors import DomainError, PreconditionError, _check_exact_int
-from .hermitian import Model, ModelPoint, lift, model_indicator
+from .hermitian import Model, ModelPoint, model_indicator
 from .logreal import LogReal, exp_or_raise, log_sinh
 
 __all__ = [
@@ -41,13 +41,13 @@ def _sinh2(z: ModelPoint, w: ModelPoint, mats=None):
     q = -<.,.>, sums nonnegative terms and cancels no digits.
     """
     _check_same_model(z, w)
-    form = z.form().entries
-    zt = lift(z)
-    qz = -model_indicator(z)
+    form = z._form.entries
+    zt = z._lift
+    qz = -z._indicator
     if mats is None:
-        wt, qw = lift(w), -model_indicator(w)
+        wt, qw = w._lift, -w._indicator
     else:
-        wt = mats @ lift(w)
+        wt = mats @ w._lift
         wt /= wt[..., -1:]
         wt[..., -1] = 1.0
         # qw is summed from each image, not taken as -<w,w>, which would

@@ -33,6 +33,17 @@ __all__ = [
 
 # inputs are small exact integers and i, so this slack is generous
 HERMITIAN_TOL = 1e-12
+# the last entry of every lift, as the bytes of a complex double
+_ONE = np.ones(1, dtype=complex).tobytes()
+
+
+def _complex_array(x, what: str) -> np.ndarray:
+    """np.asarray(x, dtype=complex), with DomainError in place of numpy's
+    bare ValueError for text that is not a number."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except ValueError as exc:
+        raise DomainError(f"{what} must be complex numbers ({exc})") from None
 
 
 class Model(enum.Enum):
@@ -51,7 +62,7 @@ class HermitianForm:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = _complex_array(self.entries, "form entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DimensionError(f"form must be square of size >= 2, got {m.shape}")
         if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
@@ -90,6 +101,10 @@ class HermitianForm:
     def __hash__(self):
         # forms within HERMITIAN_TOL are equal, so only the size is hashed
         return hash(self.dim)
+
+    def __reduce__(self):
+        # rebuild through the checks, which make the entries read-only again
+        return HermitianForm, (self.entries,)
 
 
 # the ball forms built so far, keyed by the exact int n
@@ -147,26 +162,27 @@ def standard_form_for(model: Model, n: int = 2) -> HermitianForm:
     return model3_form()
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class ModelPoint:
     """An interior point of one of the models, stored in affine coordinates.
 
     Constructors reject boundary and exterior points (indicator >= 0), so
-    every ModelPoint in circulation is strictly interior.  The lift
-    (z_1, ..., z_n, 1) and its indicator are computed once, at construction;
-    `coords` and `lift(p)` are read-only views of one private buffer.  Two
-    points are equal when they have the same model and exactly equal
-    coordinates, and equal points hash alike.
+    every ModelPoint in circulation is strictly interior.  The model's
+    standard form, the lift (z_1, ..., z_n, 1) and its indicator are found
+    once, at construction; `coords` and `lift(p)` are read-only views of one
+    private buffer.  Two points are equal when they have the same model and
+    exactly equal coordinates, and equal points hash alike.  Copies and
+    pickles are rebuilt through the constructor.
     """
 
     model: Model
     coords: np.ndarray
     _lift: np.ndarray = field(init=False, repr=False, compare=False)
     _indicator: float = field(init=False, repr=False, compare=False)
+    _form: HermitianForm = field(init=False, repr=False, compare=False)
 
     def __init__(self, model: Model, coords):
-        object.__setattr__(self, "model", model)
-        c = np.asarray(coords, dtype=complex)
+        c = _complex_array(coords, "coords")
         if c.ndim == 0:
             c = c.reshape(1)
         if c.ndim != 1:
@@ -175,39 +191,24 @@ class ModelPoint:
         if model is Model.BALL:
             if n < 2:
                 raise DimensionError("ball points need n >= 2 coordinates")
+            form = ball_form(n)
         elif n != 2:
             raise DimensionError(f"{model.value} points live in C^2")
-        # a fresh buffer, so that the caller's array stays the caller's
-        zt = np.empty(n + 1, dtype=complex)
-        zt[:n] = c
-        zt[n] = 1.0
-        self._store_lift(zt)
+        else:
+            form = standard_form_for(model)
+        # a copy over bytes, which no array can make writable again; the
+        # caller's array stays the caller's
+        _store_lift(self, model, np.frombuffer(c.tobytes() + _ONE, dtype=complex), form)
 
     @classmethod
-    def _from_lift(cls, model: Model, zt: np.ndarray) -> "ModelPoint":
-        """The point of `model` whose lift is zt, a complex buffer of length
-        n+1 with last entry 1 that the library just computed and no caller
-        holds: it becomes the point's lift without a copy, and is checked
-        as the constructor checks."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "model", model)
-        p._store_lift(zt)
-        return p
-
-    def _store_lift(self, zt: np.ndarray):
-        """Makes zt read-only and stores it as the lift, with its indicator;
-        DomainError unless the indicator is negative."""
-        n = zt.shape[0] - 1
+    def _from_lift(cls, model: Model, zt: np.ndarray, form: HermitianForm) -> "ModelPoint":
+        """The point of `model`, whose standard form is `form`, with lift zt:
+        a complex buffer of length n+1 with last entry 1 that the library
+        just computed and no caller holds.  It is made read-only and becomes
+        the point's buffer without a copy, checked as the constructor checks."""
         zt.setflags(write=False)
-        # .dot is @ bit for bit (the same BLAS call) with less overhead
-        ind = float(zt.conj().dot(standard_form_for(self.model, n).entries).dot(zt).real)
-        if not ind < 0:
-            raise DomainError(
-                f"not an interior {self.model.value} point (indicator {ind:.3g} >= 0)"
-            )
-        object.__setattr__(self, "coords", zt[:n])
-        object.__setattr__(self, "_lift", zt[:])
-        object.__setattr__(self, "_indicator", ind)
+        # a view, whose write flag cannot be set again as zt's could
+        return _store_lift(object.__new__(cls), model, zt.view(), form)
 
     def __eq__(self, other):
         if not isinstance(other, ModelPoint):
@@ -217,6 +218,10 @@ class ModelPoint:
     def __hash__(self):
         # Python complex numbers: 0.0 and -0.0 compare and hash alike
         return hash((self.model, tuple(self.coords.tolist())))
+
+    def __reduce__(self):
+        # rebuild through the constructor, which makes a fresh read-only buffer
+        return ModelPoint, (self.model, self.coords)
 
     @property
     def n(self) -> int:
@@ -235,7 +240,33 @@ class ModelPoint:
         return ModelPoint(Model.M3, (z1, z2))
 
     def form(self) -> HermitianForm:
-        return standard_form_for(self.model, self.n)
+        """The standard form of the point's model, stored at construction."""
+        return self._form
+
+
+def _store_lift(p: ModelPoint, model: Model, zt: np.ndarray, form: HermitianForm) -> ModelPoint:
+    """Stores zt, a complex array of length n+1 with last entry 1 that cannot
+    be made writable, in p as the lift of a `model` point, with its
+    indicator under `form`; DomainError unless the indicator is negative."""
+    n = zt.shape[0] - 1
+    # .dot is @ bit for bit (the same BLAS call) with less overhead
+    ind = float(zt.conj().dot(form.entries).dot(zt).real)
+    if not ind < 0:
+        raise DomainError(f"not an interior {model.value} point (indicator {ind:.3g} >= 0)")
+    _set_model(p, model)
+    _set_coords(p, zt[:n])
+    _set_lift(p, zt)
+    _set_indicator(p, ind)
+    _set_form(p, form)
+    return p
+
+
+# the slots' own setters, which the frozen class's __setattr__ would refuse:
+# a call to one costs about half an object.__setattr__
+_set_model, _set_coords, _set_lift, _set_indicator, _set_form = (
+    ModelPoint.__dict__[name].__set__
+    for name in ("model", "coords", "_lift", "_indicator", "_form")
+)
 
 
 def inner_product(form: HermitianForm, zt, wt) -> complex:

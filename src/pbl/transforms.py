@@ -26,8 +26,8 @@ from .hermitian import (
     HermitianForm,
     Model,
     ModelPoint,
+    _complex_array,
     ball_form,
-    lift,
     model2_form,
     model3_form,
     standard_form_for,
@@ -66,7 +66,7 @@ def _residual(mat: np.ndarray, src: HermitianForm, dst: HermitianForm) -> float:
 
 def verify_isometry(mat, src: HermitianForm, dst: HermitianForm) -> float:
     """Max-norm residual of mat* . src . mat - dst; zero for a valid map."""
-    mat = np.asarray(mat, dtype=complex)
+    mat = _complex_array(mat, "matrix")
     _check_shape(mat, src, dst)
     return _residual(mat, src, dst)
 
@@ -93,14 +93,15 @@ class Isometry:
     The constructor copies the caller's matrix; the library's own builders
     (random_isometry, compose, inverse, lattice.stabilizer_matrix) hand a
     fresh matrix to _of, which skips only that copy.  Both run the one
-    check of _check_isometry.  Isometries compare by identity.
+    check of _check_isometry.  Isometries compare by identity; copies and
+    pickles are rebuilt through the constructor.
     """
 
     mat: np.ndarray
     form: HermitianForm
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=complex)  # a copy: the caller keeps theirs
+        m = _complex_array(self.mat, "matrix").copy()  # the caller keeps theirs
         _check_shape(m, self.form, self.form)
         object.__setattr__(self, "mat", _check_isometry(m, self.form))
 
@@ -112,6 +113,9 @@ class Isometry:
         object.__setattr__(g, "mat", _check_isometry(m, form))
         object.__setattr__(g, "form", form)
         return g
+
+    def __reduce__(self):
+        return Isometry, (self.mat, self.form)
 
     @property
     def blocks(self):
@@ -137,7 +141,8 @@ class CayleyMap:
     """A change-of-model matrix with mat* . source_form . mat = target_form.
 
     Points flow the other way round: apply() takes points of the
-    target_form model to the source_form model.  Maps compare by identity.
+    target_form model to the source_form model.  Maps compare by identity;
+    copies and pickles are rebuilt through the constructor.
     """
 
     mat: np.ndarray
@@ -147,13 +152,22 @@ class CayleyMap:
     point_codomain: Model
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
+        m = _complex_array(self.mat, "matrix")
         r = verify_isometry(m, self.source_form, self.target_form)
         if not r <= CAYLEY_TOL:
             raise DomainError(f"matrix does not intertwine the forms (residual {r:.3g})")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+
+    def __reduce__(self):
+        return CayleyMap, (
+            self.mat,
+            self.source_form,
+            self.target_form,
+            self.point_domain,
+            self.point_codomain,
+        )
 
     def inverse(self) -> "CayleyMap":
         return CayleyMap(
@@ -185,7 +199,8 @@ def cayley_gamma2() -> CayleyMap:
 
 
 def _check_preserves(form: HermitianForm, p: ModelPoint):
-    if form != standard_form_for(p.model, p.n):
+    # callers test `form is p._form` first; an equal but distinct form passes here
+    if form != p._form:
         raise DomainError(f"isometry preserves a different form than the {p.model.value} model's")
 
 
@@ -193,33 +208,34 @@ def _isometry_stack(elements, p: ModelPoint) -> np.ndarray:
     """The matrices of the isometries as one (N, n+1, n+1) array; DomainError
     unless each preserves the form of p's model, as apply requires."""
     for form in {id(g.form): g.form for g in elements}.values():
-        _check_preserves(form, p)
+        if form is not p._form:
+            _check_preserves(form, p)
     return np.array([g.mat for g in elements], dtype=complex).reshape(-1, p.n + 1, p.n + 1)
 
 
 def apply(g, p: ModelPoint) -> ModelPoint:
     """Fractional-linear action (A z + B) / (C z + D) on a model point."""
     if isinstance(g, Isometry):
-        _check_preserves(g.form, p)
-        out_model = p.model
-        mat = g.mat
+        if g.form is not p._form:
+            _check_preserves(g.form, p)
+        out_model, out_form = p.model, p._form
     elif isinstance(g, CayleyMap):
         if p.model is not g.point_domain:
             raise DomainError(
                 f"map acts on {g.point_domain.value} points, got {p.model.value}"
             )
         out_model = g.point_codomain
-        mat = g.mat
+        out_form = standard_form_for(out_model, p.n)
     else:
         raise TypeError(f"cannot apply object of type {type(g).__name__}")
 
-    zt = mat.dot(lift(p))
+    zt = g.mat.dot(p._lift)
     denom = zt[-1]
     if abs(denom) < _DENOM_TINY:
         raise DomainError("zero denominator: point outside the map's domain")
     zt /= denom
     zt[-1] = 1.0
-    return ModelPoint._from_lift(out_model, zt)
+    return ModelPoint._from_lift(out_model, zt, out_form)
 
 
 # Taylor coefficients of exp to degree 16 as a 4 x 5 matrix: row j holds

@@ -2,7 +2,7 @@
 
     python tests/mutants.py [NAME ...]
 
-Each mutant weakens one rounding bound or margin of the library.  It is
+Each mutant weakens one bound or check of the library.  It is
 applied to a copy of `src/` and `tests/` in a temporary directory, where
 the mutant's tests run under pytest; the mutant is killed when they fail.
 The script prints one line per mutant and exits 1 if a mutant survives
@@ -83,6 +83,27 @@ MUTANTS = [
         "disc = spec.disc((abs(z2 - w2) + math.sqrt(2.0 * g_max)) * (1.0 + 1e-12))",
         "disc = spec.disc(abs(z2 - w2) + math.sqrt(2.0 * g_max))",
         _COLUMN_TESTS,
+    ),
+    Mutant(
+        "no form check past the identity",
+        "src/pbl/transforms.py",
+        "if form != p._form:",
+        "if False:",
+        ("tests/test_transforms.py",),
+    ),
+    Mutant(
+        "no interior check",
+        "src/pbl/hermitian.py",
+        "if not ind < 0:",
+        "if False:",
+        ("tests/test_hermitian.py",),
+    ),
+    Mutant(
+        "no same-model check in _sinh2",
+        "src/pbl/geometry.py",
+        "    _check_same_model(z, w)\n",
+        "",
+        ("tests/test_geometry.py",),
     ),
 ]
 

@@ -414,6 +414,22 @@ class TestElementSources:
             math.log(sum(math.cosh(x / 2) ** -6 for x in d))
         )
 
+    def test_an_equal_but_distinct_form_gives_the_same_bits(self):
+        # the isometry checks accept a form equal to the point's but not it,
+        # and the sums and counts read only the matrices
+        twin = HermitianForm(ball_form(2).entries.copy())
+        assert twin is not ball_form(2) and twin == ball_form(2)
+        z, w = ModelPoint.ball([0.1 - 0.2j, 0.3j]), ModelPoint.ball([-0.4, 0.1 + 0.1j])
+        gs = [random_isometry(ball_form(2), s) for s in range(20)]
+        hs = [Isometry(g.mat, twin) for g in gs]
+        assert [h.form for h in hs] == [twin] * 20
+        for k in (6, 20):
+            assert orbit_cosh_power_sum(hs, z, k).log_abs == orbit_cosh_power_sum(gs, z, k).log_abs
+        ours, theirs = OrbitSource.from_elements(gs), OrbitSource.from_elements(hs)
+        assert min_displacement(theirs, z).hex() == min_displacement(ours, z).hex()
+        for delta in (0.5, 1.0, 2.0, 4.0):
+            assert counting_function(theirs, z, w, delta) == counting_function(ours, z, w, delta)
+
     def test_points_of_different_models_rejected(self):
         g = stabilizer_matrix(GAUSSIAN_SPEC.param(1, 0, 0), Model.M3)
         z = ModelPoint.m2(2j, 0.0)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,3 +242,64 @@ class TestStoredLift:
         v[0] = 0.9  # the caller's array stays writable, and p keeps its copy
         assert p.coords[0] == 0.1 + 0.1j
         assert lift(p)[0] == 0.1 + 0.1j
+
+
+def _twins(x):
+    return pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)
+
+
+class TestCopies:
+    """Pickles and copies are rebuilt through the constructors, so they keep
+    every invariant of the original."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ModelPoint.ball([0.1, 0.2j]),
+            lambda: ModelPoint.ball([0.1, -0.2j, 0.3]),
+            lambda: ModelPoint.m2(1 + 2j, 0.5),
+            lambda: ModelPoint.m3(-1.0 + 0.5j, 0.25),
+        ],
+    )
+    def test_point_twins_are_read_only_and_equal(self, make):
+        p = make()
+        for q in _twins(p):
+            assert q == p and hash(q) == hash(p)
+            assert model_indicator(q) == model_indicator(p)
+            assert q.form() is p.form()
+            assert np.shares_memory(lift(q), q.coords)
+            assert lift(q).tobytes() == lift(p).tobytes()
+            for arr in (q.coords, lift(q)):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.99
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
+
+    @pytest.mark.parametrize("form", [ball_form(2), ball_form(3), model2_form(), model3_form()])
+    def test_form_twins_are_read_only_and_equal(self, form):
+        for twin in _twins(form):
+            assert twin == form and hash(twin) == hash(form)
+            assert np.array_equal(twin.entries, form.entries)
+            with pytest.raises(ValueError):
+                twin.entries[0, 0] = 5.0
+
+
+class TestStoredForm:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelPoint.ball([0.1, 0.2j]),
+            ModelPoint.ball([0.1, 0.2j, -0.3, 0.0]),
+            ModelPoint.ball(np.full(3, 0.4)),
+            ModelPoint.m2(1 + 2j, 0.5),
+            ModelPoint.m3(-1.0 + 0.5j, 0.25),
+            ModelPoint(Model.BALL, (0.1, 0.2)),
+            ModelPoint(Model.M2, np.array([2j, 1.0])),
+            ModelPoint(Model.M3, [-1.0, 0.0]),
+        ],
+        ids=lambda p: f"{p.model.value}-{p.n}",
+    )
+    def test_form_is_the_models_standard_form(self, p):
+        for q in (p, *_twins(p)):
+            assert q.form() is standard_form_for(q.model, q.n)
+

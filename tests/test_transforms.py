@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +29,7 @@ from pbl import (
     model_indicator,
     random_isometry,
     stabilizer_matrix,
+    standard_form_for,
     verify_isometry,
 )
 
@@ -406,3 +409,67 @@ class TestBuildersCheck:
             stabilizer_matrix(SimpleNamespace(alpha=complex("nan"), beta=0.0), model)
         with pytest.raises(DomainError, match="does not preserve the form"):
             stabilizer_matrix(HeisenbergParam(3000 + 1000j, 0.5), model)
+
+
+def _twins(x):
+    return pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)
+
+
+class TestCopies:
+    """Pickles and copies of maps are rebuilt through the checked
+    constructors: their matrices stay read-only, and apply treats a twin as
+    the original."""
+
+    def test_isometry_twins(self):
+        g = random_isometry(ball_form(2), 1)
+        p = ModelPoint.ball([0.1, 0.2j])
+        for twin in _twins(g):
+            assert np.array_equal(twin.mat, g.mat) and twin.form == g.form
+            with pytest.raises(ValueError):
+                twin.mat[0, 0] = 5
+            assert apply(twin, p).coords.tobytes() == apply(g, p).coords.tobytes()
+
+    def test_cayley_map_twins(self):
+        cay = cayley_gamma2()
+        p = ModelPoint.m2(1 + 2j, 0.5)
+        for twin in _twins(cay):
+            assert np.array_equal(twin.mat, cay.mat)
+            for name in ("source_form", "target_form", "point_domain", "point_codomain"):
+                assert getattr(twin, name) == getattr(cay, name)
+            with pytest.raises(ValueError):
+                twin.mat[0, 0] = 5
+            assert apply(twin, p).coords.tobytes() == apply(cay, p).coords.tobytes()
+
+
+class TestStoredForm:
+    def test_images_carry_their_models_standard_form(self):
+        p2 = ModelPoint.m2(1 + 2j, 0.5)
+        maps = [cayley_gamma23(), cayley_gamma2()]
+        images = [
+            apply(random_isometry(ball_form(2), 4), ModelPoint.ball([0.1, 0.2j])),
+            apply(random_isometry(ball_form(3), 4), ModelPoint.ball([0.1, 0.2j, 0.3])),
+        ]
+        images += [apply(m, p2) for m in maps]
+        images += [apply(m.inverse(), apply(m, p2)) for m in maps]
+        images.append(apply(cayley_gamma3(), apply(cayley_gamma23(), p2)))
+        images.append(apply(cayley_gamma3().inverse(), images[0]))
+        for q in images:
+            assert q.form() is standard_form_for(q.model, q.n)
+        assert {q.model for q in images} == set(Model)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ModelPoint.ball(["a", 0]),
+            lambda: ModelPoint.m3("x", 0),
+            lambda: HermitianForm("abc"),
+            lambda: Isometry("abc", ball_form(2)),
+            lambda: verify_isometry("abc", ball_form(2), ball_form(2)),
+        ],
+        ids=["ball", "m3", "form", "isometry", "verify_isometry"],
+    )
+    def test_text_that_is_not_a_number_is_a_domain_error(self, build):
+        with pytest.raises(DomainError, match="must be complex numbers"):
+            build()
